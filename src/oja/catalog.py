@@ -248,6 +248,8 @@ def _ip_from_text(text: str) -> InvertiblePoly:
 
 
 def _group_from_generator(generator: str, arity: int) -> SymmetryGroup:
+    if not isinstance(generator, str):
+        raise ValueError(f"group generator must be a string, got {generator!r}")
     if not generator:
         return SymmetryGroup.trivial(arity)
     return SymmetryGroup.generated_by([GroupElement.parse(generator)], arity)
@@ -266,13 +268,16 @@ def _parse_scalar(text: str) -> CycScalar:
     negative = text.startswith("-")
     body = text[1:] if negative else text
     base, _, denominator = body.partition("/")
-    if base in _SYMBOLIC_SCALARS:
-        value = _SYMBOLIC_SCALARS[base]
-        if denominator:
-            value = value * CycScalar.from_rational(
-                Fraction(1, int(denominator)))
-    else:
-        value = CycScalar.from_rational(Fraction(body))
+    try:
+        if base in _SYMBOLIC_SCALARS:
+            value = _SYMBOLIC_SCALARS[base]
+            if denominator:
+                value = value * CycScalar.from_rational(
+                    Fraction(1, int(denominator)))
+        else:
+            value = CycScalar.from_rational(Fraction(body))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad witness scalar {text!r}") from None
     return -value if negative else value
 
 
@@ -353,9 +358,21 @@ def _validate(catalog: Catalog) -> None:
         if row.reduced != (row.witness is not None):
             raise ValueError(
                 f"row {row.index}: reduced rows carry a witness, others do not")
-        if row.witness is not None and len(row.witness) != source.arity:
-            raise ValueError(
-                f"row {row.index}: witness needs {source.arity} images")
+        if row.witness is not None:
+            if len(row.witness) != source.arity:
+                raise ValueError(
+                    f"row {row.index}: witness needs {source.arity} images")
+            for term in (term for image in row.witness for term in image):
+                if len(term) != 3 or not all(isinstance(t, str) for t in term):
+                    raise ValueError(
+                        f"row {row.index}: witness term {list(term)!r} is not "
+                        "three strings (scalar, monomial, sector)")
+                scalar_text, _, sector_text = term
+                _parse_scalar(scalar_text)
+                if GroupElement.parse(sector_text) not in group:
+                    raise ValueError(
+                        f"row {row.index}: witness sector ({sector_text}) "
+                        "is not in the row's group")
         partner = catalog.entry(row.f2_type)
         if not any(
                 _permutation_match(transpose(_ip_from_text(v)).poly,

@@ -14,17 +14,14 @@ The global flags ``--json`` (machine-readable output) and ``--catalog PATH``
 (alternate catalog file) are accepted before or after the subcommand.
 
 Exit codes: 0 on success, 1 on a verification failure, 2 on bad input.
-``OJA_THREADS`` caps the worker pool used by ``verify --all``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from .catalog import Catalog, CatalogRow, load_catalog, row_source, row_target, row_witness
@@ -96,23 +93,12 @@ def _load_catalog(args: argparse.Namespace) -> Catalog:
         return load_catalog(args.catalog)
     except FileNotFoundError:
         raise CliError(f"catalog file not found: {args.catalog}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read catalog file {args.catalog}: {exc.strerror}") from None
     except KeyError as exc:
         raise CliError(f"invalid catalog: missing key {exc}") from None
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise CliError(f"invalid catalog: {exc}") from None
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("OJA_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise CliError(f"OJA_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise CliError("OJA_THREADS must be at least 1")
-        return cap
-    return min(8, os.cpu_count() or 1)
 
 
 # --- output helpers ----------------------------------------------------------
@@ -293,13 +279,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         rows = list(catalog.rows)
 
-    cap = min(_thread_cap(), len(rows))
-    if cap <= 1:
-        results = [_certify_row(row, args.search) for row in rows]
-    else:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(lambda row: _certify_row(row, args.search), rows))
-
+    results = [_certify_row(row, args.search) for row in rows]
     lines = [_row_line(row, cert, error) for row, cert, error in results]
     if args.row is not None:
         row, cert, _ = results[0]

@@ -364,10 +364,6 @@ def _symbolic_product(target: OrbifoldAlgebra, u: list[Poly], v: list[Poly],
     return out
 
 
-def _dedupe_key(eq: Poly) -> tuple:
-    return tuple(sorted((exps, tuple(c.to_json())) for exps, c in eq.terms.items()))
-
-
 def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
                generator_candidates: Mapping[int, Sequence[int]] | None = None,
                *, require_frobenius: bool = True,
@@ -425,11 +421,13 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
             out = [a + b.scale(coeff) for a, b in zip(out, acc)]
         return out
 
-    equations: dict[tuple, Poly] = {}
+    # A dict keyed by the equation itself drops duplicates and keeps the
+    # first-seen order, which the solver's branching depends on.
+    equations: dict[Poly, None] = {}
 
     def add_equation(eq: Poly) -> None:
         if eq.terms:
-            equations.setdefault(_dedupe_key(eq), eq)
+            equations.setdefault(eq)
 
     for i in range(source.arity):
         for entry in sym_evaluate(source.poly.partial_derivative(i)):
@@ -450,7 +448,7 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
                 add_equation(pairing - Poly.constant(ring, src.gram[i][j]))
 
     budget = _Budget(max_nodes)
-    for assignment in _solve_system(list(equations.values()), len(layout), budget):
+    for assignment in _solve_system(list(equations), len(layout), budget):
         images = [target.zero_vector() for _ in range(source.arity)]
         for t, (i, k) in enumerate(layout):
             images[i][k] = images[i][k] + assignment[t]
@@ -643,12 +641,6 @@ def _same_node(ip_a: InvertiblePoly, group_a: SymmetryGroup,
     return False
 
 
-def _pair_key(ip: InvertiblePoly, group: SymmetryGroup) -> tuple:
-    terms = tuple(sorted((exps, tuple(c.to_json()))
-                         for exps, c in ip.poly.terms.items()))
-    return (ip.vars, terms, tuple(g.phases for g in group))
-
-
 def _describe_pair(ip: InvertiblePoly, group: SymmetryGroup) -> str:
     gens = [str(g) for g in group if not g.is_identity()]
     label = f"<{'; '.join(gens)}>" if gens else "{id}"
@@ -676,12 +668,16 @@ def duality_graph(catalog, *, max_nodes: int = 60000) -> DualityGraph:
         clusters.setdefault(node.cluster, []).append(node)
 
     uf = _UnionFind()
-    pairs: dict[tuple, tuple[InvertiblePoly, SymmetryGroup, str]] = {}
+    # Pairs are keyed by (polynomial, group) rather than by the InvertiblePoly:
+    # a transposed polynomial keeps its own monomial row order, so equal pairs
+    # can arrive as unequal InvertiblePoly objects.
+    pairs: dict[tuple[Poly, SymmetryGroup], tuple[InvertiblePoly, SymmetryGroup, str]] = {}
     certifications: list[str] = []
 
-    def register(ip: InvertiblePoly, group: SymmetryGroup, name: str) -> tuple:
+    def register(ip: InvertiblePoly, group: SymmetryGroup,
+                 name: str) -> tuple[Poly, SymmetryGroup]:
         """Intern a pair; a new pair is checked against all known ones for renamings."""
-        key = _pair_key(ip, group)
+        key = (ip.poly, group)
         if key in pairs:
             return key
         uf.add(key)

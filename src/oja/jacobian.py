@@ -191,16 +191,24 @@ def _standard_monomials(lms: Sequence[Monomial], bounds: Sequence[int]) -> list[
     return out
 
 
-def has_isolated_singularity(f: Poly) -> bool:
-    """True iff the Jacobian algebra of f is finite-dimensional."""
+def _jacobian_ideal(f: Poly) -> tuple[GroebnerBasis, list[int]] | None:
+    """Groebner basis and power box of (df/dx_1, ..., df/dx_n).
+
+    Returns None when Jac(f) is infinite-dimensional.  In arity 0 the ideal
+    is zero and Jac(f) is the field itself.
+    """
     n = len(f.vars)
-    if n == 0:
-        return True
     partials = [f.partial_derivative(i) for i in range(n)]
     if any(p.is_zero() for p in partials):
-        return False
-    gb = groebner(partials)
-    return _power_box(gb.leading_monomials, n) is not None
+        return None
+    gb = groebner(partials) if partials else GroebnerBasis(())
+    bounds = _power_box(gb.leading_monomials, n)
+    return None if bounds is None else (gb, bounds)
+
+
+def has_isolated_singularity(f: Poly) -> bool:
+    """True iff the Jacobian algebra of f is finite-dimensional."""
+    return _jacobian_ideal(f) is not None
 
 
 # --- the quotient algebra -------------------------------------------------
@@ -269,9 +277,6 @@ class QuotientAlgebra:
             vec[self._index[m]] = c
         return vec
 
-    def from_coords(self, vec: Sequence[CycScalar]) -> Poly:
-        return Poly(self.vars, {m: c for m, c in zip(self.basis, vec)})
-
     def weighted_degree(self, m: Monomial) -> int:
         return sum(w * e for w, e in zip(self.weights, m))
 
@@ -295,12 +300,7 @@ class QuotientAlgebra:
         return f"QuotientAlgebra({self.f}, mu={self.mu})"
 
 
-_CACHE: dict[tuple, QuotientAlgebra] = {}
-
-
-def _cache_key(f: Poly, weights: tuple[int, ...], degree: int) -> tuple:
-    terms = tuple(sorted((m, tuple(c.to_json())) for m, c in f.terms.items()))
-    return (f.vars, terms, weights, degree)
+_CACHE: dict[tuple[Poly, tuple[int, ...], int], QuotientAlgebra] = {}
 
 
 def quotient_algebra(f: Poly, weights: Sequence[int], degree: int) -> QuotientAlgebra:
@@ -311,27 +311,17 @@ def quotient_algebra(f: Poly, weights: Sequence[int], degree: int) -> QuotientAl
     the construction aborts rather than picking arbitrarily.
     """
     weights = tuple(weights)
-    key = _cache_key(f, weights, degree)
+    key = (f, weights, degree)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
 
-    n = len(f.vars)
     if not f.is_weighted_homogeneous(weights, degree):
         raise ValueError(f"{f} is not weighted homogeneous for {weights}; degree {degree}")
-    if n == 0:
-        gb = GroebnerBasis((), "grevlex")
-        algebra = QuotientAlgebra(f, weights, degree, gb, ((),), (), Poly.constant((), _ONE))
-        _CACHE[key] = algebra
-        return algebra
-
-    partials = [f.partial_derivative(i) for i in range(n)]
-    if any(p.is_zero() for p in partials):
+    ideal = _jacobian_ideal(f)
+    if ideal is None:
         raise ValueError(f"Jacobian algebra of {f} is infinite-dimensional")
-    gb = groebner(partials)
-    bounds = _power_box(gb.leading_monomials, n)
-    if bounds is None:
-        raise ValueError(f"Jacobian algebra of {f} is infinite-dimensional")
+    gb, bounds = ideal
     basis = tuple(_standard_monomials(gb.leading_monomials, bounds))
 
     socle_degree = sum(degree - 2 * w for w in weights)
@@ -346,7 +336,7 @@ def quotient_algebra(f: Poly, weights: Sequence[int], degree: int) -> QuotientAl
     hess_nf = gb.reduce(f.hessian())
     if set(hess_nf.terms) != {socle}:
         raise ValueError(f"Hessian class of {f} is not a nonzero multiple of the socle")
-    for i in range(n):
+    for i in range(len(f.vars)):
         bumped = tuple(e + (1 if j == i else 0) for j, e in enumerate(socle))
         if not gb.reduce(Poly.monomial(f.vars, bumped)).is_zero():
             raise ValueError(f"socle of Jac({f}) is not annihilated by {f.vars[i]}")
@@ -358,16 +348,10 @@ def quotient_algebra(f: Poly, weights: Sequence[int], degree: int) -> QuotientAl
 
 def milnor(f: Poly) -> int:
     """Dimension of Jac(f); raises when it is infinite."""
-    n = len(f.vars)
-    if n == 0:
-        return 1
-    partials = [f.partial_derivative(i) for i in range(n)]
-    if any(p.is_zero() for p in partials):
+    ideal = _jacobian_ideal(f)
+    if ideal is None:
         raise ValueError(f"Jacobian algebra of {f} is infinite-dimensional")
-    gb = groebner(partials)
-    bounds = _power_box(gb.leading_monomials, n)
-    if bounds is None:
-        raise ValueError(f"Jacobian algebra of {f} is infinite-dimensional")
+    gb, bounds = ideal
     return len(_standard_monomials(gb.leading_monomials, bounds))
 
 
@@ -410,13 +394,7 @@ def solve_in_quotient(algebra: QuotientAlgebra, a: Poly, b: Poly,
     a_nf = algebra.normal_form(a)
     if a_nf.is_zero():
         raise ValueError("cannot solve against the zero class")
-    n = len(algebra.vars)
-    bounds = [0] * n
-    for lm in algebra.gb.leading_monomials:
-        support_lm = [i for i, e in enumerate(lm) if e]
-        if len(support_lm) == 1:
-            i = support_lm[0]
-            bounds[i] = lm[i] if bounds[i] == 0 else min(bounds[i], lm[i])
+    bounds = _power_box(algebra.gb.leading_monomials, len(algebra.vars))
     allowed = set(support) if support is not None else None
 
     def admissible(m: Monomial) -> bool:

@@ -67,14 +67,15 @@ def solve_linear(matrix: list[list[T]], rhs: list[T], zero: T, one: T
         solution = [zero] * cols
         for r, c in enumerate(pivots):
             solution[c] = red[r][cols]
+    # Column by column, the left block of rref([A | b]) is rref(A).
+    pivots_a = [c for c in pivots if c < cols]
     null_basis: list[list[T]] = []
-    red_a, pivots_a = rref(matrix) if rows else ([], [])
     free = [c for c in range(cols) if c not in pivots_a]
     for f in free:
         vec = [zero] * cols
         vec[f] = one
         for r, c in enumerate(pivots_a):
-            vec[c] = zero - red_a[r][f]
+            vec[c] = zero - red[r][f]
         null_basis.append(vec)
     return solution, null_basis
 

@@ -360,13 +360,12 @@ def invariant_subalgebra(algebra: OrbifoldAlgebra) -> OrbifoldAlgebra:
                            invariant_only=True)
 
 
-_ORBIFOLD_CACHE: dict[tuple, OrbifoldAlgebra] = {}
+_ORBIFOLD_CACHE: dict[tuple[InvertiblePoly, SymmetryGroup], OrbifoldAlgebra] = {}
 
 
 def orbifold_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> OrbifoldAlgebra:
     """Jac(f,G): the G-invariant subalgebra of the twisted algebra, cached."""
-    key = (ip.vars, ip.exponents, tuple(tuple(c.to_json()) for c in ip.coeffs),
-           tuple(g.phases for g in group))
+    key = (ip, group)
     hit = _ORBIFOLD_CACHE.get(key)
     if hit is None:
         hit = invariant_subalgebra(twisted_algebra(ip, group))

@@ -12,8 +12,7 @@ that equal polynomials always print and dump identically.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .scalar import CycScalar
 
@@ -132,11 +131,12 @@ class Poly:
             return Poly.zero(self.vars)
         return Poly(self.vars, {e: c * scalar for e, c in self.terms.items()})
 
-    def map_coeffs(self, fn: Callable[[CycScalar], CycScalar]) -> "Poly":
-        return Poly(self.vars, {e: fn(c) for e, c in self.terms.items()})
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.vars == other.vars and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        # Consistent with __eq__; nothing mutates `terms` after construction.
+        return hash((self.vars, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -161,12 +161,6 @@ class Poly:
         second = [[self.partial_derivative(i).partial_derivative(j) for j in range(n)]
                   for i in range(n)]
         return _determinant(second, self.vars)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def weighted_degrees(self, weights: Sequence[int]) -> set[Fraction | int]:
-        return {sum(w * e for w, e in zip(weights, exps)) for exps in self.terms}
 
     def is_weighted_homogeneous(self, weights: Sequence[int], degree: int) -> bool:
         return all(sum(w * e for w, e in zip(weights, exps)) == degree for exps in self.terms)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -275,12 +276,52 @@ def test_verify_accepts_a_catalog_file(tmp_path: Path):
     assert before.stdout == after.stdout
 
 
-def test_verify_rejects_an_invalid_catalog(tmp_path: Path):
-    path = tmp_path / "broken.json"
-    path.write_text('{"version": 1}')
+def _keep_only_version(data: dict) -> None:
+    for key in set(data) - {"version"}:
+        del data[key]
+
+
+def _set_witness_term(index: int, image: int, slot: int, value) -> Callable[[dict], None]:
+    def mutate(data: dict) -> None:
+        data["rows"][index]["witness"]["images"][image][0][slot] = value
+    return mutate
+
+
+def _set_generator(section: str, index: int, value) -> Callable[[dict], None]:
+    def mutate(data: dict) -> None:
+        data[section][index]["generator"] = value
+    return mutate
+
+
+# Each case: a change to the bundled catalog (None: the catalog path is a
+# directory), and the message expected on stderr.  Position 1 holds row 2,
+# whose group is <(1/2,0,1/2)>, and graph node B.
+_BROKEN_CATALOGS = {
+    "missing-sections": (_keep_only_version, "invalid catalog"),
+    "scalar-not-a-string": (_set_witness_term(1, 0, 0, 1), "invalid catalog"),
+    "scalar-divides-by-zero": (_set_witness_term(1, 0, 0, "1/0"), "invalid catalog"),
+    "row-generator-not-a-string": (_set_generator("rows", 1, ["1/2", "0", "1/2"]),
+                                   "invalid catalog"),
+    "node-generator-not-a-string": (_set_generator("graph_nodes", 1, ["1/2", "0", "1/2"]),
+                                    "invalid catalog"),
+    "sector-outside-group": (_set_witness_term(1, 2, 2, "0,1/2,1/2"), "invalid catalog"),
+    "directory": (None, "cannot read catalog file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_CATALOGS))
+def test_verify_rejects_an_invalid_catalog(tmp_path: Path, case: str):
+    mutate, message = _BROKEN_CATALOGS[case]
+    path = tmp_path
+    if mutate is not None:
+        data = json.loads(serialize(load_catalog()))
+        mutate(data)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
     result = _run("--catalog", str(path), "verify", "--row", "2")
     assert result.returncode == 2
-    assert "invalid catalog" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert message in result.stderr
 
 
 def test_verify_rejects_a_missing_catalog_file():

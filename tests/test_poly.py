@@ -39,6 +39,13 @@ def test_parse_repeated_factors_accumulate():
     assert parse("x*x*x", XYZ) == parse("x^3", XYZ)
 
 
+def test_equal_polynomials_are_one_dict_key():
+    a = parse("x^2 + 2*y - z", XYZ)
+    b = parse("-z + 2*y + x^2", XYZ)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, parse("x^2 + 2*y", XYZ), Poly(("x", "y", "w"), a.terms)}) == 3
+
+
 def test_parse_whitespace_and_leading_sign():
     assert parse("  - x + y ", XYZ) == parse("y", XYZ) - parse("x", XYZ)
 
