@@ -1,7 +1,9 @@
 """Byte-for-byte CLI transcripts, run in-process through ``oja.cli.main``.
 
 Each file under ``tests/golden`` holds the exact stdout of one command, and
-each case also pins the exit code.  The JSON forms of ``verify --all
+each case also pins the exit code.  ``verify --row 8`` prints irrational
+witness scalars such as ``2/3*z^2 - 1/3*z^6``, so it pins
+``CycScalar.__str__`` on the power basis.  The JSON forms of ``verify --all
 --search`` and ``graph`` pin the search witnesses, the certification log and
 the fingerprints.  No test writes these files.
 """
@@ -18,15 +20,22 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     ("transpose", ["transpose", "x2^3+x1^5*x2+x3^2"], 0),
+    ("symmetry", ["symmetry", "x1^4+x2^3+x3^3"], 0),
     ("symmetry_sl", ["symmetry", "x1^4+x2^3+x3^3", "--sl"], 0),
     ("milnor", ["milnor", "x^8+y^3+z^2"], 0),
+    ("jacobian", ["jacobian", "x1^8+x2^3+x3^2"], 0),
     ("jacobian_json", ["--json", "jacobian", "x1^8+x2^3+x3^2"], 0),
     ("orbifold_json", ["--json", "orbifold", "x1^8+x2^3+x3^2", "--group", "1/2,0,1/2"], 0),
     ("orbifold_structure",
      ["orbifold", "x1^4+x2^3+x3^3", "--group", "0,2/3,1/3", "--structure"], 0),
+    ("orbifold_pairing",
+     ["orbifold", "x1^4+x2^3+x3^3", "--group", "0,2/3,1/3", "--pairing"], 0),
     ("verify_row6", ["verify", "--row", "6"], 0),
+    ("verify_row8", ["verify", "--row", "8"], 0),
     ("verify_row19_json", ["--json", "verify", "--row", "19"], 1),
     ("verify_all_search_json", ["--json", "verify", "--all", "--search"], 1),
+    ("graph", ["graph"], 0),
+    ("graph_dot", ["graph", "--dot"], 0),
     ("graph_json", ["--json", "graph"], 0),
 ]
 
