@@ -367,8 +367,14 @@ def _validate(catalog: Catalog) -> None:
                     raise ValueError(
                         f"row {row.index}: witness term {list(term)!r} is not "
                         "three strings (scalar, monomial, sector)")
-                scalar_text, _, sector_text = term
+                scalar_text, monomial_text, sector_text = term
                 _parse_scalar(scalar_text)
+                try:
+                    parse(monomial_text, target_ip.vars)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"row {row.index}: witness monomial {monomial_text!r}: {exc}"
+                    ) from None
                 if GroupElement.parse(sector_text) not in group:
                     raise ValueError(
                         f"row {row.index}: witness sector ({sector_text}) "

@@ -748,7 +748,12 @@ def duality_graph(catalog, *, max_nodes: int = 60000) -> DualityGraph:
              for cid in sorted(clusters)
              for a, b in combinations(clusters[cid], 2)]
 
-    prints = {node.label: fingerprint(orbifold_algebra(node.ip, node.group))
-              for node in nodes}
+    # Nodes that share a (polynomial, group) pair share one fingerprint.
+    by_key: dict[tuple[Poly, SymmetryGroup], Fingerprint] = {}
+    for node in nodes:
+        key = key_of[node.label]
+        if key not in by_key:
+            by_key[key] = fingerprint(orbifold_algebra(node.ip, node.group))
+    prints = {node.label: by_key[key_of[node.label]] for node in nodes}
 
     return DualityGraph(nodes, edges, components, certifications, prints)

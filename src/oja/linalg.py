@@ -1,9 +1,11 @@
 """Exact linear algebra over the cyclotomic field and over the integers.
 
 Gaussian elimination is generic in the coefficient field: it only needs
-+, -, *, / and truthiness, so the same routine serves `CycScalar` matrices
-(rank and solve steps inside the algebra computations) and `Fraction`
-matrices (weight systems, exponent-matrix inverses).  The integer Smith
++, -, *, `1 / x` and truthiness, so the same routine serves `CycScalar`
+matrices (rank and solve steps inside the algebra computations) and
+`Fraction` matrices (weight systems, exponent-matrix inverses).  `rref`
+takes one reciprocal per pivot and multiplies the pivot row by it, and it
+skips every product with a zero entry.  The integer Smith
 normal form is used to cross-check symmetry group orders.
 """
 
@@ -31,12 +33,12 @@ def rref(matrix: list[list[T]]) -> tuple[list[list[T]], list[int]]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv if x else x for x in mat[r]]
         for i in range(rows):
             if i != r and mat[i][c]:
                 factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [a - factor * b if b else a for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == rows:

@@ -1,11 +1,18 @@
 """Exact arithmetic in the cyclotomic field K = Q(zeta_n), default n = 24.
 
 Elements are written on the power basis 1, z, ..., z^(phi(n)-1) where z is a
-fixed primitive n-th root of unity and phi is Euler's totient; coordinates are
-`fractions.Fraction`s and every operation is exact.  Products are reduced with
-the minimal polynomial Phi_n(t), computed here from the recursive definition
-Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d.  For the default n = 24 this is
-t^8 - t^4 + 1, so the basis has length 8 and z^12 = -1.
+fixed primitive n-th root of unity and phi is Euler's totient.  An element is
+stored as a tuple of integer numerators over one positive common denominator,
+kept canonical (gcd of the denominator and all numerators is 1), which is the
+`nf_elem` layout of ANTIC/FLINT.  Products are integer convolutions reduced
+with the monic minimal polynomial Phi_n(t), computed here from the recursive
+definition Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d.  For the default
+n = 24 this is t^8 - t^4 + 1, so the basis has length 8 and z^12 = -1.
+
+The inverse is taken through the Galois norm.  For x = v/d != 0 with integer
+numerators v, the product P of the conjugates sigma_k(v), over the units k
+mod n other than 1, satisfies v * P = N(v), a nonzero integer, so
+1/x = d * P / N(v) with integer arithmetic throughout.
 
 The field is large enough to host i = z^6, sqrt(2) = z^3 + z^21,
 sqrt(3) = z^2 + z^22 and their products, which is all the irrationality the
@@ -18,20 +25,10 @@ reduction).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 ORDER = 24
-
-
-def _totient(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        a, b = n, k
-        while b:
-            a, b = b, a % b
-        if a == 1:
-            count += 1
-    return count
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -63,32 +60,67 @@ def _cyclotomic(n: int) -> list[int]:
 
 _PHI = _cyclotomic(ORDER)
 DEGREE = len(_PHI) - 1
-assert DEGREE == _totient(ORDER)
+# The Galois group of K is (Z/ORDER)^x, acting by z -> z^k.
+_UNITS = [k for k in range(1, ORDER) if gcd(k, ORDER) == 1]
+assert DEGREE == len(_UNITS)
 assert _PHI[-1] == 1
 if ORDER == 24:
     assert _PHI == [1, 0, 0, 0, -1, 0, 0, 0, 1]  # t^8 - t^4 + 1
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# t^DEGREE = -sum _PHI[i] t^i: the nonzero (i, -_PHI[i]) used to fold a top term down.
+_FOLD = [(i, -c) for i, c in enumerate(_PHI[:DEGREE]) if c]
 
 
-def _reduce(coeffs: list[Fraction]) -> list[Fraction]:
-    """Reduce a coefficient list modulo Phi_n, in place, and trim to DEGREE."""
-    for k in range(len(coeffs) - 1, DEGREE - 1, -1):
-        top = coeffs[k]
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coordinate vectors, reduced modulo Phi_n."""
+    prod = [0] * (2 * DEGREE - 1)
+    right = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in right:
+                prod[i + j] += x * y
+    for k in range(2 * DEGREE - 2, DEGREE - 1, -1):
+        top = prod[k]
         if top:
-            coeffs[k] = _ZERO
-            for i in range(DEGREE):
-                if _PHI[i]:
-                    coeffs[k - DEGREE + i] -= top * _PHI[i]
-    del coeffs[DEGREE:]
-    while len(coeffs) < DEGREE:
-        coeffs.append(_ZERO)
-    return coeffs
+            for i, c in _FOLD:
+                prod[k - DEGREE + i] += top * c
+    del prod[DEGREE:]
+    return prod
+
+
+# Integer coordinates of z^m for 0 <= m < ORDER.
+_ZETA = [tuple(int(i == 0) for i in range(DEGREE))]
+while len(_ZETA) < ORDER:
+    _ZETA.append(tuple(_int_mul(_ZETA[-1], [int(i == 1) for i in range(DEGREE)])))
+# sigma_k sends z^j to z^(jk mod ORDER); stored per k as the sparse image of each z^j.
+_CONJUGATIONS = [[[(i, c) for i, c in enumerate(_ZETA[j * k % ORDER]) if c]
+                  for j in range(DEGREE)]
+                 for k in _UNITS if k != 1]
+
+
+def _conjugate(n: Sequence[int], images: list[list[tuple[int, int]]]) -> list[int]:
+    out = [0] * DEGREE
+    for x, image in zip(n, images):
+        if x:
+            for i, c in image:
+                out[i] += x * c
+    return out
+
+
+def _canonical(n: Sequence[int], d: int) -> "CycScalar":
+    """The element n / d for integer numerators n and d > 0, in lowest terms."""
+    g = gcd(d, *n)
+    if g != 1:
+        n = [x // g for x in n]
+        d //= g
+    obj = object.__new__(CycScalar)
+    obj.n = tuple(n)
+    obj.d = d
+    return obj
 
 
 class CycScalar:
-    """An element of Q(zeta_ORDER) on the power basis.
+    """An element of Q(zeta_ORDER) on the power basis: numerators `n` over `d`.
 
     >>> (CycScalar.zeta(3) + CycScalar.zeta(21)) ** 2 == CycScalar.from_rational(2)
     True
@@ -96,19 +128,28 @@ class CycScalar:
     CycScalar(-1)
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("n", "d")
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
-        c = tuple(Fraction(x) for x in coeffs)
+        c = [Fraction(x) for x in coeffs]
         if len(c) != DEGREE:
             raise ValueError(f"expected {DEGREE} coordinates, got {len(c)}")
-        self.c = c
+        d = lcm(*(x.denominator for x in c))
+        # d is the lcm of reduced denominators, so gcd(d, *n) is already 1.
+        self.n = tuple(x.numerator * (d // x.denominator) for x in c)
+        self.d = d
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        """The rational coordinates on the power basis."""
+        return tuple(Fraction(x, self.d) for x in self.n)
 
     # --- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, q) -> "CycScalar":
-        return cls((Fraction(q),) + (_ZERO,) * (DEGREE - 1))
+        q = Fraction(q)
+        return _canonical((q.numerator,) + (0,) * (DEGREE - 1), q.denominator)
 
     @classmethod
     def zero(cls) -> "CycScalar":
@@ -121,10 +162,7 @@ class CycScalar:
     @classmethod
     def zeta(cls, k: int = 1) -> "CycScalar":
         """The power z^k (k may be any integer)."""
-        k %= ORDER
-        coeffs = [_ZERO] * (k + 1)
-        coeffs[k] = _ONE
-        return cls(_reduce(coeffs))
+        return _canonical(_ZETA[k % ORDER], 1)
 
     @classmethod
     def root_of_unity(cls, a: int, r: int) -> "CycScalar":
@@ -136,62 +174,51 @@ class CycScalar:
     # --- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "CycScalar") -> "CycScalar":
-        return CycScalar(a + b for a, b in zip(self.c, other.c))
+        d, e = self.d, other.d
+        if d == e:
+            return _canonical([a + b for a, b in zip(self.n, other.n)], d)
+        return _canonical([a * e + b * d for a, b in zip(self.n, other.n)], d * e)
 
     def __sub__(self, other: "CycScalar") -> "CycScalar":
-        return CycScalar(a - b for a, b in zip(self.c, other.c))
+        d, e = self.d, other.d
+        if d == e:
+            return _canonical([a - b for a, b in zip(self.n, other.n)], d)
+        return _canonical([a * e - b * d for a, b in zip(self.n, other.n)], d * e)
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(-a for a in self.c)
+        return _canonical([-a for a in self.n], self.d)
 
     def __mul__(self, other: "CycScalar") -> "CycScalar":
-        prod = [_ZERO] * (2 * DEGREE - 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    if b:
-                        prod[i + j] += a * b
-        return CycScalar(_reduce(prod))
+        return _canonical(_int_mul(self.n, other.n), self.d * other.d)
 
     def inverse(self) -> "CycScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[t]."""
-        if self.is_zero():
+        """Multiplicative inverse through the Galois norm.
+
+        With P the product of the conjugates of the numerator vector n, n * P
+        is the integer norm N(n), so (n/d)^-1 = d * P / N(n).
+        """
+        n = self.n
+        if not any(n):
             raise ZeroDivisionError("inverse of zero")
-        # Run xgcd(self, Phi); Phi is irreducible so the gcd is a constant.
-        r0 = [Fraction(p) for p in _PHI]
-        r1 = list(self.c)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        s0: list[Fraction] = [_ZERO]
-        s1: list[Fraction] = [_ONE]
-        while len(r1) > 1 or r1[0] != 0:
-            # divide r0 by r1
-            quot = [_ZERO] * max(len(r0) - len(r1) + 1, 1)
-            rem = list(r0)
-            for shift in range(len(rem) - len(r1), -1, -1):
-                coeff = rem[shift + len(r1) - 1] / r1[-1]
-                quot[shift] = coeff
-                if coeff:
-                    for i, d in enumerate(r1):
-                        rem[shift + i] -= coeff * d
-            while len(rem) > 1 and rem[-1] == 0:
-                rem.pop()
-            # s_{k+1} = s_{k-1} - q s_k
-            qs = [_ZERO] * (len(quot) + len(s1) - 1)
-            for i, a in enumerate(quot):
-                if a:
-                    for j, b in enumerate(s1):
-                        if b:
-                            qs[i + j] += a * b
-            s2 = [(s0[i] if i < len(s0) else _ZERO) - (qs[i] if i < len(qs) else _ZERO)
-                  for i in range(max(len(s0), len(qs)))]
-            r0, r1, s0, s1 = r1, rem, s1, s2
-        unit = r0[0]  # nonzero constant gcd
-        inv = [x / unit for x in s0]
-        return CycScalar(_reduce(inv))
+        conjugates = iter(_CONJUGATIONS)
+        cofactor = _conjugate(n, next(conjugates))
+        for images in conjugates:
+            cofactor = _int_mul(cofactor, _conjugate(n, images))
+        norm = _int_mul(n, cofactor)
+        if any(norm[1:]):
+            raise ArithmeticError(f"norm of {self} is not rational: {norm}")
+        scale = self.d if norm[0] > 0 else -self.d
+        return _canonical([scale * x for x in cofactor], abs(norm[0]))
 
     def __truediv__(self, other: "CycScalar") -> "CycScalar":
         return self * other.inverse()
+
+    def __rtruediv__(self, other: int | Fraction) -> "CycScalar":
+        """q / x for a rational q, as in `1 / pivot`."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        q, inv = Fraction(other), self.inverse()
+        return _canonical([q.numerator * x for x in inv.n], q.denominator * inv.d)
 
     def __pow__(self, n: int) -> "CycScalar":
         if n < 0:
@@ -206,24 +233,24 @@ class CycScalar:
         return result
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CycScalar) and self.c == other.c
+        return isinstance(other, CycScalar) and self.d == other.d and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        return hash((self.d, self.n))
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return any(self.n)
 
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return not any(self.n)
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self.n[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.c[0]
+        return Fraction(self.n[0], self.d)
 
     # --- presentation -------------------------------------------------
 

@@ -299,8 +299,8 @@ def test_primary_09_cli_certifies_all_rows(verify_all_run):
     _report(9, passed,
             "verify --all certifies every row at Frobenius level with exit "
             f"code 0 (observed: exit {verify_all_run.returncode}, "
-            f"'{summary}'; rows 19 and 20 admit no pairing-compatible "
-            "isomorphism, so they stop at algebra level — see "
+            f"'{summary}'; for rows 19 and 20 the ansatz search found no "
+            "pairing-compatible witness, so they stop at algebra level — see "
             "test_verify_all_observed_output)")
 
 

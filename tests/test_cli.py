@@ -305,6 +305,7 @@ _BROKEN_CATALOGS = {
     "node-generator-not-a-string": (_set_generator("graph_nodes", 1, ["1/2", "0", "1/2"]),
                                     "invalid catalog"),
     "sector-outside-group": (_set_witness_term(1, 2, 2, "0,1/2,1/2"), "invalid catalog"),
+    "monomial-unknown-variable": (_set_witness_term(1, 0, 1, "x9^2"), "invalid catalog"),
     "directory": (None, "cannot read catalog file"),
 }
 
@@ -322,6 +323,17 @@ def test_verify_rejects_an_invalid_catalog(tmp_path: Path, case: str):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert message in result.stderr
+
+
+def test_graph_rejects_a_witness_monomial_in_unknown_variables(tmp_path: Path):
+    data = json.loads(serialize(load_catalog()))
+    _set_witness_term(1, 0, 1, "x9^2")(data)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    result = _run("--catalog", str(path), "graph")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "invalid catalog" in result.stderr
 
 
 def test_verify_rejects_a_missing_catalog_file():

@@ -96,3 +96,25 @@ def test_rref_pivots():
     red, pivots = rref([[one, one, one], [one, one, Fraction(2)]])
     assert pivots == [0, 2]
     assert red[0][:2] == [one, one]
+
+
+def test_rref_takes_one_reciprocal_per_pivot(monkeypatch):
+    calls = []
+    original = CycScalar.inverse
+
+    def counting_inverse(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CycScalar, "inverse", counting_inverse)
+    z = CycScalar.zeta
+    third = CycScalar.from_rational(Fraction(1, 3))
+    rows = [[SQRT2, z(1), z(5), third, z(2)],
+            [z(3), third, SQRT2, z(7), CycScalar.one()],
+            [SQRT2 + z(3), z(1) + third, z(5) + SQRT2, third + z(7), z(2) + CycScalar.one()],
+            [z(4), CycScalar.zero(), z(9), SQRT2, third]]
+    red, pivots = rref(rows)
+    assert pivots == [0, 1, 2]  # the third row is the sum of the first two
+    assert len(calls) == len(pivots)
+    for r, c in enumerate(pivots):
+        assert red[r][c] == CycScalar.one()

@@ -115,6 +115,8 @@ def test_rational_predicates():
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         CycScalar.zero().inverse()
+    with pytest.raises(ZeroDivisionError):
+        1 / CycScalar.zero()
 
 
 def test_json_round_trip():

@@ -1,0 +1,80 @@
+"""Property tests for `CycScalar` against a Fraction-coordinate reference."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from oja.scalar import DEGREE, ORDER, SQRT2, SQRT3, CycScalar, kth_roots  # noqa: E402
+
+PHI = [1, 0, 0, 0, -1, 0, 0, 0, 1]  # t^8 - t^4 + 1, the minimal polynomial of z
+assert ORDER == 24 and len(PHI) == DEGREE + 1
+
+
+def reference_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Schoolbook product of power-basis coordinates, reduced modulo PHI."""
+    prod = [Fraction(0)] * (2 * DEGREE - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * DEGREE - 2, DEGREE - 1, -1):
+        top = prod[k]
+        prod[k] = Fraction(0)
+        for i in range(DEGREE):
+            prod[k - DEGREE + i] -= top * PHI[i]
+    return prod[:DEGREE]
+
+
+fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+# Mostly sparse vectors, like the scalars the algebra computations produce.
+coordinates = st.lists(st.one_of(st.just(Fraction(0)), fractions),
+                       min_size=DEGREE, max_size=DEGREE)
+elements = coordinates.map(CycScalar)
+nonzero = elements.filter(bool)
+
+
+@given(coordinates, coordinates)
+def test_product_agrees_with_the_fraction_reference(a, b):
+    assert (CycScalar(a) * CycScalar(b)).c == tuple(reference_product(a, b))
+
+
+@given(nonzero)
+def test_inverse_is_a_two_sided_inverse(x):
+    assert x * x.inverse() == CycScalar.one()
+    assert x.inverse() * x == CycScalar.one()
+    assert 1 / x == x.inverse()
+    assert Fraction(3, 5) / x == CycScalar.from_rational(Fraction(3, 5)) * x.inverse()
+
+
+@given(elements, elements, elements)
+def test_equal_values_have_one_canonical_form(a, b, c):
+    left, right = (a + b) * c, a * c + b * c
+    assert left == right
+    assert hash(left) == hash(right)
+    assert left.to_json() == right.to_json()
+    assert (left.n, left.d) == (right.n, right.d)
+    assert left.d > 0
+    assert CycScalar(left.c).n == left.n and CycScalar(left.c).d == left.d
+
+
+@given(elements)
+def test_json_round_trip(x):
+    assert CycScalar.from_json(x.to_json()) == x
+
+
+surds = st.sampled_from([CycScalar.one(), SQRT2, SQRT3, SQRT2 * SQRT3])
+monomial_shaped = st.builds(lambda q, s, m: CycScalar.from_rational(q) * s * CycScalar.zeta(m),
+                            fractions, surds, st.integers(0, ORDER - 1))
+
+
+@settings(max_examples=60)
+@given(st.one_of(monomial_shaped, elements), st.integers(1, 6), st.booleans())
+def test_kth_roots_are_roots(x, k, as_power):
+    if as_power:
+        x = x**k  # guarantees at least one root exists in the field
+    for r in kth_roots(x, k):
+        assert r**k == x
