@@ -200,9 +200,8 @@ class CycScalar:
         n = self.n
         if not any(n):
             raise ZeroDivisionError("inverse of zero")
-        conjugates = iter(_CONJUGATIONS)
-        cofactor = _conjugate(n, next(conjugates))
-        for images in conjugates:
+        cofactor = _ONE_ELT.n
+        for images in _CONJUGATIONS:
             cofactor = _int_mul(cofactor, _conjugate(n, images))
         norm = _int_mul(n, cofactor)
         if any(norm[1:]):
