@@ -33,6 +33,7 @@ CASES = [
     ("verify_row6", ["verify", "--row", "6"], 0),
     ("verify_row8", ["verify", "--row", "8"], 0),
     ("verify_row19_json", ["--json", "verify", "--row", "19"], 1),
+    ("verify_all_json", ["--json", "verify", "--all"], 1),
     ("verify_all_search_json", ["--json", "verify", "--all", "--search"], 1),
     ("graph", ["graph"], 0),
     ("graph_dot", ["graph", "--dot"], 0),
