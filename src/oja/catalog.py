@@ -29,8 +29,8 @@ from .orbifold import orbifold_algebra
 from .poly import Poly, parse
 from .scalar import CycScalar, I_UNIT, SQRT2, SQRT3
 from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
-                       build_invertible, matching_permutations,
-                       max_symmetry_group, sl_subgroup, transpose)
+                       build_invertible, is_sl_symmetry, matching_permutations,
+                       transpose)
 
 # type, strange dual, polynomial variants
 _ENTRY_TABLE = (
@@ -255,11 +255,6 @@ def _group_from_generator(generator: str, arity: int) -> SymmetryGroup:
     return SymmetryGroup.generated_by([GroupElement.parse(generator)], arity)
 
 
-@lru_cache(maxsize=None)
-def _sl_group_of(text: str) -> SymmetryGroup:
-    return sl_subgroup(max_symmetry_group(_ip_from_text(text)))
-
-
 _SYMBOLIC_SCALARS = {"i": I_UNIT, "sqrt2": SQRT2, "sqrt3": SQRT3}
 
 
@@ -352,7 +347,7 @@ def _validate(catalog: Catalog) -> None:
             raise ValueError(
                 f"row {row.index}: f1 is not a listed {row.f1_type} variant")
         target_ip, group = row_target(row)
-        if not group.is_subgroup_of(_sl_group_of(row.f2_transpose)):
+        if not all(is_sl_symmetry(target_ip, g) for g in group):
             raise ValueError(
                 f"row {row.index}: group is not a special-linear symmetry")
         if row.reduced != (row.witness is not None):
@@ -393,8 +388,11 @@ def _validate(catalog: Catalog) -> None:
         raise ValueError("duplicate graph node labels")
     if len(labels) != 23:
         raise ValueError(f"expected 23 graph nodes, found {len(labels)}")
-    for node, raw in zip(catalog.graph_nodes, catalog.data["graph_nodes"]):
-        if not node.group.is_subgroup_of(_sl_group_of(raw["f"])):
+    for node in catalog.graph_nodes:
+        if type(node.cluster) is not int:  # bool is an int subclass, not a cluster id
+            raise ValueError(
+                f"graph node {node.label}: cluster {node.cluster!r} is not an integer")
+        if not all(is_sl_symmetry(node.ip, g) for g in node.group):
             raise ValueError(
                 f"graph node {node.label}: group is not a special-linear symmetry")
 

@@ -31,8 +31,8 @@ from .orbifold import OrbifoldAlgebra, orbifold_algebra
 from .poly import Poly, parse
 from .scalar import CycScalar
 from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
-                       build_invertible, max_symmetry_group, sl_subgroup,
-                       transpose)
+                       build_invertible, is_sl_symmetry, max_symmetry_group,
+                       sl_subgroup, transpose)
 
 
 class CliError(Exception):
@@ -241,7 +241,7 @@ def cmd_orbifold(args: argparse.Namespace) -> int:
     ip = _invertible(args.poly)
     generators = [_group_element(text, ip.arity) for text in args.group]
     group = SymmetryGroup.generated_by(generators, ip.arity)
-    if not group.is_subgroup_of(sl_subgroup(max_symmetry_group(ip))):
+    if not all(is_sl_symmetry(ip, g) for g in group):
         raise CliError(
             f"<{'; '.join(args.group)}> is not a special-linear symmetry group of {ip.poly}")
     algebra = orbifold_algebra(ip, group)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import product as cartesian
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -101,13 +102,17 @@ class GroebnerBasis:
     generators: tuple[Poly, ...]
     order: str = "grevlex"
 
+    @cached_property
+    def _reducers(self) -> list[tuple[Monomial, Poly]]:
+        return [(leading_monomial(g), g) for g in self.generators]
+
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(leading_monomial(g) for g in self.generators)
+        return tuple(lm for lm, _ in self._reducers)
 
     def reduce(self, p: Poly) -> Poly:
         """Unique normal form of p modulo the basis."""
-        return _reduce_poly(p, [(leading_monomial(g), g) for g in self.generators])
+        return _reduce_poly(p, self._reducers)
 
 
 def groebner(gens: Sequence[Poly]) -> GroebnerBasis:
@@ -122,27 +127,25 @@ def groebner(gens: Sequence[Poly]) -> GroebnerBasis:
     basis = [_monic(g) for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("all generators are zero")
+    lms = [leading_monomial(g) for g in basis]  # kept in step with `basis`
     pending = {(i, j) for i in range(len(basis)) for j in range(i)}
 
-    def lm(i: int) -> Monomial:
-        return leading_monomial(basis[i])
-
     while pending:
-        i, j = min(pending, key=lambda pair: grevlex_key(_mono_lcm(lm(pair[0]), lm(pair[1]))))
+        i, j = min(pending, key=lambda pair: grevlex_key(_mono_lcm(lms[pair[0]], lms[pair[1]])))
         pending.discard((i, j))
-        lcm = _mono_lcm(lm(i), lm(j))
-        if lcm == _mono_mul(lm(i), lm(j)):
+        lcm = _mono_lcm(lms[i], lms[j])
+        if lcm == _mono_mul(lms[i], lms[j]):
             continue  # coprime leading monomials
-        if any(k != i and k != j and _divides(lm(k), lcm)
+        if any(k != i and k != j and _divides(lms[k], lcm)
                and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending
                for k in range(len(basis))):
             continue  # chain criterion
-        remainder = _reduce_poly(_spoly(basis[i], basis[j]),
-                                 [(leading_monomial(g), g) for g in basis])
+        remainder = _reduce_poly(_spoly(basis[i], basis[j]), list(zip(lms, basis)))
         if remainder.is_zero():
             continue
         basis.append(_monic(remainder))
+        lms.append(leading_monomial(basis[-1]))
         new = len(basis) - 1
         pending.update((k, new) for k in range(new))
 
@@ -191,8 +194,9 @@ def _standard_monomials(lms: Sequence[Monomial], bounds: Sequence[int]) -> list[
     return out
 
 
+@lru_cache(maxsize=None)
 def _jacobian_ideal(f: Poly) -> tuple[GroebnerBasis, list[int]] | None:
-    """Groebner basis and power box of (df/dx_1, ..., df/dx_n).
+    """Groebner basis and power box of (df/dx_1, ..., df/dx_n), memoized per f.
 
     Returns None when Jac(f) is infinite-dimensional.  In arity 0 the ideal
     is zero and Jac(f) is the field itself.
@@ -236,7 +240,7 @@ class QuotientAlgebra:
         # hess_nf = hess_coeff * socle monomial; nonzero by construction.
         self.hess_coeff = hess_nf.terms[socle]
         self.trace_scale = self.hess_coeff.inverse()
-        self._index = {m: i for i, m in enumerate(basis)}
+        self.index = {m: i for i, m in enumerate(basis)}
         self._products: dict[tuple[Monomial, Monomial], Poly] = {}
 
     # -- structure-constant protocol (shared with the orbifold algebra) --
@@ -247,11 +251,11 @@ class QuotientAlgebra:
 
     @property
     def identity_index(self) -> int:
-        return self._index[(0,) * len(self.vars)]
+        return self.index[(0,) * len(self.vars)]
 
     def basis_product(self, i: int, j: int) -> dict[int, CycScalar]:
         nf = self.multiply(self.basis[i], self.basis[j])
-        return {self._index[m]: c for m, c in nf.terms.items()}
+        return {self.index[m]: c for m, c in nf.terms.items()}
 
     # -- normal forms and coordinates --
 
@@ -274,7 +278,7 @@ class QuotientAlgebra:
         nf = self.normal_form(p)
         vec = [_ZERO] * self.mu
         for m, c in nf.terms.items():
-            vec[self._index[m]] = c
+            vec[self.index[m]] = c
         return vec
 
     def weighted_degree(self, m: Monomial) -> int:

@@ -27,7 +27,7 @@ from .jacobian import Monomial, QuotientAlgebra, quotient_algebra, solve_in_quot
 from .linalg import rank
 from .poly import Poly
 from .scalar import CycScalar
-from .symmetry import GroupElement, InvertiblePoly, SymmetryGroup
+from .symmetry import GroupElement, InvertiblePoly, SymmetryGroup, is_sl_symmetry
 
 _ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
@@ -66,11 +66,12 @@ def _check_group(ip: InvertiblePoly, group: SymmetryGroup) -> None:
     for g in group:
         if g.arity != ip.arity:
             raise ValueError("group arity does not match the polynomial")
+        if is_sl_symmetry(ip, g):
+            continue
         for row in ip.exponents:
             if sum(p * e for p, e in zip(g.phases, row)) % 1 != 0:
                 raise ValueError(f"({g}) does not preserve {ip.poly}")
-        if g.age().denominator != 1:
-            raise ValueError(f"({g}) lies outside the SL subgroup (age {g.age()})")
+        raise ValueError(f"({g}) lies outside the SL subgroup (age {g.age()})")
 
 
 def build_sectors(ip: InvertiblePoly, group: SymmetryGroup) -> dict[GroupElement, Sector]:
@@ -136,8 +137,9 @@ class OrbifoldAlgebra:
 
     Elements are coordinate vectors over `basis`, whose entries are pairs
     (group element, sector-local standard monomial).  The structure tensor,
-    trace vector, Gram matrix, and weighted degrees are all materialized at
-    construction; instances are immutable.
+    Gram matrix, and weighted degrees are all materialized at construction;
+    instances are immutable.  The trace reads one coordinate: the socle of
+    the identity sector.
     """
 
     def __init__(self, ip: InvertiblePoly, group: SymmetryGroup,
@@ -156,10 +158,10 @@ class OrbifoldAlgebra:
 
         identity = GroupElement.identity(ip.arity)
         id_algebra = self.sectors[identity].algebra
+        self.identity_index = self._pos[(identity, (0,) * ip.arity)]
         self.scale = group.order * id_algebra.mu
-        factor = CycScalar.from_rational(self.scale) * id_algebra.trace_scale
-        self._lam = [factor if g == identity and m == id_algebra.socle else _ZERO
-                     for g, m in self.basis]
+        self._socle = self._pos[(identity, id_algebra.socle)]
+        self._trace_factor = CycScalar.from_rational(self.scale) * id_algebra.trace_scale
 
         q = ip.normalized_weights()
         degrees = []
@@ -171,8 +173,10 @@ class OrbifoldAlgebra:
         self.degrees = tuple(degrees)
 
         dim = len(self.basis)
-        self.gram = [[self.trace(self.basis_vector_product(i, j)) for j in range(dim)]
-                     for i in range(dim)]
+        self.gram = [[_ZERO] * dim for _ in range(dim)]
+        for (i, j), row in self.structure.items():
+            if self._socle in row:
+                self.gram[i][j] = row[self._socle] * self._trace_factor
         if invariant_only and rank([row[:] for row in self.gram]) != dim:
             raise ValueError("Frobenius pairing is degenerate; construction is inconsistent")
 
@@ -181,11 +185,6 @@ class OrbifoldAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def identity_index(self) -> int:
-        identity = GroupElement.identity(self.ip.arity)
-        return self._pos[(identity, (0,) * len(self.sectors[identity].fixed))]
 
     def basis_product(self, i: int, j: int) -> dict[int, CycScalar]:
         return self.structure.get((i, j), {})
@@ -221,23 +220,21 @@ class OrbifoldAlgebra:
 
     def product(self, u: Sequence[CycScalar], v: Sequence[CycScalar]) -> list[CycScalar]:
         out = self.zero_vector()
+        right = [(j, cv) for j, cv in enumerate(v) if not cv.is_zero()]
         for i, cu in enumerate(u):
             if cu.is_zero():
                 continue
-            for j, cv in enumerate(v):
-                if cv.is_zero():
-                    continue
-                c = cu * cv
-                for k, s in self.basis_product(i, j).items():
-                    out[k] = out[k] + c * s
+            for j, cv in right:
+                row = self.structure.get((i, j))
+                if row:
+                    c = cu * cv
+                    for k, s in row.items():
+                        out[k] = out[k] + c * s
         return out
 
     def trace(self, u: Sequence[CycScalar]) -> CycScalar:
-        total = _ZERO
-        for c, lam in zip(u, self._lam):
-            if not c.is_zero() and not lam.is_zero():
-                total = total + c * lam
-        return total
+        c = u[self._socle]
+        return _ZERO if c.is_zero() else c * self._trace_factor
 
     def pairing(self, u: Sequence[CycScalar], v: Sequence[CycScalar]) -> CycScalar:
         """η(u, v): trace of the identity-sector part of u∘v."""
@@ -280,7 +277,11 @@ class OrbifoldAlgebra:
 
 
 def twisted_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> OrbifoldAlgebra:
-    """Build Jac'(f,G) with its full structure tensor."""
+    """Build Jac'(f,G) with its full structure tensor.
+
+    Each product of sector elements is reduced once per distinct
+    (g, h, ambient exponent) triple; many basis pairs share one.
+    """
     sectors = build_sectors(ip, group)
     n = ip.arity
     basis: list[tuple[GroupElement, Monomial]] = []
@@ -288,29 +289,30 @@ def twisted_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> OrbifoldAlgebra
     for g in group:
         offsets[g] = len(basis)
         basis.extend((g, m) for m in sectors[g].algebra.basis)
+    lifted = [sectors[g].lift(m, n) for g, m in basis]
 
-    corrections = {}
-    for g in group:
-        for h in group:
-            if fix_union_holds(g, h):
-                corrections[(g, h)] = compute_H(ip, group, g, h, sectors)
+    targets = {(g, h): sectors[g * h] for g in group for h in group}
+    corrections = {(g, h): compute_H(ip, group, g, h, sectors).embed(ip.vars, target.fixed)
+                   for (g, h), target in targets.items() if fix_union_holds(g, h)}
     prefactors = {g: _prefactor(n, g) for g in group}
 
+    reduced: dict[tuple[GroupElement, GroupElement, Monomial], dict[int, CycScalar]] = {}
     structure: dict[tuple[int, int], dict[int, CycScalar]] = {}
-    for i, (g, m) in enumerate(basis):
-        sector_g = sectors[g]
-        for j, (h, m2) in enumerate(basis):
-            if (g, h) not in corrections:
+    for i, (g, _) in enumerate(basis):
+        for j, (h, _) in enumerate(basis):
+            correction = corrections.get((g, h))
+            if correction is None:
                 continue
-            sector_h = sectors[h]
-            target = sectors[g * h]
-            ambient = tuple(a + b for a, b in zip(sector_g.lift(m, n), sector_h.lift(m2, n)))
-            p = Poly.monomial(ip.vars, ambient) * \
-                corrections[(g, h)].embed(ip.vars, target.fixed)
-            nf = target.algebra.normal_form(p.restrict(target.fixed))
-            pre = prefactors[g]
-            entry = {offsets[g * h] + target.algebra.basis.index(mono): pre * c
-                     for mono, c in nf.terms.items()}
+            ambient = tuple(a + b for a, b in zip(lifted[i], lifted[j]))
+            entry = reduced.get((g, h, ambient))
+            if entry is None:
+                target = targets[(g, h)]
+                p = Poly.monomial(ip.vars, ambient) * correction
+                nf = target.algebra.normal_form(p.restrict(target.fixed))
+                start, pre = offsets[target.g], prefactors[g]
+                entry = {start + target.algebra.index[mono]: pre * c
+                         for mono, c in nf.terms.items()}
+                reduced[(g, h, ambient)] = entry
             if entry:
                 structure[(i, j)] = entry
 

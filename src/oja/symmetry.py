@@ -33,7 +33,12 @@ class GroupElement:
     phases: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(p % 1 for p in self.phases))
+        phases = tuple(p % 1 for p in self.phases)
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "_hash", hash(phases))  # group elements key many dicts
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, arity: int) -> "GroupElement":
@@ -237,6 +242,12 @@ def max_symmetry_group(ip: InvertiblePoly) -> SymmetryGroup:
             if s.denominator != 1:
                 raise AssertionError(f"generated element {g} is not a symmetry")
     return group
+
+
+def is_sl_symmetry(ip: InvertiblePoly, g: GroupElement) -> bool:
+    """True iff g lies in the SL subgroup of G_f: E·q is integral and the age is integral."""
+    return g.age().denominator == 1 and all(
+        sum(e * p for e, p in zip(row, g.phases)).denominator == 1 for row in ip.exponents)
 
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:

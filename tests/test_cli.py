@@ -293,6 +293,12 @@ def _set_generator(section: str, index: int, value) -> Callable[[dict], None]:
     return mutate
 
 
+def _set_cluster(index: int, value) -> Callable[[dict], None]:
+    def mutate(data: dict) -> None:
+        data["graph_nodes"][index]["cluster"] = value
+    return mutate
+
+
 # Each case: a change to the bundled catalog (None: the catalog path is a
 # directory), and the message expected on stderr.  Position 1 holds row 2,
 # whose group is <(1/2,0,1/2)>, and graph node B.
@@ -306,6 +312,9 @@ _BROKEN_CATALOGS = {
                                     "invalid catalog"),
     "sector-outside-group": (_set_witness_term(1, 2, 2, "0,1/2,1/2"), "invalid catalog"),
     "monomial-unknown-variable": (_set_witness_term(1, 0, 1, "x9^2"), "invalid catalog"),
+    "node-cluster-not-int": (_set_cluster(1, "1"), "invalid catalog"),
+    "node-cluster-list": (_set_cluster(1, [1]), "invalid catalog"),
+    "node-cluster-bool": (_set_cluster(1, True), "invalid catalog"),
     "directory": (None, "cannot read catalog file"),
 }
 
@@ -328,6 +337,18 @@ def test_verify_rejects_an_invalid_catalog(tmp_path: Path, case: str):
 def test_graph_rejects_a_witness_monomial_in_unknown_variables(tmp_path: Path):
     data = json.loads(serialize(load_catalog()))
     _set_witness_term(1, 0, 1, "x9^2")(data)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    result = _run("--catalog", str(path), "graph")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "invalid catalog" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["1", [1], True], ids=["string", "list", "bool"])
+def test_graph_rejects_a_non_integer_cluster(tmp_path: Path, value):
+    data = json.loads(serialize(load_catalog()))
+    _set_cluster(1, value)(data)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
     result = _run("--catalog", str(path), "graph")

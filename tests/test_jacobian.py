@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from oja import jacobian
 from oja.jacobian import (Fingerprint, fingerprint, groebner, has_isolated_singularity,
                           leading_monomial, milnor, quotient_algebra, solve_in_quotient,
                           trace_functional)
@@ -274,3 +275,20 @@ def test_fingerprint_base_field():
 def test_fingerprint_single_variable():
     A = quotient_algebra(_p("y^3", ("y",)), (1,), 3)
     assert fingerprint(A) == Fingerprint(2, (2, 1, 0), 1)
+
+
+def test_jacobian_ideal_is_computed_once_per_polynomial(monkeypatch):
+    calls = []
+    original = jacobian.groebner
+
+    def counting_groebner(gens):
+        calls.append(gens)
+        return original(gens)
+
+    monkeypatch.setattr(jacobian, "groebner", counting_groebner)
+    f = _p("x^11+y^4+z^2")  # used by no other test, so no memo entry exists yet
+    assert has_isolated_singularity(f)
+    assert milnor(f) == 10 * 3 * 1
+    algebra = quotient_algebra(f, (4, 11, 22), 44)
+    assert algebra.mu == 30
+    assert len(calls) == 1

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from oja.jacobian import fingerprint
+from oja.catalog import load_catalog
+from oja.jacobian import fingerprint, quotient_algebra, trace_functional
 from oja.linalg import rank
 from oja.orbifold import (OrbifoldAlgebra, build_sectors, compute_H, fix_union_holds,
                           invariant_subalgebra, orbifold_algebra, twisted_algebra)
@@ -337,3 +338,36 @@ def test_json_dump_shape():
     assert len(data["gram"]) == 12
     assert all(len(entry) == 4 for entry in data["structure"])
     assert len(data["sectors"]) == 2
+
+
+# --- Gram matrices against independent evaluations ------------------------------
+
+_CATALOG = load_catalog()
+_VARIANTS = [v for entry in _CATALOG.entries for v in entry.variants]
+
+
+@pytest.mark.parametrize("text", _VARIANTS)
+def test_trivial_group_gram_matches_the_trace_functional(text):
+    ip = build_invertible(parse(text, ("x1", "x2", "x3")))
+    A = orbifold_algebra(ip, SymmetryGroup.trivial(3))
+    jac = quotient_algebra(ip.poly, ip.weights, ip.degree)
+    trace = trace_functional(jac, jac.mu)  # |G| = 1, so λ([hess f]) = μ_f
+    assert [m for _, m in A.basis] == list(jac.basis)
+    expected = [[trace(Poly.monomial(ip.vars, a) * Poly.monomial(ip.vars, b))
+                 for b in jac.basis] for a in jac.basis]
+    assert A.gram == expected
+
+
+@pytest.mark.parametrize("node", _CATALOG.graph_nodes, ids=lambda node: node.label)
+def test_graph_node_gram_is_symmetric_and_matches_the_pairing(node):
+    A = orbifold_algebra(node.ip, node.group)
+
+    def unit(i: int) -> list[CycScalar]:
+        out = A.zero_vector()
+        out[i] = CycScalar.one()
+        return out
+
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert A.gram[i][j] == A.gram[j][i]
+            assert A.gram[i][j] == A.pairing(unit(i), unit(j))

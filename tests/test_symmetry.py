@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from oja.catalog import load_catalog
 from oja.poly import Poly, parse
 from oja.symmetry import (
     GroupElement,
     SymmetryGroup,
     build_invertible,
+    is_sl_symmetry,
     max_symmetry_group,
     same_up_to_variable_permutation,
     sl_subgroup,
@@ -142,6 +144,34 @@ def test_sl_subgroup_contains_z3_for_fermat_u12():
     sl = sl_subgroup(max_symmetry_group(_ip("x^4+y^3+z^3")))
     assert GroupElement.parse("0,2/3,1/3") in sl
     assert all(g.age().denominator == 1 for g in sl)
+
+
+_VARIANTS = [v for entry in load_catalog().entries for v in entry.variants]
+
+
+@pytest.mark.parametrize("text", _VARIANTS)
+def test_sl_predicate_accepts_exactly_the_sl_subgroup(text):
+    ip = build_invertible(parse(text, ("x1", "x2", "x3")))
+    for candidate in (ip, transpose(ip)):
+        group = max_symmetry_group(candidate)
+        sl = set(sl_subgroup(group))
+        for g in group:
+            assert is_sl_symmetry(candidate, g) == (g in sl), (str(candidate.poly), str(g))
+
+
+def test_sl_predicate_rejects_phase_vectors_outside_the_symmetry_group():
+    ip = build_invertible(parse("x1^4+x2^3+x3^3", ("x1", "x2", "x3")))
+    group = set(max_symmetry_group(ip))
+    for text in ("1/4,1/4,1/2", "0,1/2,1/2"):
+        g = GroupElement.parse(text)
+        assert g not in group
+        assert g.age().denominator == 1  # integral age alone does not suffice
+        assert not is_sl_symmetry(ip, g)
+    # Every phase vector on the 1/12 grid: accepted exactly on SL ∩ G_f.
+    sl = set(sl_subgroup(max_symmetry_group(ip)))
+    grid = [GroupElement((Fraction(a, 12), Fraction(b, 12), Fraction(c, 12)))
+            for a in range(12) for b in range(12) for c in range(12)]
+    assert {g for g in grid if is_sl_symmetry(ip, g)} == sl
 
 
 def test_age_sum_rule():
