@@ -103,8 +103,8 @@ class GroebnerBasis:
     order: str = "grevlex"
 
     @cached_property
-    def _reducers(self) -> list[tuple[Monomial, Poly]]:
-        return [(leading_monomial(g), g) for g in self.generators]
+    def _reducers(self) -> tuple[tuple[Monomial, Poly], ...]:
+        return tuple((leading_monomial(g), g) for g in self.generators)
 
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
@@ -195,7 +195,7 @@ def _standard_monomials(lms: Sequence[Monomial], bounds: Sequence[int]) -> list[
 
 
 @lru_cache(maxsize=None)
-def _jacobian_ideal(f: Poly) -> tuple[GroebnerBasis, list[int]] | None:
+def _jacobian_ideal(f: Poly) -> tuple[GroebnerBasis, tuple[int, ...]] | None:
     """Groebner basis and power box of (df/dx_1, ..., df/dx_n), memoized per f.
 
     Returns None when Jac(f) is infinite-dimensional.  In arity 0 the ideal
@@ -207,7 +207,7 @@ def _jacobian_ideal(f: Poly) -> tuple[GroebnerBasis, list[int]] | None:
         return None
     gb = groebner(partials) if partials else GroebnerBasis(())
     bounds = _power_box(gb.leading_monomials, n)
-    return None if bounds is None else (gb, bounds)
+    return None if bounds is None else (gb, tuple(bounds))  # shared by every caller
 
 
 def has_isolated_singularity(f: Poly) -> bool:
