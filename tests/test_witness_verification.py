@@ -86,3 +86,111 @@ def test_pairing_failure_report_matches_pinned_text(name):
     report = verify_witness(_PINNED[name]())
     text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     assert text == (REPORTS / f"{name}.json").read_text(encoding="utf-8")
+
+
+# --- the counit verdict against the full pairing table ---------------------------
+
+
+def _naive_image(w: IsoWitness, m) -> list[CycScalar]:
+    """φ(x₁)^m₁ ⋯ φ(xₙ)^mₙ, one factor at a time from the unit."""
+    vector = w.target.identity_vector()
+    for i, e in enumerate(m):
+        for _ in range(e):
+            vector = w.target.product(vector, w.images[i])
+    return vector
+
+
+def _naive_evaluate(w: IsoWitness, p: Poly) -> list[CycScalar]:
+    out = w.target.zero_vector()
+    for m, coeff in p.terms.items():
+        out = [a + coeff * b for a, b in zip(out, _naive_image(w, m))]
+    return out
+
+
+def _table_verdict(w: IsoWitness) -> bool:
+    """η_T(φbᵢ, φbⱼ) = η_S(bᵢ, bⱼ) on every pair of source basis elements."""
+    src = source_algebra(w.source)
+    phi = [_naive_image(w, m) for _, m in src.basis]
+    return all(w.target.pairing(phi[i], phi[j]) == src.gram[i][j]
+               for i in range(src.dim) for j in range(i, src.dim))
+
+
+_FROBENIUS_ROWS = tuple(range(1, 19))
+
+
+def _verdict_cases():
+    cases = [(f"row{i}", i, False, True) for i in _FROBENIUS_ROWS]
+    cases += [(f"row{i}-rescaled", i, True, False) for i in _FROBENIUS_ROWS]
+    cases += [(f"row{i}-algebra", i, False, False) for i in (19, 20)]
+    return cases
+
+
+@pytest.mark.parametrize("name, index, rescale, expected", _verdict_cases(),
+                         ids=[case[0] for case in _verdict_cases()])
+def test_counit_verdict_equals_the_pairing_table_verdict(name, index, rescale, expected):
+    cert = _certificates()[index]
+    assert cert.level == ("frobenius" if index in _FROBENIUS_ROWS else "algebra")
+    w = _rescaled(cert.witness) if rescale else _fresh(cert.witness)
+    verdict = verify_frobenius_iso(w).passed
+    assert verdict == _table_verdict(w) == expected
+
+
+# --- call counts ----------------------------------------------------------------
+
+
+def _row2_witness() -> IsoWitness:
+    w = _fresh(row_witness(_catalog().row(2)))
+    source_algebra(w.source)  # built outside the counted region
+    return w
+
+
+def test_verify_witness_builds_the_image_matrix_once(monkeypatch):
+    calls = []
+    original = duality._image_matrix
+
+    def counting_image_matrix(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(duality, "_image_matrix", counting_image_matrix)
+    report = verify_witness(_row2_witness())
+    assert report.passed, report.failure()
+    assert len(calls) == 1
+
+
+def test_image_matrix_takes_one_product_per_basis_element_besides_the_unit(monkeypatch):
+    w = _row2_witness()
+    expected = [_naive_image(w, m) for _, m in source_algebra(w.source).basis]
+    calls = []
+    original = OrbifoldAlgebra.product
+
+    def counting_product(self, u, v):
+        calls.append((u, v))
+        return original(self, u, v)
+
+    monkeypatch.setattr(OrbifoldAlgebra, "product", counting_product)
+    matrix = w.image_matrix
+    assert len(calls) == w.target.dim - 1
+    assert [list(row) for row in matrix] == expected
+
+
+def test_evaluate_in_target_never_multiplies_by_the_unit(monkeypatch):
+    w = _row2_witness()
+    target = w.target
+    vars = w.source.vars
+    polys = [w.source.poly.partial_derivative(i) for i in range(w.source.arity)]
+    polys += [Poly.monomial(vars, m) for _, m in source_algebra(w.source).basis]
+    polys.append(w.source.poly + Poly.constant(vars, CycScalar.from_rational(3)))
+    expected = [_naive_evaluate(w, p) for p in polys]
+    operands = []
+    original = OrbifoldAlgebra.product
+
+    def recording_product(self, u, v):
+        operands.extend((list(u), list(v)))
+        return original(self, u, v)
+
+    monkeypatch.setattr(OrbifoldAlgebra, "product", recording_product)
+    values = [evaluate_in_target(target, w.images, p) for p in polys]
+    assert values == expected
+    assert operands
+    assert target.identity_vector() not in operands
