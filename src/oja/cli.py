@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import Sequence
@@ -28,7 +29,7 @@ from .catalog import Catalog, CatalogRow, load_catalog, row_source, row_target, 
 from .duality import RowCertificate, SearchFailure, certify, duality_graph
 from .jacobian import QuotientAlgebra, milnor, quotient_algebra
 from .orbifold import OrbifoldAlgebra, orbifold_algebra
-from .poly import Poly, parse
+from .poly import ENUMERATION_LIMIT, Poly, parse
 from .scalar import CycScalar
 from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
                        build_invertible, is_sl_symmetry, max_symmetry_group,
@@ -240,6 +241,10 @@ def _orbifold_lines(args: argparse.Namespace, algebra: OrbifoldAlgebra) -> list[
 def cmd_orbifold(args: argparse.Namespace) -> int:
     ip = _invertible(args.poly)
     generators = [_group_element(text, ip.arity) for text in args.group]
+    bound = math.prod(g.order() for g in generators)  # |<generators>| <= bound
+    if bound > ENUMERATION_LIMIT:
+        raise CliError(f"the generators' orders multiply to {bound}, above the "
+                       f"enumeration limit of {ENUMERATION_LIMIT}")
     group = SymmetryGroup.generated_by(generators, ip.arity)
     if not all(is_sl_symmetry(ip, g) for g in group):
         raise CliError(

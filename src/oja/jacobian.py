@@ -13,6 +13,7 @@ All coefficient arithmetic happens in Q(zeta_24); nothing is approximated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -20,7 +21,7 @@ from itertools import product as cartesian
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import solve_linear
-from .poly import Poly, grevlex_key
+from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
 from .scalar import CycScalar
 
 Monomial = tuple[int, ...]
@@ -188,6 +189,10 @@ def _power_box(lms: Sequence[Monomial], arity: int) -> list[int] | None:
 
 
 def _standard_monomials(lms: Sequence[Monomial], bounds: Sequence[int]) -> list[Monomial]:
+    size = math.prod(bounds)
+    if size > ENUMERATION_LIMIT:
+        raise ValueError(f"power box of {size} monomials exceeds the "
+                         f"enumeration limit of {ENUMERATION_LIMIT}")
     out = [m for m in cartesian(*(range(b) for b in bounds))
            if not any(_divides(lm, m) for lm in lms)]
     out.sort(key=grevlex_key)

@@ -16,6 +16,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .scalar import CycScalar
 
+# The most elements oja will list in one finite set: the box of candidate
+# standard monomials of a Jacobian algebra (the product of its pure-power
+# exponents), a maximal diagonal symmetry group (of order |det E_f|) and a
+# group given by generators on the command line (at most the product of
+# their orders).  Each size is checked before anything is enumerated.
+ENUMERATION_LIMIT = 100_000
+
 
 def grevlex_key(exps: Sequence[int]):
     """Sort key realizing graded reverse lexicographic order (ascending).

@@ -22,7 +22,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .linalg import det_rational, invert_rational, smith_diagonal
-from .poly import Poly, grevlex_key
+from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
 from .scalar import CycScalar
 
 
@@ -226,10 +226,13 @@ def max_symmetry_group(ip: InvertiblePoly) -> SymmetryGroup:
     """The full diagonal symmetry group G_f, with order cross-checks."""
     inv = invert_rational(ip.exponents)
     n = ip.arity
-    gens = [GroupElement(tuple(inv[i][j] for i in range(n))) for j in range(n)]
-    group = SymmetryGroup.generated_by(gens, n)
     expected = abs(det_rational(ip.exponents))
     assert expected.denominator == 1
+    if expected > ENUMERATION_LIMIT:
+        raise ValueError(f"|det E| = {expected} exceeds the enumeration limit of "
+                         f"{ENUMERATION_LIMIT}")
+    gens = [GroupElement(tuple(inv[i][j] for i in range(n))) for j in range(n)]
+    group = SymmetryGroup.generated_by(gens, n)
     snf_order = 1
     for dk in smith_diagonal([list(r) for r in ip.exponents]):
         snf_order *= dk

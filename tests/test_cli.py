@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from functools import lru_cache
@@ -435,3 +436,51 @@ def test_json_flag_position_does_not_matter():
     after = _run("milnor", "x^4+y^3+z^3", "--json")
     assert before.stdout == after.stdout
     assert json.loads(before.stdout)["milnor"] == 12
+
+
+# --- the enumeration limit --------------------------------------------------------
+# Run in-process: without the limit these inputs exhaust memory or enumerate
+# about 2·10^12 group elements, so a regression shows as a failure, not a skip.
+
+_HUGE = "x1^999999999999+x2^2"
+_BOX = "power box of 999999999998 monomials exceeds the enumeration limit of 100000"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["milnor", _HUGE], _BOX),
+    (["jacobian", _HUGE], _BOX),
+    (["orbifold", _HUGE, "--group", "0,0"], _BOX),
+    (["symmetry", _HUGE], "|det E| = 1999999999998 exceeds the enumeration limit of 100000"),
+    (["orbifold", "x1^3+x2^3", "--group", "1/999999999999,0"],
+     "the generators' orders multiply to 999999999999, above the enumeration limit of 100000"),
+], ids=["milnor", "jacobian", "orbifold", "symmetry", "orbifold-generator"])
+def test_huge_inputs_exit_2_before_enumerating(argv, message, capsys):
+    from oja.cli import main
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err
+
+
+def test_catalog_stays_far_inside_the_enumeration_limit():
+    from oja.catalog import row_source, row_target
+    from oja.jacobian import _jacobian_ideal
+    from oja.linalg import det_rational
+    from oja.poly import ENUMERATION_LIMIT
+
+    catalog = load_catalog()
+    ips = [ip for row in catalog.rows for ip in (row_source(row), row_target(row)[0])]
+    ips += [node.ip for node in catalog.graph_nodes]
+    largest = max(max(abs(det_rational(ip.exponents)), math.prod(_jacobian_ideal(ip.poly)[1]))
+                  for ip in ips)
+    assert largest == 48
+    assert 1000 * largest < ENUMERATION_LIMIT
+
+
+def test_milnor_of_a_large_power_box_still_runs(capsys):
+    from oja.cli import main
+
+    assert main(["milnor", "x1^3000+x2^2"]) == 0
+    assert capsys.readouterr().out == "2999\n"
