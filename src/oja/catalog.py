@@ -24,13 +24,13 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .duality import IsoWitness
+from .duality import GraphNode, IsoWitness
 from .orbifold import orbifold_algebra
-from .poly import Poly, parse
+from .poly import ENUMERATION_LIMIT, parse
 from .scalar import CycScalar, I_UNIT, SQRT2, SQRT3
 from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
-                       build_invertible, is_sl_symmetry, matching_permutations,
-                       transpose)
+                       build_invertible, is_sl_symmetry,
+                       same_up_to_variable_permutation, transpose)
 
 # type, strange dual, polynomial variants
 _ENTRY_TABLE = (
@@ -192,16 +192,6 @@ class CatalogRow:
     witness: tuple | None
 
 
-@dataclass(frozen=True)
-class GraphNodeSpec:
-    """A labelled (polynomial, group) pair placed in a graph cluster."""
-
-    label: str
-    ip: InvertiblePoly
-    group: SymmetryGroup
-    cluster: int
-
-
 class Catalog:
     """Parsed catalog: typed views plus the raw document for serialization."""
 
@@ -219,10 +209,9 @@ class Catalog:
                              for image in r["witness"]["images"]))
             for r in data["rows"])
         self.graph_nodes = tuple(
-            GraphNodeSpec(n["label"], _ip_from_text(n["f"]),
-                          _group_from_generator(n["generator"],
-                                                _ip_from_text(n["f"]).arity),
-                          n["cluster"])
+            GraphNode(n["label"], _ip_from_text(n["f"]),
+                      _group_from_generator(n["generator"], _ip_from_text(n["f"]).arity),
+                      n["cluster"])
             for n in data["graph_nodes"])
         self._by_type = {e.type_name: e for e in self.entries}
         self._by_index = {r.index: r for r in self.rows}
@@ -252,7 +241,11 @@ def _group_from_generator(generator: str, arity: int) -> SymmetryGroup:
         raise ValueError(f"group generator must be a string, got {generator!r}")
     if not generator:
         return SymmetryGroup.trivial(arity)
-    return SymmetryGroup.generated_by([GroupElement.parse(generator)], arity)
+    g = GroupElement.parse(generator)
+    if g.order() > ENUMERATION_LIMIT:  # the group is listed element by element
+        raise ValueError(f"group generator ({generator}) has order {g.order()}, above "
+                         f"the enumeration limit of {ENUMERATION_LIMIT}")
+    return SymmetryGroup.generated_by([g], arity)
 
 
 _SYMBOLIC_SCALARS = {"i": I_UNIT, "sqrt2": SQRT2, "sqrt3": SQRT3}
@@ -305,10 +298,6 @@ def row_witness(row: CatalogRow) -> IsoWitness | None:
     return IsoWitness(source, algebra, tuple(images))
 
 
-def _permutation_match(a: Poly, b: Poly) -> bool:
-    return any(True for _ in matching_permutations(a, b))
-
-
 def _validate(catalog: Catalog) -> None:
     if catalog.version != 1:
         raise ValueError(f"unsupported catalog version {catalog.version!r}")
@@ -331,8 +320,8 @@ def _validate(catalog: Catalog) -> None:
             _ip_from_text(variant)  # raises if not invertible with isolated singularity
         # Some variant must be a transpose of the dual's, up to renaming.
         if not any(
-                _permutation_match(_ip_from_text(a).poly,
-                                   transpose(_ip_from_text(b)).poly)
+                same_up_to_variable_permutation(_ip_from_text(a).poly,
+                                                transpose(_ip_from_text(b)).poly)
                 for a in entry.variants for b in partner.variants):
             raise ValueError(
                 f"{entry.type_name}: no variant matches a transposed "
@@ -376,8 +365,8 @@ def _validate(catalog: Catalog) -> None:
                         "is not in the row's group")
         partner = catalog.entry(row.f2_type)
         if not any(
-                _permutation_match(transpose(_ip_from_text(v)).poly,
-                                   target_ip.poly)
+                same_up_to_variable_permutation(transpose(_ip_from_text(v)).poly,
+                                                target_ip.poly)
                 for v in partner.variants):
             raise ValueError(
                 f"row {row.index}: target is not a transposed {row.f2_type} "

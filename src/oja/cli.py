@@ -122,20 +122,20 @@ def _mono_str(vars: Sequence[str], exponents: Sequence[int]) -> str:
 def _display_generators(group: SymmetryGroup) -> list[GroupElement]:
     """A small deterministic generating set for printing.
 
-    Stored generators are used when they still generate the whole group
-    (subgroup constructions may filter them away).  Otherwise a cyclic group
-    is shown through its largest maximal-order element, and the general case
-    falls back to a greedy closure sweep over the canonical element order.
+    Stored generators are used when there are any; they generate the group.
+    Otherwise a cyclic group is shown through its largest maximal-order
+    element, and the general case falls back to a greedy closure sweep over
+    the canonical element order.
     """
     if group.order == 1:
         return []
-    arity = group.elements[0].arity
     gens = [g for g in group.generators if not g.is_identity()]
-    if gens and SymmetryGroup.generated_by(gens, arity) == group:
+    if gens:
         return gens
     cyclic = [g for g in group if g.order() == group.order]
     if cyclic:
         return [max(cyclic, key=lambda g: g.phases)]
+    arity = group.elements[0].arity
     chosen: list[GroupElement] = []
     span = SymmetryGroup.trivial(arity)
     for g in group:
@@ -197,7 +197,7 @@ def _jacobian_lines(args: argparse.Namespace, algebra: QuotientAlgebra,
     if args.trace:
         return [f"socle {socle}", f"trace {trace}"]
     return [
-        f"dimension {algebra.dim}",
+        f"dimension {algebra.mu}",
         f"weights {','.join(str(w) for w in algebra.weights)}",
         f"degree {algebra.degree}",
         f"socle {socle}",
@@ -210,7 +210,7 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
     trace = CycScalar.from_rational(algebra.mu) * algebra.trace_scale
     payload = {
         "polynomial": str(ip.poly),
-        "dimension": algebra.dim,
+        "dimension": algebra.mu,
         "weights": list(algebra.weights),
         "degree": algebra.degree,
         "basis": [_mono_str(algebra.vars, m) for m in algebra.basis],

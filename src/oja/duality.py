@@ -29,8 +29,6 @@ from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
 _ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
 
-Vector = Sequence[CycScalar]
-
 
 class SearchFailure(ValueError):
     """Raised when the ansatz search space is exhausted without a witness."""
@@ -56,7 +54,8 @@ class IsoWitness:
         return tuple((p, tuple(evaluate_in_target(self.target, self.images, p)))
                      for p in map(self.source.poly.partial_derivative, range(self.source.arity)))
 
-    image_matrix = cached_property(lambda self: _image_matrix(self))
+    image_matrix = cached_property(
+        lambda self: _image_matrix(self.source, self.target, self.images))
 
     def to_json(self) -> dict:
         return {
@@ -111,42 +110,48 @@ def source_algebra(ip: InvertiblePoly) -> OrbifoldAlgebra:
     return orbifold_algebra(ip, SymmetryGroup.trivial(ip.arity))
 
 
-def evaluate_in_target(target: OrbifoldAlgebra, images: Sequence[Vector],
-                       p: Poly) -> list[CycScalar]:
+def evaluate_in_target(target: OrbifoldAlgebra, images: Sequence[Sequence],
+                       p: Poly, zero=_ZERO, one=_ONE) -> list:
     """Evaluate p at the given variable images inside the target algebra.
 
-    A monomial is φ(x₁)^e₁ ⋯ φ(xₙ)^eₙ in variable order; 1 is never a factor.
+    The image coordinates lie in any ring holding the structure constants,
+    with the given zero and one.  A monomial is φ(x₁)^e₁ ⋯ φ(xₙ)^eₙ in
+    variable order; 1 is never a factor.
     """
+    def product(u, v):
+        return target.product(u, v, zero)
+
     arity = len(p.vars)
     max_exp = [max((e[i] for e in p.terms), default=0) for i in range(arity)]
-    powers: list[list[Vector]] = []
+    powers: list[list[Sequence]] = []
     for i in range(arity):
         row = [images[i]]  # row[e - 1] = φ(xᵢ)^e
         for _ in range(1, max_exp[i]):
-            row.append(target.product(row[-1], images[i]))
+            row.append(product(row[-1], images[i]))
         powers.append(row)
-    out = target.zero_vector()
+    out = target.zero_vector(zero)
     for exps, coeff in p.terms.items():
         factors = [powers[i][e - 1] for i, e in enumerate(exps) if e]
-        acc = reduce(target.product, factors) if factors else target.identity_vector()
-        out = [a + coeff * b for a, b in zip(out, acc)]
+        acc = reduce(product, factors) if factors else target.identity_vector(zero, one)
+        out = [a + b * coeff for a, b in zip(out, acc)]
     return out
 
 
-def _image_matrix(w: IsoWitness) -> tuple[tuple[CycScalar, ...], ...]:
+def _image_matrix(source: InvertiblePoly, target: OrbifoldAlgebra,
+                  images: Sequence[Sequence], zero=_ZERO, one=_ONE) -> tuple[tuple, ...]:
     """Images of the source standard-monomial basis, as rows.
 
     The basis is closed under division and sorted by degree, so the row of
     x^m is the row of x^m/xᵢ times φ(xᵢ), with xᵢ the last variable of x^m:
     one product per basis element besides 1, in `evaluate_in_target` order.
     """
-    rows: dict[tuple[int, ...], tuple[CycScalar, ...]] = {}
-    for _, m in source_algebra(w.source).basis:
+    rows: dict[tuple[int, ...], tuple] = {}
+    for _, m in source_algebra(source).basis:
         if not any(m):
-            rows[m] = tuple(w.target.identity_vector())
+            rows[m] = tuple(target.identity_vector(zero, one))
             continue
         i = max(i for i, e in enumerate(m) if e)
-        rows[m] = tuple(w.target.product(rows[m[:i] + (m[i] - 1,) + m[i + 1:]], w.images[i]))
+        rows[m] = tuple(target.product(rows[m[:i] + (m[i] - 1,) + m[i + 1:]], images[i], zero))
     return tuple(rows.values())
 
 
@@ -379,21 +384,6 @@ def _solve_system(eqs: list[Poly], n_unknowns: int,
     yield from recurse(eqs, {})
 
 
-def _symbolic_product(target: OrbifoldAlgebra, u: list[Poly], v: list[Poly],
-                      ring: tuple[str, ...]) -> list[Poly]:
-    out = [Poly.zero(ring) for _ in range(target.dim)]
-    for i, cu in enumerate(u):
-        if cu.is_zero():
-            continue
-        for j, cv in enumerate(v):
-            if cv.is_zero():
-                continue
-            prod = cu * cv
-            for k, s in target.basis_product(i, j).items():
-                out[k] = out[k] + prod.scale(s)
-    return out
-
-
 def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
                generator_candidates: Mapping[int, Sequence[int]] | None = None,
                *, require_frobenius: bool = True,
@@ -420,36 +410,12 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
     for i in range(source.arity):
         layout.extend((i, k) for k in candidates[i])
     ring = tuple(f"u{t}" for t in range(len(layout)))
+    zero, one = Poly.zero(ring), Poly.constant(ring, _ONE)
 
-    sym_images: list[list[Poly]] = [[Poly.zero(ring) for _ in range(target.dim)]
-                                    for _ in range(source.arity)]
+    # The ansatz is a witness whose coordinates are polynomials in the unknowns.
+    sym_images = [target.zero_vector(zero) for _ in range(source.arity)]
     for t, (i, k) in enumerate(layout):
         sym_images[i][k] = sym_images[i][k] + Poly.variable(ring, t)
-
-    power_cache: list[dict[int, list[Poly]]] = [
-        {0: [Poly.constant(ring, _ONE) if k == target.identity_index else Poly.zero(ring)
-             for k in range(target.dim)]}
-        for _ in range(source.arity)]
-
-    def sym_power(i: int, e: int) -> list[Poly]:
-        cache = power_cache[i]
-        top = max(cache)
-        while top < e:
-            cache[top + 1] = _symbolic_product(target, cache[top], sym_images[i], ring)
-            top += 1
-        return cache[e]
-
-    def sym_evaluate(p: Poly) -> list[Poly]:
-        out = [Poly.zero(ring) for _ in range(target.dim)]
-        for exps, coeff in p.terms.items():
-            acc = sym_power(0, exps[0]) if exps else out
-            for i, e in enumerate(exps):
-                if i == 0:
-                    continue
-                if e:
-                    acc = _symbolic_product(target, acc, sym_power(i, e), ring)
-            out = [a + b.scale(coeff) for a, b in zip(out, acc)]
-        return out
 
     # A dict keyed by the equation itself drops duplicates and keeps the
     # first-seen order, which the solver's branching depends on.
@@ -460,21 +426,15 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
             equations.setdefault(eq)
 
     for i in range(source.arity):
-        for entry in sym_evaluate(source.poly.partial_derivative(i)):
+        partial = source.poly.partial_derivative(i)
+        for entry in evaluate_in_target(target, sym_images, partial, zero, one):
             add_equation(entry)
 
     if require_frobenius:
-        phi = [sym_evaluate(Poly.monomial(source.vars, m)) for _, m in src.basis]
-        lam = [target.trace(row) for row in
-               ([_ONE if k == l else _ZERO for l in range(target.dim)]
-                for k in range(target.dim))]
+        phi = _image_matrix(source, target, sym_images, zero, one)
         for i in range(src.dim):
             for j in range(i, src.dim):
-                prod = _symbolic_product(target, phi[i], phi[j], ring)
-                pairing = Poly.zero(ring)
-                for k, entry in enumerate(prod):
-                    if not lam[k].is_zero():
-                        pairing = pairing + entry.scale(lam[k])
+                pairing = target.trace(target.product(phi[i], phi[j], zero))
                 add_equation(pairing - Poly.constant(ring, src.gram[i][j]))
 
     budget = _Budget(max_nodes)
@@ -560,11 +520,6 @@ class GraphNode:
     group: SymmetryGroup
     cluster: int
 
-    def describe(self) -> str:
-        gens = [str(g) for g in self.group if not g.is_identity()]
-        group = f"<{'; '.join(gens)}>" if gens else "{id}"
-        return f"({self.ip.poly}, {group})"
-
 
 @dataclass(frozen=True)
 class GraphEdge:
@@ -621,8 +576,9 @@ class DualityGraph:
             "component_sizes": self.component_sizes(),
             "certifications": list(self.certifications),
             "fingerprint_comparisons": [
-                {"a": a, "b": b, "node_a": by_label[a].describe(),
-                 "node_b": by_label[b].describe(),
+                {"a": a, "b": b,
+                 "node_a": _describe_pair(by_label[a].ip, by_label[a].group),
+                 "node_b": _describe_pair(by_label[b].ip, by_label[b].group),
                  "dimension": self.fingerprints[a].dim, "equal": eq}
                 for a, b, eq in self.fingerprint_comparisons()],
         }
@@ -630,7 +586,7 @@ class DualityGraph:
     def to_dot(self) -> str:
         lines = ["graph duality {"]
         for n in self.nodes:
-            lines.append(f'  "{n.label}" [label="{n.label}: {n.describe()}"];')
+            lines.append(f'  "{n.label}" [label="{n.label}: {_describe_pair(n.ip, n.group)}"];')
         for e in self.edges:
             lines.append(f'  "{e.a}" -- "{e.b}";')
         lines.append("}")
@@ -672,6 +628,7 @@ def _same_node(ip_a: InvertiblePoly, group_a: SymmetryGroup,
 
 
 def _describe_pair(ip: InvertiblePoly, group: SymmetryGroup) -> str:
+    """`(f, <generators>)`, or `(f, {id})` for the trivial group."""
     gens = [str(g) for g in group if not g.is_identity()]
     label = f"<{'; '.join(gens)}>" if gens else "{id}"
     return f"({ip.poly}, {label})"
@@ -691,8 +648,7 @@ def duality_graph(catalog, *, max_nodes: int = 60000) -> DualityGraph:
     """
     from .catalog import row_source, row_target, row_witness  # local to avoid a cycle
 
-    nodes = [GraphNode(n.label, n.ip, n.group, n.cluster)
-             for n in catalog.graph_nodes]
+    nodes = catalog.graph_nodes
     clusters: dict[int, list[GraphNode]] = {}
     for node in nodes:
         clusters.setdefault(node.cluster, []).append(node)

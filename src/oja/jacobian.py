@@ -4,9 +4,12 @@ The quotient Jac(f) = K[x]/(df/dx_1, ..., df/dx_n) is materialized through a
 reduced Groebner basis of the partial-derivative ideal in graded reverse
 lexicographic order.  Finite dimensionality is equivalent to every variable
 contributing a pure-power leading monomial, which also bounds the box of
-standard monomials.  On top of the monomial basis live normal forms, class
-multiplication, the socle, the residue-normalized trace functional, linear
-solving in the quotient, and an isomorphism-invariant fingerprint.
+standard monomials.  On top of the monomial basis live normal forms, the
+socle, the residue-normalized trace functional, and linear solving in the
+quotient.  Products are not computed here: `orbifold.OrbifoldAlgebra` holds
+the structure constants, with Jac(f) as its trivial-group case
+(`duality.source_algebra`), and the isomorphism-invariant `fingerprint` reads
+them.
 
 All coefficient arithmetic happens in Q(zeta_24); nothing is approximated.
 """
@@ -18,11 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as cartesian
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .linalg import solve_linear
 from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
 from .scalar import CycScalar
+
+if TYPE_CHECKING:
+    from .orbifold import OrbifoldAlgebra
 
 Monomial = tuple[int, ...]
 
@@ -226,8 +232,7 @@ def has_isolated_singularity(f: Poly) -> bool:
 class QuotientAlgebra:
     """Jac(f) with an explicit standard-monomial basis.
 
-    Instances are immutable apart from an internal product cache and are
-    created through :func:`quotient_algebra`.
+    Instances are immutable and are created through :func:`quotient_algebra`.
     """
 
     def __init__(self, f: Poly, weights: tuple[int, ...], degree: int,
@@ -246,37 +251,11 @@ class QuotientAlgebra:
         self.hess_coeff = hess_nf.terms[socle]
         self.trace_scale = self.hess_coeff.inverse()
         self.index = {m: i for i, m in enumerate(basis)}
-        self._products: dict[tuple[Monomial, Monomial], Poly] = {}
-
-    # -- structure-constant protocol (shared with the orbifold algebra) --
-
-    @property
-    def dim(self) -> int:
-        return self.mu
-
-    @property
-    def identity_index(self) -> int:
-        return self.index[(0,) * len(self.vars)]
-
-    def basis_product(self, i: int, j: int) -> dict[int, CycScalar]:
-        nf = self.multiply(self.basis[i], self.basis[j])
-        return {self.index[m]: c for m, c in nf.terms.items()}
-
-    # -- normal forms and coordinates --
 
     def normal_form(self, p: Poly) -> Poly:
         if len(p.vars) != len(self.vars):
             raise ValueError("arity mismatch")
         return self.gb.reduce(p)
-
-    def multiply(self, a: Monomial, b: Monomial) -> Poly:
-        """Normal form of the product of two basis monomials, cached."""
-        key = (a, b) if a <= b else (b, a)
-        hit = self._products.get(key)
-        if hit is None:
-            hit = self.normal_form(Poly.monomial(self.vars, _mono_mul(a, b)))
-            self._products[key] = hit
-        return hit
 
     def coords(self, p: Poly) -> list[CycScalar]:
         """Coordinates of [p] over the standard-monomial basis."""
@@ -288,22 +267,6 @@ class QuotientAlgebra:
 
     def weighted_degree(self, m: Monomial) -> int:
         return sum(w * e for w, e in zip(self.weights, m))
-
-    @property
-    def socle_degree(self) -> int:
-        return sum(self.degree - 2 * w for w in self.weights)
-
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "weights": list(self.weights),
-            "degree": self.degree,
-            "groebner_basis": [g.to_json() for g in self.gb.generators],
-            "basis": [list(m) for m in self.basis],
-            "mu": self.mu,
-            "socle": list(self.socle),
-            "trace_scale": self.trace_scale.to_json(),
-        }
 
     def __repr__(self) -> str:
         return f"QuotientAlgebra({self.f}, mu={self.mu})"
@@ -469,11 +432,9 @@ def _span_dim(vectors: list[list[CycScalar]]) -> list[list[CycScalar]]:
     return [reduced[i] for i in range(len(pivots))]
 
 
-def fingerprint(algebra) -> Fingerprint:
-    """Fingerprint of any object exposing dim / identity_index / basis_product."""
+def fingerprint(algebra: OrbifoldAlgebra) -> Fingerprint:
+    """Fingerprint of an orbifold algebra; Jac(f) is `duality.source_algebra`."""
     n = algebra.dim
-    if n == 0:
-        return Fingerprint(0, (0,), 0)
     one = algebra.identity_index
     generators = [i for i in range(n) if i != one]
 

@@ -196,13 +196,17 @@ class OrbifoldAlgebra:
         return out
 
     # -- elements as coordinate vectors --
+    #
+    # Coordinates may come from any commutative ring that holds the structure
+    # constants (scalars, or polynomials in unknowns); callers pass that
+    # ring's zero and one.
 
-    def zero_vector(self) -> list[CycScalar]:
-        return [_ZERO] * self.dim
+    def zero_vector(self, zero=_ZERO) -> list:
+        return [zero] * self.dim
 
-    def identity_vector(self) -> list[CycScalar]:
-        out = self.zero_vector()
-        out[self.identity_index] = _ONE
+    def identity_vector(self, zero=_ZERO, one=_ONE) -> list:
+        out = self.zero_vector(zero)
+        out[self.identity_index] = one
         return out
 
     def element(self, p: Poly, g: GroupElement) -> list[CycScalar]:
@@ -218,8 +222,8 @@ class OrbifoldAlgebra:
             out[index] = c
         return out
 
-    def product(self, u: Sequence[CycScalar], v: Sequence[CycScalar]) -> list[CycScalar]:
-        out = self.zero_vector()
+    def product(self, u: Sequence, v: Sequence, zero=_ZERO) -> list:
+        out = self.zero_vector(zero)
         right = [(j, cv) for j, cv in enumerate(v) if not cv.is_zero()]
         for i, cu in enumerate(u):
             if cu.is_zero():
@@ -232,9 +236,9 @@ class OrbifoldAlgebra:
                         out[k] = out[k] + c * s
         return out
 
-    def trace(self, u: Sequence[CycScalar]) -> CycScalar:
+    def trace(self, u: Sequence):
         c = u[self._socle]
-        return _ZERO if c.is_zero() else c * self._trace_factor
+        return c if c.is_zero() else c * self._trace_factor
 
     def pairing(self, u: Sequence[CycScalar], v: Sequence[CycScalar]) -> CycScalar:
         """η(u, v): trace of the identity-sector part of u∘v."""

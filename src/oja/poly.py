@@ -104,7 +104,9 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly(self.vars, {e: -c for e, c in self.terms.items()})
 
-    def __mul__(self, other: "Poly") -> "Poly":
+    def __mul__(self, other: "Poly | CycScalar") -> "Poly":
+        if isinstance(other, CycScalar):
+            return self.scale(other)
         self._check_ring(other)
         terms: dict[tuple[int, ...], CycScalar] = {}
         for e1, c1 in self.terms.items():
@@ -199,19 +201,6 @@ class Poly:
                 lifted[pos] = e
             terms[tuple(lifted)] = coeff
         return Poly(ambient_vars, terms)
-
-    def substitute(self, index: int, replacement: "Poly") -> "Poly":
-        """Replace one variable by a polynomial of the same ring."""
-        self._check_ring(replacement)
-        result = Poly.zero(self.vars)
-        powers: dict[int, Poly] = {0: Poly.constant(self.vars, CycScalar.one())}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e not in powers:
-                powers[e] = replacement**e
-            rest = exps[:index] + (0,) + exps[index + 1:]
-            result = result + powers[e].scale(coeff) * Poly.monomial(self.vars, rest)
-        return result
 
     # --- presentation ---------------------------------------------------
 

@@ -85,7 +85,11 @@ class GroupElement:
 
 
 class SymmetryGroup:
-    """A finite group of diagonal symmetries, iterated in a canonical order."""
+    """A finite group of diagonal symmetries, iterated in a canonical order.
+
+    `generators`, when not empty, generate the group; it may be empty even
+    for a nontrivial group.
+    """
 
     def __init__(self, elements: Iterable[GroupElement], generators: Sequence[GroupElement] = ()):
         elts = sorted(set(elements), key=lambda g: g.phases)
@@ -134,10 +138,6 @@ class SymmetryGroup:
 
     def __hash__(self) -> int:
         return hash(self.elements)
-
-    def is_subgroup_of(self, other: "SymmetryGroup") -> bool:
-        mine = set(self.elements)
-        return mine <= set(other.elements)
 
     def __repr__(self) -> str:
         return f"SymmetryGroup[{', '.join(f'({g})' for g in self.elements)}]"
@@ -254,9 +254,16 @@ def is_sl_symmetry(ip: InvertiblePoly, g: GroupElement) -> bool:
 
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
-    """Elements of integral age (the SL(N) condition for diagonal matrices)."""
+    """Elements of integral age (the SL(N) condition for diagonal matrices).
+
+    The group's generators that lie in the subgroup are kept only when they
+    still generate it.
+    """
     members = [g for g in group if g.age().denominator == 1]
-    return SymmetryGroup(members, tuple(g for g in group.generators if g in members))
+    generated = SymmetryGroup.generated_by(
+        [g for g in group.generators if g in members], group.elements[0].arity)
+    # `generated` lies inside the subgroup, so equal orders mean equal groups.
+    return generated if generated.order == len(members) else SymmetryGroup(members)
 
 
 def matching_permutations(f: Poly, g: Poly) -> list[tuple[int, ...]]:

@@ -464,6 +464,53 @@ def test_huge_inputs_exit_2_before_enumerating(argv, message, capsys):
     assert "Traceback" not in captured.err
 
 
+def _guard_generated_by(monkeypatch, calls: list) -> None:
+    """Record every group generation; fail fast on a generator of huge order."""
+    from oja.symmetry import SymmetryGroup
+
+    original = SymmetryGroup.generated_by.__func__
+
+    def guarded(cls, generators, arity):
+        generators = list(generators)
+        calls.append(generators)
+        if any(g.order() > 10**6 for g in generators):
+            raise AssertionError(f"enumerating a group of order {generators[0].order()}")
+        return original(cls, generators, arity)
+
+    monkeypatch.setattr(SymmetryGroup, "generated_by", classmethod(guarded))
+
+
+@pytest.mark.parametrize("section, argv", [
+    ("rows", ["verify", "--row", "2"]),
+    ("graph_nodes", ["graph"]),
+], ids=["row", "graph-node"])
+def test_huge_catalog_generator_exits_2_before_enumerating(tmp_path: Path, monkeypatch,
+                                                           capsys, section, argv):
+    from oja.cli import main
+
+    data = json.loads(serialize(load_catalog()))
+    _set_generator(section, 1, "1/999999999999,0,0")(data)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    _guard_generated_by(monkeypatch, [])
+    assert main(["--catalog", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid catalog: group generator (1/999999999999,0,0) "
+                            "has order 999999999999, above the enumeration limit of 100000\n")
+
+
+def test_symmetry_generates_the_group_once(monkeypatch, capsys):
+    from oja.cli import main
+
+    calls: list = []
+    _guard_generated_by(monkeypatch, calls)
+    assert main(["symmetry", "x1^7+x2^3+x3^2"]) == 0
+    assert capsys.readouterr().out == ("order 42\ngenerator (1/7,0,0)\n"
+                                       "generator (0,1/3,0)\ngenerator (0,0,1/2)\n")
+    assert len(calls) == 1
+
+
 def test_catalog_stays_far_inside_the_enumeration_limit():
     from oja.catalog import row_source, row_target
     from oja.jacobian import _jacobian_ideal

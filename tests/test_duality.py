@@ -205,7 +205,7 @@ def test_inverse_of_frobenius_witness_preserves_pairing():
     target = w.target
     from oja.duality import _image_matrix
 
-    phi = _image_matrix(w)  # rows: source basis -> target coordinates
+    phi = _image_matrix(w.source, w.target, w.images)  # rows: source basis -> target coordinates
     transposed = [[phi[j][i] for j in range(src.dim)] for i in range(target.dim)]
     inverse_rows = []
     for k in range(target.dim):

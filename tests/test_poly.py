@@ -135,12 +135,6 @@ def test_embed_inverts_restrict():
     assert lifted.restrict([0, 2]) == f
 
 
-def test_substitute():
-    f = parse("x^2 + y", XYZ)
-    g = f.substitute(0, parse("y + z", XYZ))
-    assert g == parse("y^2 + 2*y*z + z^2 + y", XYZ)
-
-
 def test_grevlex_order_facts():
     # degree dominates; within a degree the smaller trailing difference wins
     assert grevlex_key((2, 0, 0)) > grevlex_key((0, 1, 1))

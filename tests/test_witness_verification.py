@@ -148,9 +148,9 @@ def test_verify_witness_builds_the_image_matrix_once(monkeypatch):
     calls = []
     original = duality._image_matrix
 
-    def counting_image_matrix(w):
-        calls.append(w)
-        return original(w)
+    def counting_image_matrix(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(duality, "_image_matrix", counting_image_matrix)
     report = verify_witness(_row2_witness())
@@ -164,9 +164,9 @@ def test_image_matrix_takes_one_product_per_basis_element_besides_the_unit(monke
     calls = []
     original = OrbifoldAlgebra.product
 
-    def counting_product(self, u, v):
+    def counting_product(self, u, v, *ring):
         calls.append((u, v))
-        return original(self, u, v)
+        return original(self, u, v, *ring)
 
     monkeypatch.setattr(OrbifoldAlgebra, "product", counting_product)
     matrix = w.image_matrix
@@ -185,12 +185,59 @@ def test_evaluate_in_target_never_multiplies_by_the_unit(monkeypatch):
     operands = []
     original = OrbifoldAlgebra.product
 
-    def recording_product(self, u, v):
+    def recording_product(self, u, v, *ring):
         operands.extend((list(u), list(v)))
-        return original(self, u, v)
+        return original(self, u, v, *ring)
 
     monkeypatch.setattr(OrbifoldAlgebra, "product", recording_product)
     values = [evaluate_in_target(target, w.images, p) for p in polys]
     assert values == expected
     assert operands
     assert target.identity_vector() not in operands
+
+
+# --- the ansatz through the witness evaluator ---------------------------------------
+
+
+def _specialise(p: Poly, values) -> CycScalar:
+    """p evaluated at u_t = values[t]."""
+    total = CycScalar.zero()
+    for exps, coeff in p.terms.items():
+        for value, e in zip(values, exps):
+            coeff = coeff * value**e
+        total = total + coeff
+    return total
+
+
+@pytest.mark.parametrize("index", [2, 8])
+def test_ansatz_images_specialise_to_the_found_witness(index):
+    """Poly coordinates through evaluate_in_target, the image matrix and the
+    pairing, specialised at the search's solution, give the numeric values."""
+    row = _catalog().row(index)
+    w = search_iso(row_source(row), _target(row))
+    source, target = w.source, w.target
+    layout = [(i, k) for i, weight in enumerate(source.weights) for k in range(target.dim)
+              if target.degrees[k] * source.degree == weight]
+    assert all(c.is_zero() or (i, k) in layout
+               for i, image in enumerate(w.images) for k, c in enumerate(image))
+    ring = tuple(f"u{t}" for t in range(len(layout)))
+    zero, one = Poly.zero(ring), Poly.constant(ring, CycScalar.one())
+    images = [target.zero_vector(zero) for _ in range(source.arity)]
+    for t, (i, k) in enumerate(layout):
+        images[i][k] = Poly.variable(ring, t)
+    values = [w.images[i][k] for i, k in layout]
+
+    def specialise(vector):
+        return [_specialise(p, values) for p in vector]
+
+    polys = [source.poly.partial_derivative(i) for i in range(source.arity)]
+    polys.append(source.poly + Poly.constant(source.vars, CycScalar.from_rational(3)))
+    for p in polys:
+        assert (specialise(evaluate_in_target(target, images, p, zero, one))
+                == evaluate_in_target(target, w.images, p))
+    phi = duality._image_matrix(source, target, images, zero, one)
+    assert [specialise(row) for row in phi] == [list(row) for row in w.image_matrix]
+    for i, j in [(0, 0), (0, len(phi) - 1), (1, len(phi) - 2)]:
+        pairing = target.trace(target.product(phi[i], phi[j], zero))
+        assert _specialise(pairing, values) == target.pairing(w.image_matrix[i],
+                                                              w.image_matrix[j])
