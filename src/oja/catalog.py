@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .duality import GraphNode, IsoWitness
 from .orbifold import orbifold_algebra
@@ -165,8 +165,7 @@ def _default_data() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One singularity type: its strange dual and polynomial variants."""
 
     type_name: str
@@ -174,8 +173,7 @@ class CatalogEntry:
     variants: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CatalogRow:
+class CatalogRow(NamedTuple):
     """One verification row.
 
     `witness` keeps the raw image data (scalar, monomial, sector triples per

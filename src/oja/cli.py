@@ -19,14 +19,13 @@ Exit codes: 0 on success, 1 on a verification failure, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import re
 import sys
 from typing import Sequence
 
-from .catalog import Catalog, CatalogRow, load_catalog, row_source, row_target, row_witness
-from .duality import RowCertificate, SearchFailure, certify, duality_graph
 from .jacobian import QuotientAlgebra, milnor, quotient_algebra
 from .orbifold import OrbifoldAlgebra, orbifold_algebra
 from .poly import ENUMERATION_LIMIT, Poly, parse
@@ -38,6 +37,17 @@ from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
 
 class CliError(Exception):
     """Bad command-line input, reported on stderr with exit code 2."""
+
+
+# Only `verify` and `graph` need these two modules, so a query does not pay for
+# compiling them: each is registered in sys.modules and runs on first use.
+for _name in ("oja.catalog", "oja.duality"):
+    if _name not in sys.modules:  # a module imported earlier is kept
+        _spec = importlib.util.find_spec(_name)
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        sys.modules[_name] = importlib.util.module_from_spec(_spec)
+        _spec.loader.exec_module(sys.modules[_name])
+catalog, duality = sys.modules["oja.catalog"], sys.modules["oja.duality"]
 
 
 # --- input parsing -----------------------------------------------------------
@@ -89,9 +99,9 @@ def _group_element(text: str, arity: int) -> GroupElement:
     return g
 
 
-def _load_catalog(args: argparse.Namespace) -> Catalog:
+def _load_catalog(args: argparse.Namespace) -> catalog.Catalog:
     try:
-        return load_catalog(args.catalog)
+        return catalog.load_catalog(args.catalog)
     except FileNotFoundError:
         raise CliError(f"catalog file not found: {args.catalog}") from None
     except OSError as exc:
@@ -255,19 +265,19 @@ def cmd_orbifold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _certify_row(row: CatalogRow, search: bool
-                 ) -> tuple[CatalogRow, RowCertificate | None, str]:
-    source = row_source(row)
-    target_ip, group = row_target(row)
+def _certify_row(row: catalog.CatalogRow, search: bool
+                 ) -> tuple[catalog.CatalogRow, duality.RowCertificate | None, str]:
+    source = catalog.row_source(row)
+    target_ip, group = catalog.row_target(row)
     target = orbifold_algebra(target_ip, group)
-    witness = None if search else row_witness(row)
+    witness = None if search else catalog.row_witness(row)
     try:
-        return row, certify(source, target, witness), ""
-    except SearchFailure as exc:
+        return row, duality.certify(source, target, witness), ""
+    except duality.SearchFailure as exc:
         return row, None, str(exc)
 
 
-def _row_line(row: CatalogRow, cert: RowCertificate | None, error: str) -> str:
+def _row_line(row: catalog.CatalogRow, cert: duality.RowCertificate | None, error: str) -> str:
     pair = f"{row.f1_type} ~ {row.f2_type}"
     if cert is None:
         return f"row {row.index}: {pair} failed ({error})"
@@ -275,14 +285,14 @@ def _row_line(row: CatalogRow, cert: RowCertificate | None, error: str) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args)
+    loaded = _load_catalog(args)
     if args.row is not None:
         try:
-            rows = [catalog.row(args.row)]
+            rows = [loaded.row(args.row)]
         except KeyError:
             raise CliError(f"no catalog row {args.row}") from None
     else:
-        rows = list(catalog.rows)
+        rows = list(loaded.rows)
 
     results = [_certify_row(row, args.search) for row in rows]
     lines = [_row_line(row, cert, error) for row, cert, error in results]
@@ -320,10 +330,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args)
+    loaded = _load_catalog(args)
     try:
-        graph = duality_graph(catalog)
-    except (SearchFailure, ValueError) as exc:
+        graph = duality.duality_graph(loaded)
+    except ValueError as exc:  # SearchFailure is a ValueError
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     if args.json:

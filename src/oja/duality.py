@@ -11,11 +11,10 @@ isomorphisms into a graph of (polynomial, group) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .jacobian import Fingerprint, fingerprint
 from .linalg import rank
@@ -37,13 +36,22 @@ class SearchFailure(ValueError):
 # --- witnesses and reports ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IsoWitness:
     """A candidate isomorphism Jac(f₁) → target, one image per variable."""
 
-    source: InvertiblePoly
-    target: OrbifoldAlgebra
-    images: tuple[tuple[CycScalar, ...], ...]
+    def __init__(self, source: InvertiblePoly, target: OrbifoldAlgebra,
+                 images: tuple[tuple[CycScalar, ...], ...]):
+        self.source, self.target, self.images = source, target, images
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is IsoWitness and (self.source, self.target, self.images) == (
+            other.source, other.target, other.images)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.images))
+
+    def __repr__(self) -> str:
+        return f"IsoWitness(source={self.source!r}, target={self.target!r}, images={self.images!r})"
 
     def image_str(self, i: int) -> str:
         return self.target.vector_str(list(self.images[i]))
@@ -79,8 +87,7 @@ class IsoWitness:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -89,8 +96,7 @@ class Check:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     passed: bool
     checks: tuple[Check, ...]
 
@@ -434,8 +440,8 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
         phi = _image_matrix(source, target, sym_images, zero, one)
         for i in range(src.dim):
             for j in range(i, src.dim):
-                pairing = target.trace(target.product(phi[i], phi[j], zero))
-                add_equation(pairing - Poly.constant(ring, src.gram[i][j]))
+                add_equation(target.pairing(phi[i], phi[j], zero)
+                             - Poly.constant(ring, src.gram[i][j]))
 
     budget = _Budget(max_nodes)
     for assignment in _solve_system(list(equations), len(layout), budget):
@@ -456,8 +462,7 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
 # --- row certificates --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowCertificate:
+class RowCertificate(NamedTuple):
     """Outcome of certifying one catalog row.
 
     `level` is "frobenius" when a pairing-preserving isomorphism was verified,
@@ -511,8 +516,7 @@ def certify(source: InvertiblePoly, target: OrbifoldAlgebra,
 # --- the isomorphism graph ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     """A (polynomial, group) pair drawn in one of the graph's clusters."""
 
     label: str
@@ -521,8 +525,7 @@ class GraphNode:
     cluster: int
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     a: str
     b: str
     certificate: str

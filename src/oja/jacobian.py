@@ -17,11 +17,10 @@ All coefficient arithmetic happens in Q(zeta_24); nothing is approximated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product as cartesian
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import solve_linear
 from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
@@ -102,16 +101,23 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     return a * f - b * g
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced, monic Groebner basis in grevlex order."""
 
-    generators: tuple[Poly, ...]
-    order: str = "grevlex"
+    order = "grevlex"
 
-    @cached_property
-    def _reducers(self) -> tuple[tuple[Monomial, Poly], ...]:
-        return tuple((leading_monomial(g), g) for g in self.generators)
+    def __init__(self, generators: tuple[Poly, ...]):
+        self.generators = generators
+        self._reducers = tuple((leading_monomial(g), g) for g in generators)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is GroebnerBasis and self.generators == other.generators
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.order))
+
+    def __repr__(self) -> str:
+        return f"GroebnerBasis(generators={self.generators!r}, order={self.order!r})"
 
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
@@ -402,8 +408,7 @@ def solve_in_quotient(algebra: QuotientAlgebra, a: Poly, b: Poly,
 # --- fingerprints -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Isomorphism invariants of a finite commutative unital algebra.
 
     `powers` lists dim m^k for k = 0, 1, ... down to the first zero, where m

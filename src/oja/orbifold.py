@@ -19,9 +19,8 @@ the trace pairing normalized by λ([hess f]) = |G|·μ_f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .jacobian import Monomial, QuotientAlgebra, quotient_algebra, solve_in_quotient
 from .linalg import rank
@@ -33,8 +32,7 @@ _ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(NamedTuple):
     """One summand Jac(f^g)·v_g of the twisted algebra."""
 
     g: GroupElement
@@ -240,9 +238,11 @@ class OrbifoldAlgebra:
         c = u[self._socle]
         return c if c.is_zero() else c * self._trace_factor
 
-    def pairing(self, u: Sequence[CycScalar], v: Sequence[CycScalar]) -> CycScalar:
-        """η(u, v): trace of the identity-sector part of u∘v."""
-        return self.trace(self.product(u, v))
+    def pairing(self, u: Sequence, v: Sequence, zero=_ZERO):
+        """η(u, v) = Σ u_a v_b gram[a][b] over nonzero entries: ε(u∘v), no product."""
+        right = [(b, cv) for b, cv in enumerate(v) if not cv.is_zero()]
+        return sum((cu * cv * self.gram[a][b] for a, cu in enumerate(u) if not cu.is_zero()
+                    for b, cv in right if not self.gram[a][b].is_zero()), zero)
 
     def label(self, i: int) -> str:
         g, m = self.basis[i]

@@ -12,6 +12,7 @@ that equal polynomials always print and dump identically.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .scalar import CycScalar
@@ -122,18 +123,6 @@ class Poly:
                 elif not prod.is_zero():
                     terms[key] = prod
         return Poly(self.vars, terms)
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.constant(self.vars, CycScalar.one())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def scale(self, scalar: CycScalar) -> "Poly":
         if scalar.is_zero():
@@ -276,9 +265,11 @@ def _determinant(matrix: list[list[Poly]], vars: Sequence[str]) -> Poly:
 def parse(text: str, vars: Sequence[str]) -> Poly:
     """Parse `coeff*x1^2*x2 + ...` into a Poly over the given variables.
 
-    The grammar is sums/differences of terms, each an optional unsigned
-    integer coefficient followed by `*`-separated variable powers.  Unknown
-    variables and negative exponents are reported with their position.
+    The grammar is sums/differences of terms, each an optional coefficient
+    followed by `*`-separated variable powers.  A coefficient is an unsigned
+    integer or fraction, or a scalar in parentheses written as a polynomial
+    in z = ζ₂₄, so `parse(str(p), p.vars) == p`.  Unknown variables and
+    negative exponents are reported with their position.
     """
     vars = tuple(vars)
     index = {v: i for i, v in enumerate(vars)}
@@ -313,6 +304,22 @@ def parse(text: str, vars: Sequence[str]) -> Poly:
             fail("expected a variable name")
         return text[start:pos]
 
+    def read_coeff() -> CycScalar:
+        nonlocal pos
+        if text[pos] == "(":
+            end = text.find(")", pos)
+            if end < 0:
+                fail("unclosed parenthesis")
+            # Padded so that error positions count from the start of `text`.
+            terms = parse(" " * (pos + 1) + text[pos + 1:end], ("z",)).terms
+            pos = end + 1
+            return sum((c * CycScalar.zeta(e) for (e,), c in terms.items()), CycScalar.zero())
+        value = Fraction(read_uint())
+        if text.startswith("/", pos):
+            pos += 1
+            value /= read_uint() or fail("zero denominator")
+        return CycScalar.from_rational(value)
+
     def read_factor() -> tuple[int, int]:
         nonlocal pos
         name_at = pos
@@ -333,9 +340,9 @@ def parse(text: str, vars: Sequence[str]) -> Poly:
     def read_term() -> Poly:
         nonlocal pos
         skip_ws()
-        coeff = 1
-        if pos < n and text[pos].isdigit():
-            coeff = read_uint()
+        coeff = CycScalar.one()
+        if pos < n and (text[pos].isdigit() or text[pos] == "("):
+            coeff = read_coeff()
             skip_ws()
             if pos < n and text[pos] == "*":
                 pos += 1
@@ -343,7 +350,7 @@ def parse(text: str, vars: Sequence[str]) -> Poly:
             elif pos < n and (text[pos].isalpha() or text[pos] == "_"):
                 pass  # juxtaposition, e.g. "2x1"
             else:
-                return Poly.constant(vars, CycScalar.from_rational(coeff))
+                return Poly.constant(vars, coeff)
         exps = [0] * len(vars)
         i, e = read_factor()
         exps[i] += e
@@ -359,7 +366,7 @@ def parse(text: str, vars: Sequence[str]) -> Poly:
                 exps[i] += e
             else:
                 break
-        return Poly.monomial(vars, exps, CycScalar.from_rational(coeff))
+        return Poly.monomial(vars, exps, coeff)
 
     skip_ws()
     if pos >= n:

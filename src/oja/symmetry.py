@@ -16,29 +16,32 @@ age (= phase sum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import det_rational, invert_rational, smith_diagonal
 from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
 from .scalar import CycScalar
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """A diagonal symmetry, stored as phases in [0, 1)."""
 
-    phases: tuple[Fraction, ...]
+    __slots__ = ("phases", "_hash")
 
-    def __post_init__(self):
-        phases = tuple(p % 1 for p in self.phases)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "_hash", hash(phases))  # group elements key many dicts
+    def __init__(self, phases: tuple[Fraction, ...]):
+        self.phases = tuple(p % 1 for p in phases)
+        self._hash = hash(self.phases)  # group elements key many dicts
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is GroupElement and self.phases == other.phases
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"GroupElement(phases={self.phases!r})"
 
     @classmethod
     def identity(cls, arity: int) -> "GroupElement":
@@ -143,8 +146,7 @@ class SymmetryGroup:
         return f"SymmetryGroup[{', '.join(f'({g})' for g in self.elements)}]"
 
 
-@dataclass(frozen=True)
-class InvertiblePoly:
+class InvertiblePoly(NamedTuple):
     poly: Poly
     exponents: tuple[tuple[int, ...], ...]
     coeffs: tuple[CycScalar, ...]

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -531,3 +534,34 @@ def test_milnor_of_a_large_power_box_still_runs(capsys):
 
     assert main(["milnor", "x1^3000+x2^2"]) == 0
     assert capsys.readouterr().out == "2999\n"
+
+
+# --- import footprint ------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_importing_the_cli_runs_neither_the_verify_stack_nor_dataclasses():
+    """A query command pays only for the modules it runs.
+
+    `oja.catalog` and `oja.duality` sit in `sys.modules` from the start, so
+    that every lookup by name finds one module, but they run on first
+    attribute access; until then their type is importlib's lazy module type,
+    not `ModuleType`.
+    """
+    code = ("import sys, types, oja.cli\n"
+            "print(sorted(n for n, m in sys.modules.items() if type(m) is types.ModuleType))\n"
+            "print(sys.modules['oja.duality'].certify.__module__)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+    loaded, first_use = result.stdout.splitlines()
+    loaded = set(ast.literal_eval(loaded))
+    assert {"oja.cli", "oja.jacobian", "oja.orbifold"} <= loaded
+    assert not loaded & {"oja.catalog", "oja.duality", "dataclasses"}
+    assert first_use == "oja.duality"
+    importers = [path.name for path in sorted((SRC / "oja").glob("*.py"))
+                 if re.search(r"^\s*(from|import) dataclasses\b", path.read_text(), re.M)]
+    assert importers == []

@@ -370,4 +370,4 @@ def test_graph_node_gram_is_symmetric_and_matches_the_pairing(node):
     for i in range(A.dim):
         for j in range(A.dim):
             assert A.gram[i][j] == A.gram[j][i]
-            assert A.gram[i][j] == A.pairing(unit(i), unit(j))
+            assert A.gram[i][j] == A.trace(A.product(unit(i), unit(j)))

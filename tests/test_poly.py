@@ -76,12 +76,6 @@ def test_ring_axioms_and_cancellation():
     assert f * Poly.zero(XYZ) == Poly.zero(XYZ)
 
 
-def test_pow_matches_repeated_multiplication():
-    f = parse("x + 2y", XYZ)
-    assert f**3 == f * f * f
-    assert f**0 == Poly.constant(XYZ, CycScalar.one())
-
-
 def test_leibniz_rule():
     rng = random.Random(23)
     for _ in range(3):

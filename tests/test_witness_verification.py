@@ -5,7 +5,7 @@ the full pairing table for every witness; they pin the failure text (the
 first four ``eta(a, b): got != expected`` lines and the ``... N pairs
 differ`` tail) byte for byte.  The verdict test recomputes every pairing
 with a naive evaluator that shares no code with ``duality`` beyond the
-target's product and trace.
+target's product and pairing.
 """
 
 from __future__ import annotations
@@ -194,6 +194,29 @@ def test_evaluate_in_target_never_multiplies_by_the_unit(monkeypatch):
     assert values == expected
     assert operands
     assert target.identity_vector() not in operands
+
+
+def test_pairing_equations_read_the_gram_matrix(monkeypatch):
+    """The ansatz's pairing equations take no products beyond its image matrix."""
+    row = _catalog().row(2)
+    source, target = row_source(row), _target(row)
+    source_algebra(source)  # built outside the counted region
+    calls = []
+    original = OrbifoldAlgebra.product
+
+    def counting_product(self, u, v, *ring):
+        calls.append((u, v))
+        return original(self, u, v, *ring)
+
+    monkeypatch.setattr(OrbifoldAlgebra, "product", counting_product)
+    monkeypatch.setattr(duality, "_solve_system", lambda *args: iter(()))
+    counts = []
+    for require_frobenius in (False, True):
+        calls.clear()
+        with pytest.raises(duality.SearchFailure):
+            search_iso(source, target, require_frobenius=require_frobenius)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == target.dim - 1
 
 
 # --- the ansatz through the witness evaluator ---------------------------------------
