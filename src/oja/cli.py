@@ -40,7 +40,9 @@ class CliError(Exception):
 
 
 # Only `verify` and `graph` need these two modules, so a query does not pay for
-# compiling them: each is registered in sys.modules and runs on first use.
+# compiling them.  Each is put in sys.modules at once and runs on first attribute
+# access, so a lookup by name after `import oja.cli` (perfbench's tracer makes
+# one) still finds it.
 for _name in ("oja.catalog", "oja.duality"):
     if _name not in sys.modules:  # a module imported earlier is kept
         _spec = importlib.util.find_spec(_name)
