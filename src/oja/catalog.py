@@ -376,6 +376,8 @@ def _validate(catalog: Catalog) -> None:
     if len(labels) != 23:
         raise ValueError(f"expected 23 graph nodes, found {len(labels)}")
     for node in catalog.graph_nodes:
+        if type(node.label) is not str:
+            raise ValueError(f"graph node label {node.label!r} is not a string")
         if type(node.cluster) is not int:  # bool is an int subclass, not a cluster id
             raise ValueError(
                 f"graph node {node.label}: cluster {node.cluster!r} is not an integer")

@@ -265,15 +265,9 @@ def _plug(eq: Poly, index: int, value: CycScalar) -> Poly:
     return Poly(eq.vars, terms)
 
 
-def _univariate_profile(eq: Poly, index: int) -> dict[int, CycScalar] | None:
-    """Map exponent-of-unknown -> coefficient, if eq involves only `index`."""
-    profile: dict[int, CycScalar] = {}
-    for exps, coeff in eq.terms.items():
-        if any(e and i != index for i, e in enumerate(exps)):
-            return None
-        e = exps[index]
-        profile[e] = profile.get(e, _ZERO) + coeff
-    return {e: c for e, c in profile.items() if not c.is_zero()}
+def _univariate_profile(eq: Poly, index: int) -> dict[int, CycScalar]:
+    """Map exponent-of-unknown -> coefficient for an eq in the unknown `index` only."""
+    return {exps[index]: coeff for exps, coeff in eq.terms.items()}
 
 
 def _univariate_roots(profile: dict[int, CycScalar]) -> list[CycScalar] | None:
@@ -306,6 +300,10 @@ def _univariate_roots(profile: dict[int, CycScalar]) -> list[CycScalar] | None:
             return None
         return [r for v in outer for r in square_roots(v)]
     return None
+
+
+# Solver nodes one `search_iso` call may visit before it gives up.
+MAX_NODES = 60000
 
 
 class _Budget:
@@ -345,32 +343,20 @@ def _solve_system(eqs: list[Poly], n_unknowns: int,
                 del assignment[i]
             return
 
-        # Deterministic step first: a linear equation in a single unknown.
-        for eq, used in pending:
-            if len(used) == 1:
-                (index,) = used
-                profile = _univariate_profile(eq, index)
-                if profile is not None and sorted(profile) in ([1], [0, 1]):
-                    value = -(profile.get(0, _ZERO) * profile[1].inverse())
+        # Branching on the roots of a univariate equation, linear ones first:
+        # their single root is a deterministic step.
+        univariate = [(index, _univariate_profile(eq, index))
+                      for eq, used in pending if len(used) == 1 for index in used]
+        univariate.sort(key=lambda item: sorted(item[1]) not in ([1], [0, 1]))
+        for index, profile in univariate:
+            roots = _univariate_roots(profile)
+            if roots is not None:
+                for value in roots:
                     assignment[index] = value
                     rest = [_plug(e, index, value) for e, _ in pending]
                     yield from recurse(rest, assignment)
                     del assignment[index]
-                    return
-
-        # Branching on the roots of a univariate equation.
-        for eq, used in pending:
-            if len(used) == 1:
-                (index,) = used
-                profile = _univariate_profile(eq, index)
-                roots = _univariate_roots(profile) if profile is not None else None
-                if roots is not None:
-                    for value in roots:
-                        assignment[index] = value
-                        rest = [_plug(e, index, value) for e, _ in pending]
-                        yield from recurse(rest, assignment)
-                        del assignment[index]
-                    return
+                return
 
         # Last resort: guess from the bank.  Aim at the smallest pending
         # equation so that one guess leaves it univariate and the branch is
@@ -390,10 +376,8 @@ def _solve_system(eqs: list[Poly], n_unknowns: int,
     yield from recurse(eqs, {})
 
 
-def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
-               generator_candidates: Mapping[int, Sequence[int]] | None = None,
-               *, require_frobenius: bool = True,
-               max_nodes: int = 60000) -> IsoWitness:
+def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
+               require_frobenius: bool = True) -> IsoWitness:
     """Search for a witness by solving the relation (and pairing) equations.
 
     Each source variable is mapped to an unknown-scalar combination of the
@@ -401,20 +385,15 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
     polynomial system over ℚ(ζ₂₄) is solved by a depth-first cascade of
     linear eliminations, radical extractions, and a small scalar bank.  Every
     solution is re-verified before being returned.  Raises `SearchFailure`
-    when the ansatz space is exhausted.
+    when the ansatz space is exhausted or `MAX_NODES` solver nodes are spent.
     """
     src = source_algebra(source)
     if src.dim != target.dim:
         raise SearchFailure(f"dimensions differ: source {src.dim}, target {target.dim}")
 
-    degrees = [Fraction(wt, source.degree) for wt in source.weights]
-    candidates = {i: list(generator_candidates[i]) if generator_candidates is not None
-                  else [k for k in range(target.dim) if target.degrees[k] == degrees[i]]
-                  for i in range(source.arity)}
-
-    layout: list[tuple[int, int]] = []  # unknown -> (variable, target basis index)
-    for i in range(source.arity):
-        layout.extend((i, k) for k in candidates[i])
+    # unknown -> (variable, target basis index of the variable's degree)
+    layout = [(i, k) for i, wt in enumerate(source.weights)
+              for k in range(target.dim) if target.degrees[k] == Fraction(wt, source.degree)]
     ring = tuple(f"u{t}" for t in range(len(layout)))
     zero, one = Poly.zero(ring), Poly.constant(ring, _ONE)
 
@@ -443,7 +422,7 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
                 add_equation(target.pairing(phi[i], phi[j], zero)
                              - Poly.constant(ring, src.gram[i][j]))
 
-    budget = _Budget(max_nodes)
+    budget = _Budget(MAX_NODES)
     for assignment in _solve_system(list(equations), len(layout), budget):
         images = [target.zero_vector() for _ in range(source.arity)]
         for t, (i, k) in enumerate(layout):
@@ -455,7 +434,7 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra,
             continue
         return w
     if budget.left < 0:
-        raise SearchFailure(f"search stopped after {max_nodes} nodes without a witness")
+        raise SearchFailure(f"search stopped after {MAX_NODES} nodes without a witness")
     raise SearchFailure("ansatz search space exhausted without a witness")
 
 
@@ -489,8 +468,7 @@ class RowCertificate(NamedTuple):
 
 
 def certify(source: InvertiblePoly, target: OrbifoldAlgebra,
-            witness: IsoWitness | None = None, *,
-            max_nodes: int = 60000) -> RowCertificate:
+            witness: IsoWitness | None = None) -> RowCertificate:
     """Certify Jac(source) ≅ target, preferring a supplied witness.
 
     Without a witness the ansatz search runs at Frobenius level first and
@@ -504,10 +482,9 @@ def certify(source: InvertiblePoly, target: OrbifoldAlgebra,
         level = "frobenius" if report.passed else "failed"
         return RowCertificate(level, "embedded witness", witness, report)
     try:
-        found = search_iso(source, target, max_nodes=max_nodes)
+        found = search_iso(source, target)
     except SearchFailure:
-        found = search_iso(source, target, require_frobenius=False,
-                           max_nodes=max_nodes)
+        found = search_iso(source, target, require_frobenius=False)
         return RowCertificate("algebra", "ansatz search", found,
                               verify_algebra_iso(found))
     return RowCertificate("frobenius", "ansatz search", found, verify_witness(found))
@@ -637,7 +614,7 @@ def _describe_pair(ip: InvertiblePoly, group: SymmetryGroup) -> str:
     return f"({ip.poly}, {label})"
 
 
-def duality_graph(catalog, *, max_nodes: int = 60000) -> DualityGraph:
+def duality_graph(catalog) -> DualityGraph:
     """Assemble the catalog's isomorphism graph and certify every drawn edge.
 
     The catalog supplies the node list already partitioned into clusters; the
@@ -715,7 +692,7 @@ def duality_graph(catalog, *, max_nodes: int = 60000) -> DualityGraph:
                 continue  # cannot help a still-unlinked cluster edge; deferred
             pending.remove(row)
             target = orbifold_algebra(target_ip, target_group)
-            cert = certify(source, target, row_witness(row), max_nodes=max_nodes)
+            cert = certify(source, target, row_witness(row))
             name_a, name_b = pairs[a][2], pairs[b][2]
             if cert.full:
                 uf.union(a, b)

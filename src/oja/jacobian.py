@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as cartesian
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .linalg import solve_linear
 from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
@@ -278,22 +278,14 @@ class QuotientAlgebra:
         return f"QuotientAlgebra({self.f}, mu={self.mu})"
 
 
-_CACHE: dict[tuple[Poly, tuple[int, ...], int], QuotientAlgebra] = {}
-
-
-def quotient_algebra(f: Poly, weights: Sequence[int], degree: int) -> QuotientAlgebra:
+@lru_cache(maxsize=None)
+def quotient_algebra(f: Poly, weights: tuple[int, ...], degree: int) -> QuotientAlgebra:
     """Construct Jac(f) for a weighted homogeneous f.
 
     Raises if the quotient is infinite-dimensional or the socle candidate is
     not unique; the latter would make the trace normalization ambiguous, so
     the construction aborts rather than picking arbitrarily.
     """
-    weights = tuple(weights)
-    key = (f, weights, degree)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-
     if not f.is_weighted_homogeneous(weights, degree):
         raise ValueError(f"{f} is not weighted homogeneous for {weights}; degree {degree}")
     ideal = _jacobian_ideal(f)
@@ -319,9 +311,7 @@ def quotient_algebra(f: Poly, weights: Sequence[int], degree: int) -> QuotientAl
         if not gb.reduce(Poly.monomial(f.vars, bumped)).is_zero():
             raise ValueError(f"socle of Jac({f}) is not annihilated by {f.vars[i]}")
 
-    algebra = QuotientAlgebra(f, weights, degree, gb, basis, socle, hess_nf)
-    _CACHE[key] = algebra
-    return algebra
+    return QuotientAlgebra(f, weights, degree, gb, basis, socle, hess_nf)
 
 
 def milnor(f: Poly) -> int:
@@ -355,29 +345,23 @@ def trace_functional(algebra: QuotientAlgebra,
 
 
 def solve_in_quotient(algebra: QuotientAlgebra, a: Poly, b: Poly,
-                      support: Iterable[int] | None = None,
                       degree: int | None = None,
                       invariant_under: Sequence[Sequence[Fraction]] | None = None,
                       ) -> tuple[Poly, bool]:
     """Find H with [a·H] = [b] in the quotient, constrained as requested.
 
-    H is sought as a combination of monomials inside the standard-monomial
-    box, optionally restricted to the given variable support, to a fixed
-    weighted degree, and to monomials m with Σᵢ phases[i]·m[i] integral for
-    every phase vector in `invariant_under`.  Returns the normal form of a
-    solution and whether its class is unique under the constraints: the
-    kernel of the multiplication map on the candidate span must consist of
-    representatives of the zero class.
+    H is sought among standard monomials m, optionally of one weighted degree
+    and with Σᵢ phases[i]·m[i] integral for every phase vector in
+    `invariant_under`.  For a weighted homogeneous G-invariant f the Groebner
+    basis consists of homogeneous G-eigenvectors, so these monomials span
+    every admissible class.  Returns a solution in normal form and whether its class is unique:
+    whether multiplication by [a] is injective on the candidate span.
     """
     a_nf = algebra.normal_form(a)
     if a_nf.is_zero():
         raise ValueError("cannot solve against the zero class")
-    bounds = _power_box(algebra.gb.leading_monomials, len(algebra.vars))
-    allowed = set(support) if support is not None else None
 
     def admissible(m: Monomial) -> bool:
-        if allowed is not None and any(e and i not in allowed for i, e in enumerate(m)):
-            return False
         if degree is not None and algebra.weighted_degree(m) != degree:
             return False
         if invariant_under:
@@ -386,8 +370,7 @@ def solve_in_quotient(algebra: QuotientAlgebra, a: Poly, b: Poly,
                     return False
         return True
 
-    candidates = [m for m in cartesian(*(range(bd) for bd in bounds)) if admissible(m)]
-    candidates.sort(key=grevlex_key)
+    candidates = [m for m in algebra.basis if admissible(m)]
     if not candidates:
         raise ValueError("no admissible candidate monomials")
 
@@ -396,13 +379,7 @@ def solve_in_quotient(algebra: QuotientAlgebra, a: Poly, b: Poly,
     particular, nullspace = solve_linear(matrix, algebra.coords(b), _ZERO, _ONE)
     if particular is None:
         raise ValueError("no solution in the quotient under the given constraints")
-
-    unique = all(
-        algebra.normal_form(
-            Poly(algebra.vars, dict(zip(candidates, vec)))).is_zero()
-        for vec in nullspace)
-    solution = Poly(algebra.vars, dict(zip(candidates, particular)))
-    return algebra.normal_form(solution), unique
+    return Poly(algebra.vars, dict(zip(candidates, particular))), not nullspace
 
 
 # --- fingerprints -----------------------------------------------------------

@@ -20,6 +20,7 @@ the trace pairing normalized by λ([hess f]) = |G|·μ_f.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .jacobian import Monomial, QuotientAlgebra, quotient_algebra, solve_in_quotient
@@ -87,16 +88,15 @@ def build_sectors(ip: InvertiblePoly, group: SymmetryGroup) -> dict[GroupElement
 
 
 def compute_H(ip: InvertiblePoly, group: SymmetryGroup, g: GroupElement, h: GroupElement,
-              sectors: Mapping[GroupElement, Sector] | None = None) -> Poly:
+              sectors: Mapping[GroupElement, Sector]) -> Poly:
     """The correction class H_{g,h}, in the variables fixed by gh.
 
     For an identity factor the defining equation collapses and H = 1.
     Otherwise the Hessian-ratio equation is solved among classes of weighted
     degree Σ_{i ∈ Fix(gh) \\ Fix(g)∩Fix(h)} (d − 2wᵢ) that are invariant under
-    the G-action; the solution class must be unique.
+    the G-action; the solution class must be unique.  `sectors` is
+    `build_sectors(ip, group)`.
     """
-    if sectors is None:
-        sectors = build_sectors(ip, group)
     if not fix_union_holds(g, h):
         raise ValueError("fixed loci do not cover all coordinates; the product is zero")
     target_sector = sectors[g * h]
@@ -366,14 +366,7 @@ def invariant_subalgebra(algebra: OrbifoldAlgebra) -> OrbifoldAlgebra:
                            invariant_only=True)
 
 
-_ORBIFOLD_CACHE: dict[tuple[InvertiblePoly, SymmetryGroup], OrbifoldAlgebra] = {}
-
-
+@lru_cache(maxsize=None)
 def orbifold_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> OrbifoldAlgebra:
     """Jac(f,G): the G-invariant subalgebra of the twisted algebra, cached."""
-    key = (ip, group)
-    hit = _ORBIFOLD_CACHE.get(key)
-    if hit is None:
-        hit = invariant_subalgebra(twisted_algebra(ip, group))
-        _ORBIFOLD_CACHE[key] = hit
-    return hit
+    return invariant_subalgebra(twisted_algebra(ip, group))

@@ -51,15 +51,7 @@ class Poly:
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
                 if not coeff.is_zero():
-                    key = tuple(exps)
-                    if key in clean:
-                        s = clean[key] + coeff
-                        if s.is_zero():
-                            del clean[key]
-                        else:
-                            clean[key] = s
-                    else:
-                        clean[key] = coeff
+                    clean[tuple(exps)] = coeff
         self.terms = clean
 
     # --- constructors -------------------------------------------------

@@ -1,17 +1,15 @@
-"""Exact arithmetic in the cyclotomic field K = Q(zeta_n), default n = 24.
+"""Exact arithmetic in the cyclotomic field K = Q(zeta_24).
 
-Elements are written on the power basis 1, z, ..., z^(phi(n)-1) where z is a
-fixed primitive n-th root of unity and phi is Euler's totient.  An element is
-stored as a tuple of integer numerators over one positive common denominator,
-kept canonical (gcd of the denominator and all numerators is 1), which is the
-`nf_elem` layout of ANTIC/FLINT.  Products are integer convolutions reduced
-with the monic minimal polynomial Phi_n(t), computed here from the recursive
-definition Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d.  For the default
-n = 24 this is t^8 - t^4 + 1, so the basis has length 8 and z^12 = -1.
+Elements are written on the power basis 1, z, ..., z^7 where z is a fixed
+primitive 24th root of unity.  An element is stored as a tuple of integer
+numerators over one positive common denominator, kept canonical (gcd of the
+denominator and all numerators is 1), which is the `nf_elem` layout of
+ANTIC/FLINT.  Products are integer convolutions reduced with the monic
+minimal polynomial Phi_24(t) = t^8 - t^4 + 1, so z^12 = -1.
 
 The inverse is taken through the Galois norm.  For x = v/d != 0 with integer
 numerators v, the product P of the conjugates sigma_k(v), over the units k
-mod n other than 1, satisfies v * P = N(v), a nonzero integer, so
+mod 24 other than 1, satisfies v * P = N(v), a nonzero integer, so
 1/x = d * P / N(v) with integer arithmetic throughout.
 
 The field is large enough to host i = z^6, sqrt(2) = z^3 + z^21,
@@ -31,48 +29,19 @@ from typing import Iterable, Sequence
 ORDER = 24
 
 
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer coefficient lists (low to high degree)."""
-    num = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        coeff, rem = divmod(num[shift + len(den) - 1], den[-1])
-        if rem:
-            raise ArithmeticError("non-exact polynomial division")
-        quot[shift] = coeff
-        for i, d in enumerate(den):
-            num[shift + i] -= coeff * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _cyclotomic(n: int) -> list[int]:
-    """Integer coefficients of Phi_n, low to high degree."""
-    poly = [-1] + [0] * (n - 1) + [1]  # t^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, _cyclotomic(d))
-            if rem != [0]:
-                raise ArithmeticError(f"cyclotomic division left remainder for n={n}")
-    return poly
-
-
-_PHI = _cyclotomic(ORDER)
+# Phi_24(t) = t^8 - t^4 + 1, integer coefficients from low to high degree.
+_PHI = [1, 0, 0, 0, -1, 0, 0, 0, 1]
 DEGREE = len(_PHI) - 1
 # The Galois group of K is (Z/ORDER)^x, acting by z -> z^k.
 _UNITS = [k for k in range(1, ORDER) if gcd(k, ORDER) == 1]
 assert DEGREE == len(_UNITS)
-assert _PHI[-1] == 1
-if ORDER == 24:
-    assert _PHI == [1, 0, 0, 0, -1, 0, 0, 0, 1]  # t^8 - t^4 + 1
 
 # t^DEGREE = -sum _PHI[i] t^i: the nonzero (i, -_PHI[i]) used to fold a top term down.
 _FOLD = [(i, -c) for i, c in enumerate(_PHI[:DEGREE]) if c]
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two integer coordinate vectors, reduced modulo Phi_n."""
+    """Product of two integer coordinate vectors, reduced modulo Phi_24."""
     prod = [0] * (2 * DEGREE - 1)
     right = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
@@ -406,11 +375,7 @@ def _odd_roots(x: CycScalar, k: int) -> list[CycScalar]:
     s = _rational_nth_root(q, k)
     if s is None:
         return []
-    g = 1
-    a, b = k, ORDER
-    while b:
-        a, b = b, a % b
-    g = a  # gcd(k, ORDER)
+    g = gcd(k, ORDER)
     if m % g:
         return []
     step = ORDER // g

@@ -1,9 +1,9 @@
 """Fuzz `--catalog` files: a malformed catalog must never end in a traceback.
 
 Each example applies one to three wrong-type or deletion mutations to the
-bundled catalog document and runs `verify --row 2` on the result in-process.
-The exit code must be 0, 1 or 2; an exception escaping `main` would be a
-traceback (exit 1) on the command line.
+bundled catalog document and runs `verify --row 2` and `graph` on the result
+in-process.  Each exit code must be 0, 1 or 2; an exception escaping `main`
+would be a traceback (exit 1) on the command line.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ def test_a_mutated_catalog_exits_cleanly(tmp_path: Path, changes):
         _mutate(data, path, value)
     catalog = tmp_path / "catalog.json"
     catalog.write_text(json.dumps(data))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["--catalog", str(catalog), "verify", "--row", "2"])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in stderr.getvalue()
+    for command in (["verify", "--row", "2"], ["graph"]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--catalog", str(catalog), *command])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()

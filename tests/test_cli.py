@@ -5,7 +5,6 @@ from __future__ import annotations
 import ast
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -297,9 +296,9 @@ def _set_generator(section: str, index: int, value) -> Callable[[dict], None]:
     return mutate
 
 
-def _set_cluster(index: int, value) -> Callable[[dict], None]:
+def _set_node(field: str, index: int, value) -> Callable[[dict], None]:
     def mutate(data: dict) -> None:
-        data["graph_nodes"][index]["cluster"] = value
+        data["graph_nodes"][index][field] = value
     return mutate
 
 
@@ -316,9 +315,11 @@ _BROKEN_CATALOGS = {
                                     "invalid catalog"),
     "sector-outside-group": (_set_witness_term(1, 2, 2, "0,1/2,1/2"), "invalid catalog"),
     "monomial-unknown-variable": (_set_witness_term(1, 0, 1, "x9^2"), "invalid catalog"),
-    "node-cluster-not-int": (_set_cluster(1, "1"), "invalid catalog"),
-    "node-cluster-list": (_set_cluster(1, [1]), "invalid catalog"),
-    "node-cluster-bool": (_set_cluster(1, True), "invalid catalog"),
+    "node-cluster-not-int": (_set_node("cluster", 1, "1"), "invalid catalog"),
+    "node-cluster-list": (_set_node("cluster", 1, [1]), "invalid catalog"),
+    "node-cluster-bool": (_set_node("cluster", 1, True), "invalid catalog"),
+    "node-label-null": (_set_node("label", 1, None), "invalid catalog"),
+    "node-label-int": (_set_node("label", 1, 7), "invalid catalog"),
     "directory": (None, "cannot read catalog file"),
 }
 
@@ -352,10 +353,23 @@ def test_graph_rejects_a_witness_monomial_in_unknown_variables(tmp_path: Path):
 @pytest.mark.parametrize("value", ["1", [1], True], ids=["string", "list", "bool"])
 def test_graph_rejects_a_non_integer_cluster(tmp_path: Path, value):
     data = json.loads(serialize(load_catalog()))
-    _set_cluster(1, value)(data)
+    _set_node("cluster", 1, value)(data)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
     result = _run("--catalog", str(path), "graph")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "invalid catalog" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [("graph",), ("--json", "graph")], ids=["text", "json"])
+@pytest.mark.parametrize("value", [None, 7], ids=["null", "int"])
+def test_graph_rejects_a_non_string_label(tmp_path: Path, value, argv):
+    data = json.loads(serialize(load_catalog()))
+    _set_node("label", 1, value)(data)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    result = _run("--catalog", str(path), *argv)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "invalid catalog" in result.stderr
@@ -552,10 +566,7 @@ def test_importing_the_cli_runs_neither_the_verify_stack_nor_dataclasses():
     code = ("import sys, types, oja.cli\n"
             "print(sorted(n for n, m in sys.modules.items() if type(m) is types.ModuleType))\n"
             "print(sys.modules['oja.duality'].certify.__module__)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     loaded, first_use = result.stdout.splitlines()
     loaded = set(ast.literal_eval(loaded))

@@ -217,7 +217,7 @@ def test_solve_recovers_twisted_sector_product_scalar():
     A = _algebra("x^8+y^3+z^2")
     a = _p("3*y")            # [hess(y^3)] / mu of the x2-sector
     b = _p("48*x^6*y")       # [hess(f)] / mu of f
-    h, unique = solve_in_quotient(A, a, b, support={0, 2})
+    h, unique = solve_in_quotient(A, a, b, degree=18)
     assert h == _p("16*x^6")
     assert unique
 
@@ -232,7 +232,7 @@ def test_solve_identity_returns_normal_form():
 
 def test_solve_three_cyclic_sector():
     A = _algebra("x^4+y^3+z^3")
-    h, unique = solve_in_quotient(A, _p("4*x^2"), _p("36*x^2*y*z"), support={1, 2})
+    h, unique = solve_in_quotient(A, _p("4*x^2"), _p("36*x^2*y*z"), degree=8)
     assert h == _p("9*y*z")
     assert unique
 

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as cartesian
 
 import pytest
 
-from oja.catalog import load_catalog
+from oja.catalog import load_catalog, row_target
 from oja.jacobian import fingerprint, quotient_algebra, trace_functional
-from oja.linalg import rank
+from oja.linalg import rank, solve_linear
 from oja.orbifold import (OrbifoldAlgebra, build_sectors, compute_H, fix_union_holds,
                           invariant_subalgebra, orbifold_algebra, twisted_algebra)
-from oja.poly import Poly, parse
+from oja.poly import Poly, grevlex_key, parse
 from oja.scalar import CycScalar
 from oja.symmetry import GroupElement, SymmetryGroup, build_invertible
 
@@ -127,22 +128,80 @@ def test_fix_union():
 def test_correction_class_order_two(text, gen, expected):
     ip, group = _setup(text, gen)
     g = _generator(group)
-    assert compute_H(ip, group, g, g) == parse(expected, XYZ)
+    assert compute_H(ip, group, g, g, build_sectors(ip, group)) == parse(expected, XYZ)
 
 
 def test_correction_class_order_three():
     ip, group = _setup("x^4+y^3+z^3", "0,2/3,1/3")
     g = GroupElement.parse("0,2/3,1/3")
-    assert compute_H(ip, group, g, g * g) == parse("9*y*z", XYZ)
-    assert compute_H(ip, group, g * g, g) == parse("9*y*z", XYZ)
+    sectors = build_sectors(ip, group)
+    assert compute_H(ip, group, g, g * g, sectors) == parse("9*y*z", XYZ)
+    assert compute_H(ip, group, g * g, g, sectors) == parse("9*y*z", XYZ)
 
 
 def test_correction_class_with_identity_is_one():
     ip, group = _setup("x^8+y^3+z^2", "1/2,0,1/2")
     g = _generator(group)
     identity = GroupElement.identity(3)
-    assert compute_H(ip, group, identity, g) == parse("1", ("y",))
-    assert compute_H(ip, group, g, identity) == parse("1", ("y",))
+    sectors = build_sectors(ip, group)
+    assert compute_H(ip, group, identity, g, sectors) == parse("1", ("y",))
+    assert compute_H(ip, group, g, identity, sectors) == parse("1", ("y",))
+
+
+def _power_box_H(ip, group, g, h, sectors):
+    """H_{g,h} and its uniqueness verdict, solved over the whole power box.
+
+    A reference for `compute_H`, which solves on the standard basis only:
+    every monomial below the pure-power leading monomials of the Groebner
+    basis is a candidate, and a null vector counts against uniqueness only
+    when its normal form is nonzero.
+    """
+    target = sectors[g * h].algebra
+    cap = tuple(i for i in g.fixed_indices() if i in h.fixed_indices())
+    f_cap = ip.poly.restrict(cap)
+    mu_cap = quotient_algebra(f_cap, tuple(ip.weights[i] for i in cap), ip.degree).mu
+    gh_fixed = sectors[g * h].fixed
+    a = f_cap.hessian().embed(target.vars, [gh_fixed.index(i) for i in cap])
+    a = target.normal_form(a.scale(CycScalar.from_rational(Fraction(1, mu_cap))))
+    b = target.hess_nf.scale(CycScalar.from_rational(Fraction(1, target.mu)))
+    degree = sum(ip.degree - 2 * ip.weights[i] for i in gh_fixed if i not in cap)
+    characters = [[q.phases[i] for i in gh_fixed] for q in group if not q.is_identity()]
+
+    bounds = [min(lm[i] for lm in target.gb.leading_monomials
+                  if lm[i] and sum(lm) == lm[i])
+              for i in range(len(target.vars))]
+    candidates = sorted(
+        (m for m in cartesian(*(range(bound) for bound in bounds))
+         if target.weighted_degree(m) == degree
+         and all(sum(p * e for p, e in zip(phases, m)) % 1 == 0 for phases in characters)),
+        key=grevlex_key)
+    columns = [target.coords(a * Poly.monomial(target.vars, m)) for m in candidates]
+    matrix = [[column[i] for column in columns] for i in range(target.mu)]
+    zero, one = CycScalar.zero(), CycScalar.one()
+    particular, nullspace = solve_linear(matrix, target.coords(b), zero, one)
+    unique = all(target.normal_form(Poly(target.vars, dict(zip(candidates, vec)))).is_zero()
+                 for vec in nullspace)
+    return target.normal_form(Poly(target.vars, dict(zip(candidates, particular)))), unique
+
+
+def _catalog_pairs():
+    catalog = load_catalog()
+    pairs = [pytest.param(*row_target(row), id=f"row{row.index}") for row in catalog.rows]
+    pairs += [pytest.param(node.ip, node.group, id=f"node-{node.label}")
+              for node in catalog.graph_nodes]
+    return pairs
+
+
+@pytest.mark.parametrize("ip,group", _catalog_pairs())
+def test_basis_solve_matches_the_power_box_reference(ip, group):
+    sectors = build_sectors(ip, group)
+    for g in group:
+        for h in group:
+            if not fix_union_holds(g, h):
+                continue
+            reference, unique = _power_box_H(ip, group, g, h, sectors)
+            assert unique
+            assert compute_H(ip, group, g, h, sectors) == reference
 
 
 # --- products -------------------------------------------------------------
