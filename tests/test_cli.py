@@ -339,40 +339,31 @@ def test_verify_rejects_an_invalid_catalog(tmp_path: Path, case: str):
     assert message in result.stderr
 
 
-def test_graph_rejects_a_witness_monomial_in_unknown_variables(tmp_path: Path):
+def _assert_graph_rejects(tmp_path: Path, mutate: Callable[[dict], None],
+                          *argv: str) -> None:
     data = json.loads(serialize(load_catalog()))
-    _set_witness_term(1, 0, 1, "x9^2")(data)
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(data))
-    result = _run("--catalog", str(path), "graph")
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    assert "invalid catalog" in result.stderr
-
-
-@pytest.mark.parametrize("value", ["1", [1], True], ids=["string", "list", "bool"])
-def test_graph_rejects_a_non_integer_cluster(tmp_path: Path, value):
-    data = json.loads(serialize(load_catalog()))
-    _set_node("cluster", 1, value)(data)
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(data))
-    result = _run("--catalog", str(path), "graph")
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    assert "invalid catalog" in result.stderr
-
-
-@pytest.mark.parametrize("argv", [("graph",), ("--json", "graph")], ids=["text", "json"])
-@pytest.mark.parametrize("value", [None, 7], ids=["null", "int"])
-def test_graph_rejects_a_non_string_label(tmp_path: Path, value, argv):
-    data = json.loads(serialize(load_catalog()))
-    _set_node("label", 1, value)(data)
+    mutate(data)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
     result = _run("--catalog", str(path), *argv)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "invalid catalog" in result.stderr
+
+
+def test_graph_rejects_a_witness_monomial_in_unknown_variables(tmp_path: Path):
+    _assert_graph_rejects(tmp_path, _set_witness_term(1, 0, 1, "x9^2"), "graph")
+
+
+@pytest.mark.parametrize("value", ["1", [1], True], ids=["string", "list", "bool"])
+def test_graph_rejects_a_non_integer_cluster(tmp_path: Path, value):
+    _assert_graph_rejects(tmp_path, _set_node("cluster", 1, value), "graph")
+
+
+@pytest.mark.parametrize("argv", [("graph",), ("--json", "graph")], ids=["text", "json"])
+@pytest.mark.parametrize("value", [None, 7], ids=["null", "int"])
+def test_graph_rejects_a_non_string_label(tmp_path: Path, value, argv):
+    _assert_graph_rejects(tmp_path, _set_node("label", 1, value), *argv)
 
 
 def test_verify_rejects_a_missing_catalog_file():
