@@ -27,7 +27,6 @@ import sys
 from typing import Sequence
 
 from .jacobian import QuotientAlgebra, milnor, quotient_algebra
-from .orbifold import OrbifoldAlgebra, orbifold_algebra
 from .poly import ENUMERATION_LIMIT, Poly, parse
 from .scalar import CycScalar
 from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
@@ -39,17 +38,18 @@ class CliError(Exception):
     """Bad command-line input, reported on stderr with exit code 2."""
 
 
-# Only `verify` and `graph` need these two modules, so a query does not pay for
-# compiling them.  Each is put in sys.modules at once and runs on first attribute
-# access, so a lookup by name after `import oja.cli` (perfbench's tracer makes
-# one) still finds it.
-for _name in ("oja.catalog", "oja.duality"):
+# Only `orbifold`, `verify` and `graph` need these modules, so a query does not
+# pay for compiling them.  Each is put in sys.modules at once and runs on first
+# attribute access, so a lookup by name after `import oja.cli` (perfbench's
+# tracer makes one) still finds it.
+_LAZY = ("oja.catalog", "oja.duality", "oja.orbifold")
+for _name in _LAZY:
     if _name not in sys.modules:  # a module imported earlier is kept
         _spec = importlib.util.find_spec(_name)
         _spec.loader = importlib.util.LazyLoader(_spec.loader)
         sys.modules[_name] = importlib.util.module_from_spec(_spec)
         _spec.loader.exec_module(sys.modules[_name])
-catalog, duality = sys.modules["oja.catalog"], sys.modules["oja.duality"]
+catalog, duality, orbifold = (sys.modules[name] for name in _LAZY)
 
 
 # --- input parsing -----------------------------------------------------------
@@ -234,7 +234,8 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
     return 0
 
 
-def _orbifold_lines(args: argparse.Namespace, algebra: OrbifoldAlgebra) -> list[str]:
+def _orbifold_lines(args: argparse.Namespace,
+                    algebra: orbifold.OrbifoldAlgebra) -> list[str]:
     if args.structure:
         return [f"{algebra.label(i)} * {algebra.label(j)} = "
                 f"{algebra.vector_str(algebra.basis_vector_product(i, j))}"
@@ -261,7 +262,7 @@ def cmd_orbifold(args: argparse.Namespace) -> int:
     if not all(is_sl_symmetry(ip, g) for g in group):
         raise CliError(
             f"<{'; '.join(args.group)}> is not a special-linear symmetry group of {ip.poly}")
-    algebra = orbifold_algebra(ip, group)
+    algebra = orbifold.orbifold_algebra(ip, group)
     payload = {"dimension": algebra.dim, **algebra.to_json()}
     _emit(args, payload, _orbifold_lines(args, algebra))
     return 0
@@ -271,7 +272,7 @@ def _certify_row(row: catalog.CatalogRow, search: bool
                  ) -> tuple[catalog.CatalogRow, duality.RowCertificate | None, str]:
     source = catalog.row_source(row)
     target_ip, group = catalog.row_target(row)
-    target = orbifold_algebra(target_ip, group)
+    target = orbifold.orbifold_algebra(target_ip, group)
     witness = None if search else catalog.row_witness(row)
     try:
         return row, duality.certify(source, target, witness), ""

@@ -271,12 +271,12 @@ def _univariate_profile(eq: Poly, index: int) -> dict[int, CycScalar]:
 
 
 def _univariate_roots(profile: dict[int, CycScalar]) -> list[CycScalar] | None:
-    """Exact roots for the equation shapes the ansatz produces, else None."""
+    """Exact roots for the equation shapes the ansatz produces, else None.
+
+    The profile always holds a positive exponent: it comes from an equation
+    whose only unknown is this one, or from halving such a profile.
+    """
     exponents = sorted(profile)
-    if not exponents:
-        return []
-    if exponents == [0]:
-        return []  # nonzero constant: no roots
     if len(exponents) == 1:
         return [_ZERO]  # A·u^j = 0
     if len(exponents) == 2 and exponents[0] == 0:

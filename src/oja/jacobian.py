@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product as cartesian
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from .linalg import solve_linear
+from .linalg import rank, rref, solve_linear
 from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
 from .scalar import CycScalar
 
@@ -406,44 +406,80 @@ class Fingerprint(NamedTuple):
 
 def _span_dim(vectors: list[list[CycScalar]]) -> list[list[CycScalar]]:
     """Row-reduce and drop zero rows, returning a basis of the span."""
-    from .linalg import rref
-
     if not vectors:
         return []
-    reduced, pivots = rref([list(v) for v in vectors])
-    return [reduced[i] for i in range(len(pivots))]
+    reduced, pivots = rref(vectors)
+    return reduced[:len(pivots)]
+
+
+def _degree_blocks(algebra: OrbifoldAlgebra) -> tuple[list[int], list[list[int | None]]]:
+    """Integer block id of each basis index, and the block id of a product.
+
+    Blocks are the weighted degrees when every structure constant (i, j) -> k
+    has deg k = deg i + deg j; otherwise every index shares block 0.
+    `plus[a][b]` is the block of a product of blocks a and b, or None when
+    that degree carries no basis vector.
+    """
+    den = math.lcm(*(d.denominator for d in algebra.degrees))
+    ids: dict[int, int] = {}  # degree * den -> block id; integer sums below
+    block = [ids.setdefault(d.numerator * (den // d.denominator), len(ids))
+             for d in algebra.degrees]
+    plus = [[ids.get(a + b) for b in ids] for a in ids]
+    if all(block[k] == plus[block[i]][block[j]]
+           for (i, j), row in algebra.structure.items() for k in row):
+        return block, plus
+    return [0] * algebra.dim, [[0]]
 
 
 def fingerprint(algebra: OrbifoldAlgebra) -> Fingerprint:
-    """Fingerprint of an orbifold algebra; Jac(f) is `duality.source_algebra`."""
+    """Fingerprint of an orbifold algebra; Jac(f) is `duality.source_algebra`.
+
+    m^k and the socle are graded, so each is computed per degree block, over
+    that block's coordinates only.
+    """
     n = algebra.dim
     one = algebra.identity_index
     generators = [i for i in range(n) if i != one]
+    block, plus = _degree_blocks(algebra)
+    members: list[list[int]] = [[] for _ in plus]
+    for i, b in enumerate(block):
+        members[b].append(i)
+    local = [0] * n
+    for indices in members:
+        for p, i in enumerate(indices):
+            local[i] = p
 
-    def times_basis(i: int, vec: list[CycScalar]) -> list[CycScalar]:
-        out = [_ZERO] * n
-        for j, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            for k, s in algebra.basis_product(i, j).items():
-                out[k] = out[k] + c * s
-        return out
-
+    # m^k as one list of spanning vectors per block.
+    current = [[[_ONE if q == p else _ZERO for q in range(len(indices))]
+                for p, i in enumerate(indices) if i != one] for indices in members]
     powers = [n]
-    current = [[_ONE if j == i else _ZERO for j in range(n)] for i in generators]
-    current = _span_dim(current)
-    while current:
-        powers.append(len(current))
-        current = _span_dim([times_basis(i, vec) for i in generators for vec in current])
+    while any(current):
+        powers.append(sum(map(len, current)))
+        products: list[list[list[CycScalar]]] = [[] for _ in members]
+        for i in generators:
+            for b, vectors in enumerate(current):
+                t = plus[block[i]][b]
+                if t is None:
+                    continue  # the grading check leaves these products zero
+                for vec in vectors:
+                    out = [_ZERO] * len(members[t])
+                    for j, c in zip(members[b], vec):
+                        if c:
+                            for k, s in algebra.basis_product(i, j).items():
+                                out[local[k]] = out[local[k]] + c * s
+                    if any(out):
+                        products[t].append(out)
+        current = [_span_dim(vectors) for vectors in products]
     powers.append(0)
 
     # Socle: simultaneous kernel of multiplication by every generator of m.
-    if not generators:
-        return Fingerprint(n, tuple(powers), n)
-    rows: list[list[CycScalar]] = []
-    for i in generators:
-        mats = [algebra.basis_product(i, j) for j in range(n)]
-        for k in range(n):
-            rows.append([mats[j].get(k, _ZERO) for j in range(n)])
-    _, nullspace = solve_linear(rows, [_ZERO] * len(rows), _ZERO, _ONE)
-    return Fingerprint(n, tuple(powers), len(nullspace))
+    socle_dim = 0
+    for b, indices in enumerate(members):
+        rows = []
+        for i in generators:
+            t = plus[block[i]][b]
+            if t is not None:
+                mats = [algebra.basis_product(i, j) for j in indices]
+                rows.extend([m.get(k, _ZERO) for m in mats] for k in members[t])
+        socle_dim += len(indices) - rank(rows)
+    return Fingerprint(n, tuple(powers), socle_dim)

@@ -5,7 +5,8 @@ primitive 24th root of unity.  An element is stored as a tuple of integer
 numerators over one positive common denominator, kept canonical (gcd of the
 denominator and all numerators is 1), which is the `nf_elem` layout of
 ANTIC/FLINT.  Products are integer convolutions reduced with the monic
-minimal polynomial Phi_24(t) = t^8 - t^4 + 1, so z^12 = -1.
+minimal polynomial Phi_24(t) = t^8 - t^4 + 1, so z^12 = -1; a rational
+factor (numerators zero past the first) only scales the other numerators.
 
 The inverse is taken through the Galois norm.  For x = v/d != 0 with integer
 numerators v, the product P of the conjugates sigma_k(v), over the units k
@@ -158,17 +159,25 @@ class CycScalar:
         return _canonical([-a for a in self.n], self.d)
 
     def __mul__(self, other: "CycScalar") -> "CycScalar":
-        return _canonical(_int_mul(self.n, other.n), self.d * other.d)
+        a, b = self.n, other.n
+        if not any(a[1:]):
+            return _canonical([a[0] * x for x in b], self.d * other.d)
+        if not any(b[1:]):
+            return _canonical([b[0] * x for x in a], self.d * other.d)
+        return _canonical(_int_mul(a, b), self.d * other.d)
 
     def inverse(self) -> "CycScalar":
         """Multiplicative inverse through the Galois norm.
 
         With P the product of the conjugates of the numerator vector n, n * P
-        is the integer norm N(n), so (n/d)^-1 = d * P / N(n).
+        is the integer norm N(n), so (n/d)^-1 = d * P / N(n).  A rational
+        n0/d is inverted directly as d/n0.
         """
         n = self.n
         if not any(n):
             raise ZeroDivisionError("inverse of zero")
+        if not any(n[1:]):
+            return _canonical([self.d if n[0] > 0 else -self.d] + [0] * (DEGREE - 1), abs(n[0]))
         cofactor = _ONE_ELT.n
         for images in _CONJUGATIONS:
             cofactor = _int_mul(cofactor, _conjugate(n, images))

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
 from oja import jacobian
+from oja.catalog import load_catalog, row_source, row_target
 from oja.duality import source_algebra
 from oja.jacobian import (Fingerprint, fingerprint, groebner, has_isolated_singularity,
                           leading_monomial, milnor, quotient_algebra, solve_in_quotient,
                           trace_functional)
-from oja.linalg import rank
+from oja.linalg import rank, rref, solve_linear
+from oja.orbifold import orbifold_algebra
 from oja.poly import Poly, parse
 from oja.scalar import CycScalar, SQRT2
 from oja.symmetry import build_invertible
@@ -280,6 +283,70 @@ def test_fingerprint_base_field():
 def test_fingerprint_single_variable():
     A = _milnor_algebra("y^3", ("y",))
     assert fingerprint(A) == Fingerprint(2, (2, 1, 0), 1)
+
+
+def _dense_fingerprint(algebra) -> Fingerprint:
+    """Reference: m^k and the socle over all coordinates at once, with no blocks."""
+    n = algebra.dim
+    zero, one_ = CycScalar.zero(), CycScalar.one()
+    generators = [i for i in range(n) if i != algebra.identity_index]
+
+    def span(vectors):
+        if not vectors:
+            return []
+        reduced, pivots = rref([list(v) for v in vectors])
+        return [reduced[i] for i in range(len(pivots))]
+
+    def times_basis(i, vec):
+        out = [zero] * n
+        for j, c in enumerate(vec):
+            if not c.is_zero():
+                for k, s in algebra.basis_product(i, j).items():
+                    out[k] = out[k] + c * s
+        return out
+
+    powers = [n]
+    current = span([[one_ if j == i else zero for j in range(n)] for i in generators])
+    while current:
+        powers.append(len(current))
+        current = span([times_basis(i, vec) for i in generators for vec in current])
+    powers.append(0)
+    if not generators:
+        return Fingerprint(n, tuple(powers), n)
+    rows = []
+    for i in generators:
+        mats = [algebra.basis_product(i, j) for j in range(n)]
+        for k in range(n):
+            rows.append([mats[j].get(k, zero) for j in range(n)])
+    _, nullspace = solve_linear(rows, [zero] * len(rows), zero, one_)
+    return Fingerprint(n, tuple(powers), len(nullspace))
+
+
+def _catalog_algebras():
+    catalog = load_catalog()
+    cases = [pytest.param(lambda n=node: orbifold_algebra(n.ip, n.group), id=f"node-{node.label}")
+             for node in catalog.graph_nodes]
+    cases += [pytest.param(lambda r=row: orbifold_algebra(*row_target(r)), id=f"row{row.index}")
+              for row in catalog.rows]
+    cases += [pytest.param(lambda r=row: source_algebra(row_source(r)), id=f"source{row.index}")
+              for row in catalog.rows]
+    return cases
+
+
+@pytest.mark.parametrize("build", _catalog_algebras())
+def test_graded_fingerprint_matches_the_dense_reference(build):
+    A = build()
+    block, _ = jacobian._degree_blocks(A)
+    assert len(set(block)) > 1  # homogeneous: the per-degree blocks are taken
+    assert fingerprint(A) == _dense_fingerprint(A)
+
+
+def test_inconsistent_degrees_fall_back_to_one_block():
+    A = copy.copy(orbifold_algebra(*row_target(load_catalog().row(1))))
+    A.degrees = tuple(range(A.dim))  # distinct degrees that some product breaks
+    block, plus = jacobian._degree_blocks(A)
+    assert set(block) == {0} and plus == [[0]]
+    assert fingerprint(A) == _dense_fingerprint(A)
 
 
 def test_jacobian_ideal_is_computed_once_per_polynomial(monkeypatch):

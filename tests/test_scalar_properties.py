@@ -9,7 +9,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oja.scalar import DEGREE, ORDER, SQRT2, SQRT3, CycScalar, kth_roots  # noqa: E402
+from oja.scalar import (DEGREE, ORDER, SQRT2, SQRT3, CycScalar, kth_roots,  # noqa: E402
+                        _canonical, _CONJUGATIONS, _conjugate, _int_mul)
 
 PHI = [1, 0, 0, 0, -1, 0, 0, 0, 1]  # t^8 - t^4 + 1, the minimal polynomial of z
 assert ORDER == 24 and len(PHI) == DEGREE + 1
@@ -48,6 +49,28 @@ def test_inverse_is_a_two_sided_inverse(x):
     assert x.inverse() * x == CycScalar.one()
     assert 1 / x == x.inverse()
     assert Fraction(3, 5) / x == CycScalar.from_rational(Fraction(3, 5)) * x.inverse()
+
+
+# Rational scalars about half the time, the case the product and inverse shortcut.
+scalars = st.one_of(fractions.map(CycScalar.from_rational), elements)
+
+
+def norm_inverse(x: CycScalar) -> CycScalar:
+    """1/x as d * P / N(n), P the product of the conjugates of the numerators n."""
+    cofactor = [1] + [0] * (DEGREE - 1)
+    for images in _CONJUGATIONS:
+        cofactor = _int_mul(cofactor, _conjugate(x.n, images))
+    norm = _int_mul(x.n, cofactor)
+    assert not any(norm[1:])
+    sign = 1 if norm[0] > 0 else -1
+    return _canonical([sign * x.d * c for c in cofactor], abs(norm[0]))
+
+
+@given(scalars, scalars)
+def test_product_and_inverse_agree_with_the_general_path(x, y):
+    assert x * y == _canonical(_int_mul(x.n, y.n), x.d * y.d)
+    if x:
+        assert x.inverse() == norm_inverse(x)
 
 
 @given(elements, elements, elements)
