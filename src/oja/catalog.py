@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .duality import GraphNode, IsoWitness
 from .orbifold import orbifold_algebra
-from .poly import ENUMERATION_LIMIT, parse
+from .poly import ENUMERATION_LIMIT, Poly, parse
 from .scalar import CycScalar, I_UNIT, SQRT2, SQRT3
 from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
                        build_invertible, is_sl_symmetry,
@@ -234,6 +234,12 @@ def _ip_from_text(text: str) -> InvertiblePoly:
     return build_invertible(parse(text, names))
 
 
+@lru_cache(maxsize=None)
+def _transposed(text: str) -> Poly:
+    """The transpose of a catalog variant, computed once per distinct text."""
+    return transpose(_ip_from_text(text)).poly
+
+
 def _group_from_generator(generator: str, arity: int) -> SymmetryGroup:
     if not isinstance(generator, str):
         raise ValueError(f"group generator must be a string, got {generator!r}")
@@ -318,8 +324,7 @@ def _validate(catalog: Catalog) -> None:
             _ip_from_text(variant)  # raises if not invertible with isolated singularity
         # Some variant must be a transpose of the dual's, up to renaming.
         if not any(
-                same_up_to_variable_permutation(_ip_from_text(a).poly,
-                                                transpose(_ip_from_text(b)).poly)
+                same_up_to_variable_permutation(_ip_from_text(a).poly, _transposed(b))
                 for a in entry.variants for b in partner.variants):
             raise ValueError(
                 f"{entry.type_name}: no variant matches a transposed "
@@ -363,8 +368,7 @@ def _validate(catalog: Catalog) -> None:
                         "is not in the row's group")
         partner = catalog.entry(row.f2_type)
         if not any(
-                same_up_to_variable_permutation(transpose(_ip_from_text(v)).poly,
-                                                target_ip.poly)
+                same_up_to_variable_permutation(_transposed(v), target_ip.poly)
                 for v in partner.variants):
             raise ValueError(
                 f"row {row.index}: target is not a transposed {row.f2_type} "

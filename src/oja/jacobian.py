@@ -141,7 +141,9 @@ def groebner(gens: Sequence[Poly]) -> GroebnerBasis:
     if not basis:
         raise ValueError("all generators are zero")
     lms = [leading_monomial(g) for g in basis]  # kept in step with `basis`
-    pending = {(i, j) for i in range(len(basis)) for j in range(i)}
+    # Every pair is stored as (smaller index, larger index), which is the
+    # form the chain criterion looks up.
+    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
 
     while pending:
         i, j = min(pending, key=lambda pair: grevlex_key(_mono_lcm(lms[pair[0]], lms[pair[1]])))
@@ -235,10 +237,36 @@ def has_isolated_singularity(f: Poly) -> bool:
 # --- the quotient algebra -------------------------------------------------
 
 
+def _add_scaled(out: dict[int, CycScalar], c: CycScalar, vector: Mapping[int, CycScalar],
+                offset: int = 0) -> None:
+    """out[offset + i] += c · vector[i] for nonzero c, keeping only nonzero entries.
+
+    The table's unit entries are `_ONE` itself and are not multiplied.
+    """
+    for i, s in vector.items():
+        term = c if s is _ONE else c * s
+        k = offset + i
+        prev = out.get(k)
+        if prev is None:
+            out[k] = term
+        elif total := prev + term:
+            out[k] = total
+        else:
+            del out[k]
+
+
 class QuotientAlgebra:
     """Jac(f) with an explicit standard-monomial basis.
 
-    Instances are immutable and are created through :func:`quotient_algebra`.
+    Instances are created through :func:`quotient_algebra`; their only
+    mutable state is a memo that does not change any result.  Normal forms go
+    through one memoized table from exponent tuples to sparse coordinates
+    (basis index -> scalar), the multiplication-matrix view of FGLM
+    (Faugère–Gianni–Lazard–Mora, J. Symb. Comp. 16, 1993): x^m is x_k·x^(m−e_k)
+    for the last variable k of m, so its coordinates combine the classes
+    [x_k·b] of basis monomials b.  Such a product is a basis monomial or a
+    border monomial, and each border monomial is reduced by the Groebner
+    basis once.
     """
 
     def __init__(self, f: Poly, weights: tuple[int, ...], degree: int,
@@ -252,23 +280,61 @@ class QuotientAlgebra:
         self.basis = basis
         self.mu = len(basis)
         self.socle = socle
+        self.socle_degree = self.weighted_degree(socle)
         self.hess_nf = hess_nf
         # hess_nf = hess_coeff * socle monomial; nonzero by construction.
         self.hess_coeff = hess_nf.terms[socle]
         self.trace_scale = self.hess_coeff.inverse()
         self.index = {m: i for i, m in enumerate(basis)}
+        self._table: dict[Monomial, dict[int, CycScalar]] = {
+            m: {i: _ONE} for m, i in self.index.items()}
 
-    def normal_form(self, p: Poly) -> Poly:
+    def monomial_coords(self, m: Monomial) -> dict[int, CycScalar]:
+        """Sparse coordinates of [x^m]: basis index -> nonzero scalar.
+
+        The returned dict is shared with the table and must not be mutated.
+        """
+        table = self._table
+        hit = table.get(m)
+        if hit is not None:
+            return hit
+        if self.weighted_degree(m) > self.socle_degree:
+            return {}  # above the socle; not stored, since most are never asked again
+        k = max(i for i, e in enumerate(m) if e)
+        rest = m[:k] + (m[k] - 1,) + m[k + 1:]
+        out: dict[int, CycScalar] = {}
+        for b, c in self.monomial_coords(rest).items():
+            mono = self.basis[b]
+            up = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
+            vector = table.get(up)
+            if vector is None:  # a border monomial, of degree at most the socle's
+                nf = self.gb.reduce(Poly.monomial(self.vars, up))
+                vector = table[up] = {self.index[u]: s for u, s in nf.terms.items()}
+            _add_scaled(out, c, vector)
+        table[m] = out
+        return out
+
+    def add_term(self, out: dict[int, CycScalar], c: CycScalar, m: Monomial,
+                 offset: int = 0) -> None:
+        """out[offset + i] += coordinate i of [c·x^m], for nonzero c."""
+        _add_scaled(out, c, self.monomial_coords(m), offset)
+
+    def _sparse(self, p: Poly) -> dict[int, CycScalar]:
         if len(p.vars) != len(self.vars):
             raise ValueError("arity mismatch")
-        return self.gb.reduce(p)
+        out: dict[int, CycScalar] = {}
+        for m, c in p.terms.items():
+            self.add_term(out, c, m)
+        return out
+
+    def normal_form(self, p: Poly) -> Poly:
+        return Poly(self.vars, {self.basis[i]: c for i, c in self._sparse(p).items()})
 
     def coords(self, p: Poly) -> list[CycScalar]:
         """Coordinates of [p] over the standard-monomial basis."""
-        nf = self.normal_form(p)
         vec = [_ZERO] * self.mu
-        for m, c in nf.terms.items():
-            vec[self.index[m]] = c
+        for i, c in self._sparse(p).items():
+            vec[i] = c
         return vec
 
     def weighted_degree(self, m: Monomial) -> int:
@@ -295,12 +361,14 @@ def quotient_algebra(f: Poly, weights: tuple[int, ...], degree: int) -> Quotient
     basis = tuple(_standard_monomials(gb.leading_monomials, bounds))
 
     socle_degree = sum(degree - 2 * w for w in weights)
-    socle_candidates = [m for m in basis
-                        if sum(w * e for w, e in zip(weights, m)) == socle_degree]
+    degrees = [sum(w * e for w, e in zip(weights, m)) for m in basis]
+    socle_candidates = [m for m, d in zip(basis, degrees) if d == socle_degree]
     if len(socle_candidates) != 1:
         raise ValueError(
             f"socle of Jac({f}) is not unique: weighted degree {socle_degree} "
             f"is carried by {socle_candidates}")
+    if max(degrees) > socle_degree:  # the normal-form table reads such classes as zero
+        raise ValueError(f"Jac({f}) has a basis monomial above the socle degree {socle_degree}")
     socle = socle_candidates[0]
 
     hess_nf = gb.reduce(f.hessian())

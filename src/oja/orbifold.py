@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 from .jacobian import Monomial, QuotientAlgebra, quotient_algebra, solve_in_quotient
@@ -161,14 +162,14 @@ class OrbifoldAlgebra:
         self._socle = self._pos[(identity, id_algebra.socle)]
         self._trace_factor = CycScalar.from_rational(self.scale) * id_algebra.trace_scale
 
-        q = ip.normalized_weights()
-        degrees = []
-        for g, m in self.basis:
-            fixed = self.sectors[g].fixed
-            deg = sum((q[i] * e for i, e in zip(fixed, m)), Fraction(0))
-            deg += sum(Fraction(1, 2) - q[i] for i in range(ip.arity) if i not in set(fixed))
-            degrees.append(deg)
-        self.degrees = tuple(degrees)
+        # deg [x^m]v_g = Σ_{i∈Fix g} qᵢmᵢ + Σ_{i∉Fix g} (1/2 − qᵢ) with qᵢ = wᵢ/d,
+        # as one fraction over 2d; the age shift is summed once per sector.
+        w, d = ip.weights, ip.degree
+        shift = {g: sum(d - 2 * w[i] for i in range(ip.arity) if i not in s.fixed)
+                 for g, s in self.sectors.items()}
+        self.degrees = tuple(
+            Fraction(2 * sum(w[i] * e for i, e in zip(self.sectors[g].fixed, m)) + shift[g], 2 * d)
+            for g, m in self.basis)
 
         dim = len(self.basis)
         self.gram = [[_ZERO] * dim for _ in range(dim)]
@@ -283,42 +284,45 @@ class OrbifoldAlgebra:
 def twisted_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> OrbifoldAlgebra:
     """Build Jac'(f,G) with its full structure tensor.
 
-    Each product of sector elements is reduced once per distinct
-    (g, h, ambient exponent) triple; many basis pairs share one.
+    Each product of sector elements is read from the target sector's
+    normal-form table once per distinct (g, h, ambient exponent) triple;
+    many basis pairs share one.
     """
     sectors = build_sectors(ip, group)
     n = ip.arity
     basis: list[tuple[GroupElement, Monomial]] = []
-    offsets: dict[GroupElement, int] = {}
+    spans: dict[GroupElement, range] = {}
     for g in group:
-        offsets[g] = len(basis)
+        spans[g] = range(len(basis), len(basis) + sectors[g].algebra.mu)
         basis.extend((g, m) for m in sectors[g].algebra.basis)
     lifted = [sectors[g].lift(m, n) for g, m in basis]
 
-    targets = {(g, h): sectors[g * h] for g in group for h in group}
-    corrections = {(g, h): compute_H(ip, group, g, h, sectors).embed(ip.vars, target.fixed)
-                   for (g, h), target in targets.items() if fix_union_holds(g, h)}
-    prefactors = {g: _prefactor(n, g) for g in group}
-
-    reduced: dict[tuple[GroupElement, GroupElement, Monomial], dict[int, CycScalar]] = {}
     structure: dict[tuple[int, int], dict[int, CycScalar]] = {}
-    for i, (g, _) in enumerate(basis):
-        for j, (h, _) in enumerate(basis):
-            correction = corrections.get((g, h))
-            if correction is None:
+    for g in group:
+        pre = _prefactor(n, g)
+        for h in group:
+            if not fix_union_holds(g, h):
                 continue
-            ambient = tuple(a + b for a, b in zip(lifted[i], lifted[j]))
-            entry = reduced.get((g, h, ambient))
-            if entry is None:
-                target = targets[(g, h)]
-                p = Poly.monomial(ip.vars, ambient) * correction
-                nf = target.algebra.normal_form(p.restrict(target.fixed))
-                start, pre = offsets[target.g], prefactors[g]
-                entry = {start + target.algebra.index[mono]: pre * c
-                         for mono, c in nf.terms.items()}
-                reduced[(g, h, ambient)] = entry
-            if entry:
-                structure[(i, j)] = entry
+            target = sectors[g * h]
+            start = spans[target.g].start
+            moved = [k for k in range(n) if k not in target.fixed]
+            # H_{g,h} as (exponents on Fix(gh), prefactor(g) · coefficient) pairs.
+            correction = [(e, pre * c)
+                          for e, c in compute_H(ip, group, g, h, sectors).terms.items()]
+            reduced: dict[Monomial, dict[int, CycScalar]] = {}
+            for i in spans[g]:
+                for j in spans[h]:
+                    ambient = tuple(map(add, lifted[i], lifted[j]))
+                    entry = reduced.get(ambient)
+                    if entry is None:
+                        entry = reduced[ambient] = {}
+                        # H_{g,h} lives on Fix(gh), so a factor x_k outside it kills the product.
+                        if not any(ambient[k] for k in moved):
+                            for exps, c in correction:
+                                local = tuple(ambient[k] + e for k, e in zip(target.fixed, exps))
+                                target.algebra.add_term(entry, c, local, start)
+                    if entry:
+                        structure[(i, j)] = entry
 
     algebra = OrbifoldAlgebra(ip, group, sectors, basis, structure, invariant_only=False)
     _check_unit(algebra)

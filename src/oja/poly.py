@@ -303,7 +303,11 @@ def parse(text: str, vars: Sequence[str]) -> Poly:
             if end < 0:
                 fail("unclosed parenthesis")
             # Padded so that error positions count from the start of `text`.
-            terms = parse(" " * (pos + 1) + text[pos + 1:end], ("z",)).terms
+            try:
+                terms = parse(" " * (pos + 1) + text[pos + 1:end], ("z",)).terms
+            except PolyParseError as exc:
+                raise PolyParseError(f"{exc} (parentheses hold only a Q(ζ₂₄) "
+                                     "coefficient written in z)") from None
             pos = end + 1
             return sum((c * CycScalar.zeta(e) for (e,), c in terms.items()), CycScalar.zero())
         value = Fraction(read_uint())

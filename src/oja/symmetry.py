@@ -161,9 +161,6 @@ class InvertiblePoly(NamedTuple):
     def arity(self) -> int:
         return len(self.poly.vars)
 
-    def normalized_weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(w, self.degree) for w in self.weights)
-
 
 def _weight_system(rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], int]:
     n = len(rows)

@@ -541,6 +541,29 @@ def test_milnor_of_a_large_power_box_still_runs(capsys):
     assert capsys.readouterr().out == "2999\n"
 
 
+def test_parentheses_around_a_polynomial_exit_2_with_the_coefficient_rule(capsys):
+    from oja.cli import main
+
+    assert main(["milnor", "(x1+x2)^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: position 1: unknown variable 'x1' (parentheses hold "
+                            "only a Q(ζ₂₄) coefficient written in z)\n")
+
+
+def test_milnor_of_a_polynomial_whose_groebner_basis_needs_an_initial_pair(capsys):
+    """μ = 7 is the Milnor–Orlik value ∏(d/wᵢ − 1) for q = (5/12, 1/2, 1/6).
+
+    The S-pair of the first two partial derivatives has a nonzero remainder
+    (sympy's grevlex basis contains x1^3); dropping it left the ideal looking
+    infinite-dimensional.
+    """
+    from oja.cli import main
+
+    assert main(["milnor", "x2*x3^3+x2^2+x1^2*x3"]) == 0
+    assert capsys.readouterr().out == "7\n"
+
+
 # --- import footprint ------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,11 +15,11 @@ from oja.duality import source_algebra
 from oja.jacobian import (Fingerprint, fingerprint, groebner, has_isolated_singularity,
                           leading_monomial, milnor, quotient_algebra, solve_in_quotient,
                           trace_functional)
-from oja.linalg import rank, rref, solve_linear
+from oja.linalg import det_rational, rank, rref, solve_linear
 from oja.orbifold import orbifold_algebra
 from oja.poly import Poly, parse
 from oja.scalar import CycScalar, SQRT2
-from oja.symmetry import build_invertible
+from oja.symmetry import _weight_system, build_invertible
 
 XYZ = ("x", "y", "z")
 
@@ -63,6 +64,52 @@ def test_groebner_spolynomials_reduce_to_zero():
                 s = (Poly.monomial(XYZ, tuple(l - e for l, e in zip(lcm, lead_i))) * gens[i]
                      - Poly.monomial(XYZ, tuple(l - e for l, e in zip(lcm, lead_j))) * gens[j])
                 assert gb.reduce(s).is_zero()
+
+
+def _invertible_exponent_matrices():
+    """Every 3×3 exponent matrix with entries ≤ 2, one per polynomial, that
+    `build_invertible`'s determinant and positive-weight checks accept."""
+    seen = set()
+    for entries in itertools.product(range(3), repeat=9):
+        rows = frozenset(entries[3 * i:3 * i + 3] for i in range(3))
+        if len(rows) < 3 or rows in seen:
+            continue
+        seen.add(rows)
+        matrix = sorted(rows)
+        if det_rational(matrix) == 0:
+            continue
+        try:
+            _weight_system(matrix)
+        except ValueError:
+            continue
+        yield matrix
+
+
+def _spoly(f: Poly, g: Poly) -> Poly:
+    lead_f, lead_g = leading_monomial(f), leading_monomial(g)
+    lcm = tuple(max(a, b) for a, b in zip(lead_f, lead_g))
+    return (Poly.monomial(f.vars, tuple(l - e for l, e in zip(lcm, lead_f))) * f
+            - Poly.monomial(g.vars, tuple(l - e for l, e in zip(lcm, lead_g))) * g)
+
+
+def test_groebner_output_is_a_groebner_basis_of_every_small_jacobian_ideal():
+    """Buchberger's criterion on the output, and ideal membership of every input.
+
+    A chain criterion that mistakes a pending pair for a processed one drops
+    S-pairs with nonzero remainders; this sweep caught it on 112 of the 272
+    ideals.
+    """
+    matrices = list(_invertible_exponent_matrices())
+    assert len(matrices) == 272
+    one = CycScalar.one()
+    for rows in matrices:
+        f = Poly(("x1", "x2", "x3"), {r: one for r in rows})
+        partials = _partials(f)
+        gb = groebner(partials)
+        gens = gb.generators
+        assert all(gb.reduce(p).is_zero() for p in partials), str(f)
+        assert all(gb.reduce(_spoly(gens[i], gens[j])).is_zero()
+                   for i in range(len(gens)) for j in range(i)), str(f)
 
 
 def test_groebner_basis_is_reduced():
@@ -118,6 +165,50 @@ def test_socle_annihilated_by_every_variable():
         for i in range(3):
             bump = tuple(e + (1 if j == i else 0) for j, e in enumerate(A.socle))
             assert A.normal_form(Poly.monomial(XYZ, bump)).is_zero()
+
+
+def _catalog_quotient_algebras():
+    """Each distinct Jac of a row source and of a sector of a row target or graph node."""
+    catalog = load_catalog()
+    keys = {}
+    for ip, group in ([row_target(row) for row in catalog.rows]
+                      + [(node.ip, node.group) for node in catalog.graph_nodes]):
+        for sector in orbifold_algebra(ip, group).sectors.values():
+            A = sector.algebra
+            keys[(A.f, A.weights, A.degree)] = None
+    for row in catalog.rows:
+        ip = row_source(row)
+        keys[(ip.poly, ip.weights, ip.degree)] = None
+    return list(keys)
+
+
+def test_normal_form_table_matches_groebner_reduction(monkeypatch):
+    """Table coordinates equal a full reduction on twice the power box.
+
+    Each algebra is built afresh, so its table starts from the basis alone;
+    the Groebner basis then reduces only border monomials x_k·b (b a basis
+    monomial), each once, so at most n·μ of them.
+    """
+    keys = _catalog_quotient_algebras()
+    assert len(keys) > 30
+    reduce = jacobian.GroebnerBasis.reduce
+    reduced: list[Poly] = []
+    monkeypatch.setattr(jacobian.GroebnerBasis, "reduce",
+                        lambda gb, p: reduced.append(p) or reduce(gb, p))
+    for f, weights, degree in keys:
+        A = quotient_algebra.__wrapped__(f, weights, degree)
+        bounds = jacobian._jacobian_ideal(f)[1]
+        box = list(itertools.product(*(range(2 * b) for b in bounds)))
+        expected = {m: {A.basis.index(b): c for b, c in
+                        reduce(A.gb, Poly.monomial(f.vars, m)).terms.items()} for m in box}
+        reduced.clear()
+        assert {m: A.monomial_coords(m) for m in box} == expected, str(f)
+        border = {tuple(e + (j == k) for j, e in enumerate(b))
+                  for b in A.basis for k in range(len(f.vars))} - set(A.basis)
+        monomials = [next(iter(p.terms)) for p in reduced]
+        assert all(len(p.terms) == 1 for p in reduced)
+        assert len(set(monomials)) == len(monomials) and set(monomials) <= border
+        assert len(monomials) <= len(f.vars) * A.mu
 
 
 # --- Milnor numbers -------------------------------------------------------
