@@ -55,6 +55,8 @@ catalog, duality, orbifold = (sys.modules[name] for name in _LAZY)
 # --- input parsing -----------------------------------------------------------
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# A parenthesized Q(ζ₂₄) coefficient, written in z; `parse` does not nest them.
+_COEFFICIENT = re.compile(r"\([^)]*\)")
 _CANONICAL = re.compile(r"x[1-9][0-9]*\Z")
 
 _ALIASES = ("x", "y", "z")
@@ -65,8 +67,11 @@ def _infer_vars(text: str) -> tuple[str, ...]:
 
     Canonical names x1…xN fix the tuple (x1, …, xN) with N the largest
     index used; the aliases x, y, z are accepted as-is, in that order.
+    Names inside a parenthesized coefficient are not variables, unless no
+    name lies outside one: then `parse` reports the misplaced parentheses.
     """
-    names = set(_IDENTIFIER.findall(text))
+    names = (set(_IDENTIFIER.findall(_COEFFICIENT.sub(" ", text)))
+             or set(_IDENTIFIER.findall(text)))
     if not names:
         raise CliError(f"no variables found in {text!r}")
     if all(_CANONICAL.match(n) for n in names):

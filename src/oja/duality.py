@@ -65,6 +65,11 @@ class IsoWitness:
     image_matrix = cached_property(
         lambda self: _image_matrix(self.source, self.target, self.images))
 
+    # One verification per witness: the search, `certify` and `verify_witness`
+    # all read these.
+    algebra_report = cached_property(lambda self: verify_algebra_iso(self))
+    frobenius_report = cached_property(lambda self: verify_frobenius_iso(self))
+
     def to_json(self) -> dict:
         return {
             "source": {
@@ -139,7 +144,7 @@ def evaluate_in_target(target: OrbifoldAlgebra, images: Sequence[Sequence],
     for exps, coeff in p.terms.items():
         factors = [powers[i][e - 1] for i, e in enumerate(exps) if e]
         acc = reduce(product, factors) if factors else target.identity_vector(zero, one)
-        out = [a + b * coeff for a, b in zip(out, acc)]
+        out = [a + b * coeff if b else a for a, b in zip(out, acc)]
     return out
 
 
@@ -222,8 +227,7 @@ def verify_frobenius_iso(w: IsoWitness) -> Report:
 
 def verify_witness(w: IsoWitness) -> Report:
     """Both verifications combined into a single report."""
-    algebra = verify_algebra_iso(w)
-    frobenius = verify_frobenius_iso(w)
+    algebra, frobenius = w.algebra_report, w.frobenius_report
     return Report(algebra.passed and frobenius.passed,
                   algebra.checks + frobenius.checks)
 
@@ -254,15 +258,33 @@ def _used_unknowns(eq: Poly) -> set[int]:
 
 
 def _plug(eq: Poly, index: int, value: CycScalar) -> Poly:
+    """eq with the unknown `index` set to `value`; each power is taken once."""
+    powers: dict[int, CycScalar] = {}
     terms: dict[tuple[int, ...], CycScalar] = {}
     for exps, coeff in eq.terms.items():
-        c = coeff * value**exps[index]
-        if c.is_zero():
-            continue
-        key = exps[:index] + (0,) + exps[index + 1:]
-        prev = terms.get(key)
-        terms[key] = prev + c if prev is not None else c
-    return Poly(eq.vars, terms)
+        e = exps[index]
+        if e:
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = value**e
+            if not power:
+                continue
+            coeff = coeff * power
+            exps = exps[:index] + (0,) + exps[index + 1:]
+        prev = terms.get(exps)
+        if prev is None:
+            terms[exps] = coeff
+        elif s := prev + coeff:
+            terms[exps] = s
+        else:
+            del terms[exps]
+    return Poly._clean(eq.vars, terms)
+
+
+def _plug_all(pending: list[tuple[Poly, set[int]]], index: int,
+              value: CycScalar) -> list[Poly]:
+    """Substitute into each pending equation; one without the unknown passes as it is."""
+    return [_plug(eq, index, value) if index in used else eq for eq, used in pending]
 
 
 def _univariate_profile(eq: Poly, index: int) -> dict[int, CycScalar]:
@@ -353,7 +375,7 @@ def _solve_system(eqs: list[Poly], n_unknowns: int,
             if roots is not None:
                 for value in roots:
                     assignment[index] = value
-                    rest = [_plug(e, index, value) for e, _ in pending]
+                    rest = _plug_all(pending, index, value)
                     yield from recurse(rest, assignment)
                     del assignment[index]
                 return
@@ -369,7 +391,7 @@ def _solve_system(eqs: list[Poly], n_unknowns: int,
         index = max(focus, key=lambda i: (counts[i], -i))
         for value in _BANK:
             assignment[index] = value
-            rest = [_plug(e, index, value) for e, _ in pending]
+            rest = _plug_all(pending, index, value)
             yield from recurse(rest, assignment)
             del assignment[index]
 
@@ -392,15 +414,16 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
         raise SearchFailure(f"dimensions differ: source {src.dim}, target {target.dim}")
 
     # unknown -> (variable, target basis index of the variable's degree)
-    layout = [(i, k) for i, wt in enumerate(source.weights)
-              for k in range(target.dim) if target.degrees[k] == Fraction(wt, source.degree)]
+    degrees = [Fraction(wt, source.degree) for wt in source.weights]
+    layout = [(i, k) for i, deg in enumerate(degrees)
+              for k in range(target.dim) if target.degrees[k] == deg]
     ring = tuple(f"u{t}" for t in range(len(layout)))
     zero, one = Poly.zero(ring), Poly.constant(ring, _ONE)
 
     # The ansatz is a witness whose coordinates are polynomials in the unknowns.
     sym_images = [target.zero_vector(zero) for _ in range(source.arity)]
     for t, (i, k) in enumerate(layout):
-        sym_images[i][k] = sym_images[i][k] + Poly.variable(ring, t)
+        sym_images[i][k] = Poly.variable(ring, t)
 
     # A dict keyed by the equation itself drops duplicates and keeps the
     # first-seen order, which the solver's branching depends on.
@@ -426,11 +449,11 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
     for assignment in _solve_system(list(equations), len(layout), budget):
         images = [target.zero_vector() for _ in range(source.arity)]
         for t, (i, k) in enumerate(layout):
-            images[i][k] = images[i][k] + assignment[t]
+            images[i][k] = assignment[t]
         w = IsoWitness(source, target, tuple(tuple(img) for img in images))
-        if not verify_algebra_iso(w).passed:
+        if not w.algebra_report.passed:
             continue
-        if require_frobenius and not verify_frobenius_iso(w).passed:
+        if require_frobenius and not w.frobenius_report.passed:
             continue
         return w
     if budget.left < 0:
@@ -485,8 +508,7 @@ def certify(source: InvertiblePoly, target: OrbifoldAlgebra,
         found = search_iso(source, target)
     except SearchFailure:
         found = search_iso(source, target, require_frobenius=False)
-        return RowCertificate("algebra", "ansatz search", found,
-                              verify_algebra_iso(found))
+        return RowCertificate("algebra", "ansatz search", found, found.algebra_report)
     return RowCertificate("frobenius", "ansatz search", found, verify_witness(found))
 
 

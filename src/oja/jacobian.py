@@ -442,8 +442,14 @@ def solve_in_quotient(algebra: QuotientAlgebra, a: Poly, b: Poly,
     if not candidates:
         raise ValueError("no admissible candidate monomials")
 
-    columns = [algebra.coords(a_nf * Poly.monomial(algebra.vars, m)) for m in candidates]
-    matrix = [[columns[j][i] for j in range(len(candidates))] for i in range(algebra.mu)]
+    # Column of m: [a·x^m], read term by term from the normal-form table.
+    columns: list[dict[int, CycScalar]] = []
+    for m in candidates:
+        column: dict[int, CycScalar] = {}
+        for e, c in a_nf.terms.items():
+            algebra.add_term(column, c, _mono_mul(e, m))
+        columns.append(column)
+    matrix = [[column.get(i, _ZERO) for column in columns] for i in range(algebra.mu)]
     particular, nullspace = solve_linear(matrix, algebra.coords(b), _ZERO, _ONE)
     if particular is None:
         raise ValueError("no solution in the quotient under the given constraints")

@@ -54,6 +54,16 @@ class Poly:
                     clean[tuple(exps)] = coeff
         self.terms = clean
 
+    @classmethod
+    def _clean(cls, vars: tuple[str, ...], terms: dict[tuple[int, ...], CycScalar]) -> "Poly":
+        """Wrap terms already known valid: exponent tuples of the ring's
+        arity, none negative, and no zero coefficient.  The ring operations
+        build their results through here; everything else goes through the
+        checks of `Poly(vars, terms)`."""
+        obj = object.__new__(cls)
+        obj.vars, obj.terms = vars, terms
+        return obj
+
     # --- constructors -------------------------------------------------
 
     @classmethod
@@ -84,18 +94,20 @@ class Poly:
         self._check_ring(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            s = terms.get(exps, CycScalar.zero()) + coeff
-            if s.is_zero():
-                terms.pop(exps, None)
-            else:
+            prev = terms.get(exps)
+            if prev is None:
+                terms[exps] = coeff
+            elif s := prev + coeff:
                 terms[exps] = s
-        return Poly(self.vars, terms)
+            else:
+                del terms[exps]
+        return Poly._clean(self.vars, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._clean(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly | CycScalar") -> "Poly":
         if isinstance(other, CycScalar):
@@ -105,21 +117,20 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if key in terms:
-                    s = terms[key] + prod
-                    if s.is_zero():
-                        del terms[key]
-                    else:
-                        terms[key] = s
-                elif not prod.is_zero():
+                prod = c1 * c2  # nonzero: a field has no zero divisors
+                prev = terms.get(key)
+                if prev is None:
                     terms[key] = prod
-        return Poly(self.vars, terms)
+                elif s := prev + prod:
+                    terms[key] = s
+                else:
+                    del terms[key]
+        return Poly._clean(self.vars, terms)
 
     def scale(self, scalar: CycScalar) -> "Poly":
         if scalar.is_zero():
-            return Poly.zero(self.vars)
-        return Poly(self.vars, {e: c * scalar for e, c in self.terms.items()})
+            return Poly._clean(self.vars, {})
+        return Poly._clean(self.vars, {e: c * scalar for e, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.vars == other.vars and self.terms == other.terms

@@ -200,12 +200,20 @@ class CycScalar:
     def __pow__(self, n: int) -> "CycScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        result = _ONE_ELT
+        if n == 0:
+            return _ONE_ELT
+        # Square up to the lowest set bit, which starts the result without a
+        # product by one; no square is taken past the highest bit.
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 

@@ -422,6 +422,13 @@ def test_mixed_variable_conventions_are_rejected():
     assert "cannot infer variables" in result.stderr
 
 
+@pytest.mark.parametrize("poly", ["(z)*x^2+y^2", "(z^2+1)*x1^2"])
+def test_names_inside_a_coefficient_are_not_variables(poly: str):
+    # z inside parentheses is ζ₂₄, not a third variable or a mixed convention.
+    result = _run("milnor", poly)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
+
+
 def test_parse_errors_exit_with_code_two():
     result = _run("milnor", "x1^(3)")
     assert result.returncode == 2

@@ -74,6 +74,25 @@ def test_pow_agrees_with_repeated_product():
     assert a**-2 == (a * a).inverse()
 
 
+def test_pow_takes_no_product_by_one_and_no_square_past_the_top_bit(monkeypatch):
+    a = SQRT2 + CycScalar.zeta(5)
+    products = []
+    original = CycScalar.__mul__
+
+    def counting_mul(x, y):
+        products.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(CycScalar, "__mul__", counting_mul)
+    assert a**1 is a
+    assert a**0 == CycScalar.one()
+    for n in range(1, 41):
+        products.clear()
+        a**n
+        # bit_length − 1 squares, and one product per set bit after the lowest
+        assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1
+
+
 def test_named_constants_satisfy_their_defining_equations():
     assert (I_UNIT**2).rational_value() == -1
     assert (SQRT2**2).rational_value() == 2

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from oja.scalar import (DEGREE, ORDER, SQRT2, SQRT3, CycScalar, kth_roots,  # noqa: E402
                         _canonical, _CONJUGATIONS, _conjugate, _int_mul)
@@ -82,6 +82,16 @@ def test_equal_values_have_one_canonical_form(a, b, c):
     assert (left.n, left.d) == (right.n, right.d)
     assert left.d > 0
     assert CycScalar(left.c).n == left.n and CycScalar(left.c).d == left.d
+
+
+@given(scalars, st.integers(-4, 40))
+def test_power_equals_repeated_multiplication(x, n):
+    assume(x or n >= 0)
+    base = x if n >= 0 else x.inverse()
+    expected = CycScalar.one()
+    for _ in range(abs(n)):
+        expected = expected * base
+    assert x**n == expected
 
 
 @given(elements)

@@ -11,6 +11,7 @@ target's product and pairing.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -156,6 +157,26 @@ def test_verify_witness_builds_the_image_matrix_once(monkeypatch):
     report = verify_witness(_row2_witness())
     assert report.passed, report.failure()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("index", [1, 19])  # searched at Frobenius level; 19 falls back
+def test_certify_runs_each_check_once_per_searched_witness(monkeypatch, index):
+    """`certify` reads the reports `search_iso` made instead of checking again."""
+    calls = []  # holds every witness, so no two of them share an id
+    for name in ("verify_algebra_iso", "verify_frobenius_iso"):
+        def counting(w, original=getattr(duality, name), name=name):
+            calls.append((name, w))
+            return original(w)
+
+        monkeypatch.setattr(duality, name, counting)
+    row = _catalog().row(index)
+    assert row_witness(row) is None
+    cert = certify(row_source(row), _target(row))
+    counts = Counter((name, id(w)) for name, w in calls)
+    assert max(counts.values()) == 1
+    assert counts[("verify_algebra_iso", id(cert.witness))] == 1
+    assert counts[("verify_frobenius_iso", id(cert.witness))] == (index == 1)
+    assert cert.report.passed
 
 
 def test_image_matrix_takes_one_product_per_basis_element_besides_the_unit(monkeypatch):
