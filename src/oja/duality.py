@@ -12,7 +12,7 @@ isomorphisms into a graph of (polynomial, group) pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -56,14 +56,16 @@ class IsoWitness:
     def image_str(self, i: int) -> str:
         return self.target.vector_str(list(self.images[i]))
 
+    table = cached_property(lambda self: _ImageTable(self.target, self.images))
+
     @cached_property
     def relation_images(self) -> tuple[tuple[Poly, tuple[CycScalar, ...]], ...]:
         """Each generator ∂f₁/∂xᵢ of the Jacobian ideal with its image."""
-        return tuple((p, tuple(evaluate_in_target(self.target, self.images, p)))
+        return tuple((p, tuple(evaluate_in_target(self.table, p)))
                      for p in map(self.source.poly.partial_derivative, range(self.source.arity)))
 
-    image_matrix = cached_property(
-        lambda self: _image_matrix(self.source, self.target, self.images))
+    image_matrix = cached_property(  # images of the source basis, as rows
+        lambda self: tuple(self.table[m] for _, m in source_algebra(self.source).basis))
 
     # One verification per witness: the search, `certify` and `verify_witness`
     # all read these.
@@ -121,49 +123,36 @@ def source_algebra(ip: InvertiblePoly) -> OrbifoldAlgebra:
     return orbifold_algebra(ip, SymmetryGroup.trivial(ip.arity))
 
 
-def evaluate_in_target(target: OrbifoldAlgebra, images: Sequence[Sequence],
-                       p: Poly, zero=_ZERO, one=_ONE) -> list:
-    """Evaluate p at the given variable images inside the target algebra.
+class _ImageTable(dict):
+    """x^m ↦ φ(x^m) inside the target, memoized, for the variable images of φ.
 
-    The image coordinates lie in any ring holding the structure constants,
-    with the given zero and one.  A monomial is φ(x₁)^e₁ ⋯ φ(xₙ)^eₙ in
-    variable order; 1 is never a factor.
+    φ(x^m) is φ(x^m/x_k)∘φ(x_k) with x_k the last variable of x^m: one product
+    per monomial beyond its divisors, factors in variable order, and no
+    product for 1 or a single variable.  The coordinates lie in any ring
+    holding the structure constants, with the given zero and one.
     """
-    def product(u, v):
-        return target.product(u, v, zero)
 
-    arity = len(p.vars)
-    max_exp = [max((e[i] for e in p.terms), default=0) for i in range(arity)]
-    powers: list[list[Sequence]] = []
-    for i in range(arity):
-        row = [images[i]]  # row[e - 1] = φ(xᵢ)^e
-        for _ in range(1, max_exp[i]):
-            row.append(product(row[-1], images[i]))
-        powers.append(row)
-    out = target.zero_vector(zero)
+    def __init__(self, target: OrbifoldAlgebra, images: Sequence[Sequence],
+                 zero=_ZERO, one=_ONE):
+        n = len(images)
+        super().__init__({(0,) * k + (1,) + (0,) * (n - 1 - k): image
+                          for k, image in enumerate(images)})
+        self[(0,) * n] = target.identity_vector(zero, one)
+        self.target, self.images, self.zero = target, images, zero
+
+    def __missing__(self, m: tuple[int, ...]) -> list:
+        k = max(i for i, e in enumerate(m) if e)
+        value = self[m] = self.target.product(self[m[:k] + (m[k] - 1,) + m[k + 1:]],
+                                              self.images[k], self.zero)
+        return value
+
+
+def evaluate_in_target(table: _ImageTable, p: Poly) -> list:
+    """φ(p) inside the target, one table entry per monomial of p."""
+    out = table.target.zero_vector(table.zero)
     for exps, coeff in p.terms.items():
-        factors = [powers[i][e - 1] for i, e in enumerate(exps) if e]
-        acc = reduce(product, factors) if factors else target.identity_vector(zero, one)
-        out = [a + b * coeff if b else a for a, b in zip(out, acc)]
+        out = [a + b * coeff if b else a for a, b in zip(out, table[exps])]
     return out
-
-
-def _image_matrix(source: InvertiblePoly, target: OrbifoldAlgebra,
-                  images: Sequence[Sequence], zero=_ZERO, one=_ONE) -> tuple[tuple, ...]:
-    """Images of the source standard-monomial basis, as rows.
-
-    The basis is closed under division and sorted by degree, so the row of
-    x^m is the row of x^m/xᵢ times φ(xᵢ), with xᵢ the last variable of x^m:
-    one product per basis element besides 1, in `evaluate_in_target` order.
-    """
-    rows: dict[tuple[int, ...], tuple] = {}
-    for _, m in source_algebra(source).basis:
-        if not any(m):
-            rows[m] = tuple(target.identity_vector(zero, one))
-            continue
-        i = max(i for i, e in enumerate(m) if e)
-        rows[m] = tuple(target.product(rows[m[:i] + (m[i] - 1,) + m[i + 1:]], images[i], zero))
-    return tuple(rows.values())
 
 
 def verify_algebra_iso(w: IsoWitness) -> Report:
@@ -353,16 +342,8 @@ def _solve_system(eqs: list[Poly], n_unknowns: int,
                 return  # nonzero constant: contradiction
             pending.append((eq, used))
 
-        if not pending:
-            free = [i for i in range(n_unknowns) if i not in assignment]
-            if not free:
-                yield dict(assignment)
-                return
-            i = free[0]
-            for value in _BANK:
-                assignment[i] = value
-                yield from recurse(eqs, assignment)
-                del assignment[i]
+        if not pending and len(assignment) == n_unknowns:
+            yield dict(assignment)
             return
 
         # Branching on the roots of a univariate equation, linear ones first:
@@ -382,13 +363,17 @@ def _solve_system(eqs: list[Poly], n_unknowns: int,
 
         # Last resort: guess from the bank.  Aim at the smallest pending
         # equation so that one guess leaves it univariate and the branch is
-        # resolved or contradicted immediately.
-        counts: dict[int, int] = {}
-        for _, used in pending:
-            for i in used:
-                counts[i] = counts.get(i, 0) + 1
-        _, focus = min(pending, key=lambda item: (len(item[1]), len(item[0].terms)))
-        index = max(focus, key=lambda i: (counts[i], -i))
+        # resolved or contradicted immediately; with nothing pending, guess
+        # the first free unknown.
+        if pending:
+            counts: dict[int, int] = {}
+            for _, used in pending:
+                for i in used:
+                    counts[i] = counts.get(i, 0) + 1
+            _, focus = min(pending, key=lambda item: (len(item[1]), len(item[0].terms)))
+            index = max(focus, key=lambda i: (counts[i], -i))
+        else:
+            index = min(i for i in range(n_unknowns) if i not in assignment)
         for value in _BANK:
             assignment[index] = value
             rest = _plug_all(pending, index, value)
@@ -433,17 +418,17 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
         if eq.terms:
             equations.setdefault(eq)
 
+    table = _ImageTable(target, sym_images, zero, one)
     for i in range(source.arity):
-        partial = source.poly.partial_derivative(i)
-        for entry in evaluate_in_target(target, sym_images, partial, zero, one):
+        for entry in evaluate_in_target(table, source.poly.partial_derivative(i)):
             add_equation(entry)
 
     if require_frobenius:
-        phi = _image_matrix(source, target, sym_images, zero, one)
+        phi = [table[m] for _, m in src.basis]
         for i in range(src.dim):
             for j in range(i, src.dim):
-                add_equation(target.pairing(phi[i], phi[j], zero)
-                             - Poly.constant(ring, src.gram[i][j]))
+                pairing, gram = target.pairing(phi[i], phi[j], zero), src.gram[i][j]
+                add_equation(pairing - Poly.constant(ring, gram) if gram else pairing)
 
     budget = _Budget(MAX_NODES)
     for assignment in _solve_system(list(equations), len(layout), budget):

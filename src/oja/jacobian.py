@@ -359,6 +359,8 @@ def quotient_algebra(f: Poly, weights: tuple[int, ...], degree: int) -> Quotient
         raise ValueError(f"Jacobian algebra of {f} is infinite-dimensional")
     gb, bounds = ideal
     basis = tuple(_standard_monomials(gb.leading_monomials, bounds))
+    if not basis:
+        raise ValueError(f"Jacobian algebra of {f} is zero: its Jacobian ideal contains 1")
 
     socle_degree = sum(degree - 2 * w for w in weights)
     degrees = [sum(w * e for w, e in zip(weights, m)) for m in basis]

@@ -88,6 +88,14 @@ def test_symmetry_sl_can_be_trivial():
     assert _lines(result) == ["order 1"]
 
 
+def test_symmetry_sl_of_a_non_cyclic_group_shows_greedy_generators():
+    """The SL subgroup keeps no generators and no element has order 16, so the
+    generators shown are the greedy closure sweep's."""
+    result = _run("symmetry", "x1^4+x2^4+x3^4", "--sl")
+    assert result.returncode == 0
+    assert _lines(result) == ["order 16", "generator (0,1/4,3/4)", "generator (1/4,0,3/4)"]
+
+
 def test_symmetry_json_lists_all_elements():
     result = _run("symmetry", "x1^4+x2^3+x3^3", "--sl", "--json")
     data = json.loads(result.stdout)
@@ -164,6 +172,18 @@ def test_jacobian_json():
 
 
 # --- orbifold -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, f", [
+    (["jacobian", "x1"], "x1"),
+    (["jacobian", "x1+x2^2"], "x2^2 + x1"),
+    (["orbifold", "x1+x2^2", "--group", "0,0"], "x2^2 + x1"),
+], ids=["jacobian-linear", "jacobian-with-a-linear-term", "orbifold"])
+def test_a_zero_jacobian_algebra_exits_2_with_one_line(argv, f):
+    result = _run(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: Jacobian algebra of {f} is zero: its Jacobian ideal contains 1\n"
 
 
 def test_orbifold_reports_dimension_and_graded_basis():

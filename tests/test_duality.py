@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+from oja import duality
 from oja.catalog import load_catalog, row_source, row_target, row_witness
 from oja.duality import (
     IsoWitness,
@@ -196,6 +197,17 @@ def test_certify_reports_levels():
     assert sorted(cert19.to_json()) == ["level", "method", "report", "witness"]
 
 
+def test_solver_guesses_an_unknown_no_equation_names_from_the_bank():
+    """u1 appears in no equation: after u0 = 1 it takes every bank value in order."""
+    ring = ("u0", "u1")
+    budget = duality._Budget(100)
+    solutions = list(duality._solve_system([Poly.variable(ring, 0) - Poly.constant(ring, _ONE)],
+                                           len(ring), budget))
+    assert solutions == [{0: _ONE, 1: value} for value in duality._BANK]
+    # One node for u0's linear root, one with nothing pending, one per guess.
+    assert budget.left == 100 - 2 - len(duality._BANK)
+
+
 # --- inverse maps ------------------------------------------------------
 
 def test_inverse_of_frobenius_witness_preserves_pairing():
@@ -203,9 +215,7 @@ def test_inverse_of_frobenius_witness_preserves_pairing():
     w = row_witness(_catalog().row(2))
     src = source_algebra(w.source)
     target = w.target
-    from oja.duality import _image_matrix
-
-    phi = _image_matrix(w.source, w.target, w.images)  # rows: source basis -> target coordinates
+    phi = w.image_matrix  # rows: source basis -> target coordinates
     transposed = [[phi[j][i] for j in range(src.dim)] for i in range(target.dim)]
     inverse_rows = []
     for k in range(target.dim):

@@ -145,15 +145,25 @@ def _row2_witness() -> IsoWitness:
     return w
 
 
+def _peeled(m):
+    """m and each monomial reached from it by dividing off its last variable,
+    down to degree 2: the products the monomial table spends on m."""
+    while sum(m) > 1:
+        yield m
+        k = max(i for i, e in enumerate(m) if e)
+        m = m[:k] + (m[k] - 1,) + m[k + 1:]
+
+
 def test_verify_witness_builds_the_image_matrix_once(monkeypatch):
+    """One monomial table per witness; the relations and the image matrix read it."""
     calls = []
-    original = duality._image_matrix
 
-    def counting_image_matrix(*args):
-        calls.append(args)
-        return original(*args)
+    class CountingTable(duality._ImageTable):
+        def __init__(self, *args):
+            calls.append(args)
+            super().__init__(*args)
 
-    monkeypatch.setattr(duality, "_image_matrix", counting_image_matrix)
+    monkeypatch.setattr(duality, "_ImageTable", CountingTable)
     report = verify_witness(_row2_witness())
     assert report.passed, report.failure()
     assert len(calls) == 1
@@ -191,7 +201,8 @@ def test_image_matrix_takes_one_product_per_basis_element_besides_the_unit(monke
 
     monkeypatch.setattr(OrbifoldAlgebra, "product", counting_product)
     matrix = w.image_matrix
-    assert len(calls) == w.target.dim - 1
+    # The unit and the variables are table seeds and take no product.
+    assert len(calls) == sum(1 for _, m in source_algebra(w.source).basis if sum(m) > 1)
     assert [list(row) for row in matrix] == expected
 
 
@@ -211,17 +222,21 @@ def test_evaluate_in_target_never_multiplies_by_the_unit(monkeypatch):
         return original(self, u, v, *ring)
 
     monkeypatch.setattr(OrbifoldAlgebra, "product", recording_product)
-    values = [evaluate_in_target(target, w.images, p) for p in polys]
+    table = duality._ImageTable(target, w.images)
+    values = [evaluate_in_target(table, p) for p in polys]
     assert values == expected
     assert operands
     assert target.identity_vector() not in operands
+    # One product per monomial of degree 2 or more, each stored once.
+    assert len(operands) == 2 * len({d for p in polys for m in p.terms for d in _peeled(m)})
 
 
 def test_pairing_equations_read_the_gram_matrix(monkeypatch):
-    """The ansatz's pairing equations take no products beyond its image matrix."""
+    """The ansatz's pairing equations take no products beyond its image matrix,
+    and the image matrix none for monomials the relations already took."""
     row = _catalog().row(2)
     source, target = row_source(row), _target(row)
-    source_algebra(source)  # built outside the counted region
+    basis = source_algebra(source).basis  # built outside the counted region
     calls = []
     original = OrbifoldAlgebra.product
 
@@ -237,7 +252,10 @@ def test_pairing_equations_read_the_gram_matrix(monkeypatch):
         with pytest.raises(duality.SearchFailure):
             search_iso(source, target, require_frobenius=require_frobenius)
         counts.append(len(calls))
-    assert counts[1] - counts[0] == target.dim - 1
+    relations = {d for i in range(source.arity)
+                 for m in source.poly.partial_derivative(i).terms for d in _peeled(m)}
+    assert counts[0] == len(relations)
+    assert counts[1] - counts[0] == len({m for _, m in basis if sum(m) > 1} - relations)
 
 
 # --- the ansatz through the witness evaluator ---------------------------------------
@@ -255,7 +273,7 @@ def _specialise(p: Poly, values) -> CycScalar:
 
 @pytest.mark.parametrize("index", [2, 8])
 def test_ansatz_images_specialise_to_the_found_witness(index):
-    """Poly coordinates through evaluate_in_target, the image matrix and the
+    """Poly coordinates through the monomial table, evaluate_in_target and the
     pairing, specialised at the search's solution, give the numeric values."""
     row = _catalog().row(index)
     w = search_iso(row_source(row), _target(row))
@@ -276,10 +294,11 @@ def test_ansatz_images_specialise_to_the_found_witness(index):
 
     polys = [source.poly.partial_derivative(i) for i in range(source.arity)]
     polys.append(source.poly + Poly.constant(source.vars, CycScalar.from_rational(3)))
+    table = duality._ImageTable(target, images, zero, one)
     for p in polys:
-        assert (specialise(evaluate_in_target(target, images, p, zero, one))
-                == evaluate_in_target(target, w.images, p))
-    phi = duality._image_matrix(source, target, images, zero, one)
+        assert (specialise(evaluate_in_target(table, p))
+                == evaluate_in_target(w.table, p))
+    phi = [table[m] for _, m in source_algebra(source).basis]
     assert [specialise(row) for row in phi] == [list(row) for row in w.image_matrix]
     for i, j in [(0, 0), (0, len(phi) - 1), (1, len(phi) - 2)]:
         pairing = target.trace(target.product(phi[i], phi[j], zero))
