@@ -151,7 +151,7 @@ def _display_generators(group: SymmetryGroup) -> list[GroupElement]:
         return gens
     cyclic = [g for g in group if g.order() == group.order]
     if cyclic:
-        return [max(cyclic, key=lambda g: g.phases)]
+        return [max(cyclic, key=lambda g: g.num)]  # one denominator: the group order
     arity = group.elements[0].arity
     chosen: list[GroupElement] = []
     span = SymmetryGroup.trivial(arity)

@@ -600,8 +600,8 @@ class _UnionFind:
 
 
 def _transported_group(group: SymmetryGroup, perm: Sequence[int]) -> SymmetryGroup:
-    members = [GroupElement(tuple(g.phases[perm.index(i)] for i in range(g.arity)))
-               for g in group]
+    members = [GroupElement.from_numerators(
+        tuple(g.num[perm.index(i)] for i in range(g.arity)), g.den) for g in group]
     return SymmetryGroup(members, tuple(members))
 
 

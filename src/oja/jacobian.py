@@ -93,14 +93,6 @@ def _reduce_poly(p: Poly, gens: Sequence[tuple[Monomial, Poly]]) -> Poly:
     return Poly(p.vars, _reduce_terms(p.terms, gens))
 
 
-def _spoly(f: Poly, g: Poly) -> Poly:
-    lf, lg = leading_monomial(f), leading_monomial(g)
-    lcm = _mono_lcm(lf, lg)
-    a = Poly.monomial(f.vars, tuple(l - e for l, e in zip(lcm, lf)))
-    b = Poly.monomial(g.vars, tuple(l - e for l, e in zip(lcm, lg)))
-    return a * f - b * g
-
-
 class GroebnerBasis:
     """A reduced, monic Groebner basis in grevlex order."""
 
@@ -131,52 +123,61 @@ class GroebnerBasis:
 def groebner(gens: Sequence[Poly]) -> GroebnerBasis:
     """Buchberger's algorithm with the normal selection strategy.
 
-    Pairs whose leading monomials are coprime are discarded (first Buchberger
-    criterion), as are pairs subsumed by an already-processed third generator
-    (chain criterion).  The result is auto-reduced and monic.
+    Each pending pair keeps its lcm and grevlex key from its creation on
+    (Gebauer–Möller, J. Symb. Comp. 6, 1988).  Pairs whose leading monomials
+    are coprime are discarded (first Buchberger criterion), as are pairs
+    subsumed by an already-processed third generator (chain criterion).  The
+    result is auto-reduced and monic.
     """
     if not gens:
         raise ValueError("empty generator list")
-    basis = [_monic(g) for g in gens if not g.is_zero()]
+    basis = [(leading_monomial(g), _monic(g)) for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("all generators are zero")
-    lms = [leading_monomial(g) for g in basis]  # kept in step with `basis`
+    vars = basis[0][1].vars
     # Every pair is stored as (smaller index, larger index), which is the
-    # form the chain criterion looks up.
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
+    # form the chain criterion looks up; its value is (grevlex key, lcm).
+    pending: dict[tuple[int, int], tuple] = {}
 
+    def add_pairs(new: int) -> None:
+        for k in range(new):
+            lcm = _mono_lcm(basis[k][0], basis[new][0])
+            pending[(k, new)] = (grevlex_key(lcm), lcm)
+
+    for j in range(len(basis)):
+        add_pairs(j)
     while pending:
-        i, j = min(pending, key=lambda pair: grevlex_key(_mono_lcm(lms[pair[0]], lms[pair[1]])))
-        pending.discard((i, j))
-        lcm = _mono_lcm(lms[i], lms[j])
-        if lcm == _mono_mul(lms[i], lms[j]):
+        i, j = min(pending, key=pending.__getitem__)
+        _, lcm = pending.pop((i, j))
+        (li, fi), (lj, fj) = basis[i], basis[j]  # both monic
+        if lcm == _mono_mul(li, lj):
             continue  # coprime leading monomials
-        if any(k != i and k != j and _divides(lms[k], lcm)
+        if any(k != i and k != j and _divides(lk, lcm)
                and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending
-               for k in range(len(basis))):
+               for k, (lk, _) in enumerate(basis)):
             continue  # chain criterion
-        remainder = _reduce_poly(_spoly(basis[i], basis[j]), list(zip(lms, basis)))
-        if remainder.is_zero():
-            continue
-        basis.append(_monic(remainder))
-        lms.append(leading_monomial(basis[-1]))
-        new = len(basis) - 1
-        pending.update((k, new) for k in range(new))
+        # The S-polynomial is the first step of reducing x^(lcm−li)·fi with fj
+        # tried first; the term dict of fi is shifted, no `Poly` is multiplied.
+        shift = tuple(l - e for l, e in zip(lcm, li))
+        remainder = _reduce_terms({_mono_mul(shift, e): c for e, c in fi.terms.items()},
+                                  [(lj, fj), *basis])
+        if remainder:
+            g = _monic(Poly._clean(vars, remainder))
+            basis.append((leading_monomial(g), g))
+            add_pairs(len(basis) - 1)
 
     # Minimalize: keep only generators whose leading monomial is not divisible
     # by another's.  Sorting ascending makes a single greedy pass sufficient.
-    basis.sort(key=lambda g: grevlex_key(leading_monomial(g)))
-    minimal: list[Poly] = []
-    for g in basis:
-        if not any(_divides(leading_monomial(h), leading_monomial(g)) for h in minimal):
-            minimal.append(g)
-    # Full inter-reduction of the tails.
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = [(leading_monomial(h), h) for k, h in enumerate(minimal) if k != idx]
-        reduced.append(_monic(_reduce_poly(g, others)))
-    return GroebnerBasis(tuple(reduced))
+    basis.sort(key=lambda pair: grevlex_key(pair[0]))
+    minimal: list[tuple[Monomial, Poly]] = []
+    for lm, g in basis:
+        if not any(_divides(other, lm) for other, _ in minimal):
+            minimal.append((lm, g))
+    # Full inter-reduction of the tails; a leading term no other divides stays 1.
+    return GroebnerBasis(tuple(
+        Poly._clean(vars, _reduce_terms(g.terms, minimal[:k] + minimal[k + 1:]))
+        for k, (_, g) in enumerate(minimal)))
 
 
 # --- standard monomials ---------------------------------------------------
@@ -416,13 +417,13 @@ def trace_functional(algebra: QuotientAlgebra,
 
 def solve_in_quotient(algebra: QuotientAlgebra, a: Poly, b: Poly,
                       degree: int | None = None,
-                      invariant_under: Sequence[Sequence[Fraction]] | None = None,
+                      invariant_under: Sequence[tuple[Sequence[int], int]] | None = None,
                       ) -> tuple[Poly, bool]:
     """Find H with [a·H] = [b] in the quotient, constrained as requested.
 
     H is sought among standard monomials m, optionally of one weighted degree
-    and with Σᵢ phases[i]·m[i] integral for every phase vector in
-    `invariant_under`.  For a weighted homogeneous G-invariant f the Groebner
+    and with Σᵢ num[i]·m[i] divisible by den for every character (num, den)
+    in `invariant_under`.  For a weighted homogeneous G-invariant f the Groebner
     basis consists of homogeneous G-eigenvectors, so these monomials span
     every admissible class.  Returns a solution in normal form and whether its class is unique:
     whether multiplication by [a] is injective on the candidate span.
@@ -434,11 +435,8 @@ def solve_in_quotient(algebra: QuotientAlgebra, a: Poly, b: Poly,
     def admissible(m: Monomial) -> bool:
         if degree is not None and algebra.weighted_degree(m) != degree:
             return False
-        if invariant_under:
-            for phases in invariant_under:
-                if sum(Fraction(ph) * e for ph, e in zip(phases, m)) % 1 != 0:
-                    return False
-        return True
+        return not invariant_under or all(
+            sum(a * e for a, e in zip(num, m)) % den == 0 for num, den in invariant_under)
 
     candidates = [m for m in algebra.basis if admissible(m)]
     if not candidates:

@@ -3,14 +3,16 @@
 Gaussian elimination is generic in the coefficient field: it only needs
 +, -, *, `1 / x` and truthiness, so the same routine serves `CycScalar`
 matrices (rank and solve steps inside the algebra computations) and
-`Fraction` matrices (weight systems, exponent-matrix inverses).  `rref`
-takes one reciprocal per pivot and multiplies the pivot row by it, and it
-skips every product with a zero entry.  The integer Smith
-normal form is used to cross-check symmetry group orders.
+`Fraction` matrices (exponent-matrix inverses).  `rref` takes one
+reciprocal per pivot and multiplies the pivot row by it, and it skips every
+product with a zero entry.  Determinants and weight systems stay in the
+integers: `bareiss` gives det A and det A·A⁻¹b by fraction-free elimination.
+The integer Smith normal form is used to cross-check symmetry group orders.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
@@ -94,24 +96,36 @@ def invert_rational(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[Fra
 
 
 def det_rational(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Determinant of a square rational matrix by fraction-free elimination."""
+    """Determinant of a square rational matrix: rows scaled to integers, then `bareiss`."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in matrix]
+    det, _ = bareiss([[int(x * s) for x in row] for row, s in zip(matrix, scales)],
+                     [0] * len(matrix))
+    return Fraction(det, math.prod(scales))
+
+
+def bareiss(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, list[int]]:
+    """det A and the integer vector det A·A⁻¹b, or (0, []) for singular A.
+
+    One fraction-free Gauss–Jordan pass over [A | b] (Bareiss, Math. Comp. 22,
+    1968): entries stay minors, so each division by the previous pivot is
+    exact, and every diagonal entry ends as the last pivot, ±det A.
+    """
     n = len(matrix)
-    mat = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
+    mat = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    sign, pivot = 1, 1
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if mat[i][c]), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0, []
         if pivot_row != c:
             mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                factor = mat[i][c] / inv
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[c])]
-    return det
+            sign = -sign
+        previous, pivot = pivot, mat[c][c]
+        for i in range(n):
+            if i != c:
+                a = mat[i][c]
+                mat[i] = [(pivot * x - a * y) // previous for x, y in zip(mat[i], mat[c])]
+    return sign * pivot, [sign * row[n] for row in mat]
 
 
 def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:

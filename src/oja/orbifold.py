@@ -68,9 +68,8 @@ def _check_group(ip: InvertiblePoly, group: SymmetryGroup) -> None:
             raise ValueError("group arity does not match the polynomial")
         if is_sl_symmetry(ip, g):
             continue
-        for row in ip.exponents:
-            if sum(p * e for p, e in zip(g.phases, row)) % 1 != 0:
-                raise ValueError(f"({g}) does not preserve {ip.poly}")
+        if not all(map(g.fixes_monomial, ip.exponents)):
+            raise ValueError(f"({g}) does not preserve {ip.poly}")
         raise ValueError(f"({g}) lies outside the SL subgroup (age {g.age()})")
 
 
@@ -115,7 +114,7 @@ def compute_H(ip: InvertiblePoly, group: SymmetryGroup, g: GroupElement, h: Grou
     a = lifted_hess.scale(CycScalar.from_rational(Fraction(1, cap_algebra.mu)))
     b = target.hess_nf.scale(CycScalar.from_rational(Fraction(1, target.mu)))
     degree = sum(ip.degree - 2 * ip.weights[i] for i in gh_fixed if i not in set(cap))
-    characters = [tuple(q.phases[i] for i in gh_fixed)
+    characters = [(tuple(q.num[i] for i in gh_fixed), q.den)
                   for q in group if not q.is_identity()]
     solution, unique = solve_in_quotient(target, a, b, degree=degree,
                                          invariant_under=characters)
@@ -340,20 +339,11 @@ def _check_unit(algebra: OrbifoldAlgebra) -> None:
                 "the product formula does not apply")
 
 
-def _is_invariant(group: SymmetryGroup, sector: Sector, m: Monomial) -> bool:
-    for q in group:
-        if q.is_identity():
-            continue
-        character = sum((q.phases[i] * e for i, e in zip(sector.fixed, m)), Fraction(0))
-        if character % 1 != 0:
-            return False
-    return True
-
-
 def invariant_subalgebra(algebra: OrbifoldAlgebra) -> OrbifoldAlgebra:
     """Restrict Jac'(f,G) to its G-invariant part Jac(f,G)."""
-    keep = [i for i, (g, m) in enumerate(algebra.basis)
-            if _is_invariant(algebra.group, algebra.sectors[g], m)]
+    arity = algebra.ip.arity
+    keep = [i for i, (g, m) in enumerate(algebra.basis)  # [x^m]v_g fixed by every q
+            if all(q.fixes_monomial(algebra.sectors[g].lift(m, arity)) for q in algebra.group)]
     position = {old: new for new, old in enumerate(keep)}
     structure: dict[tuple[int, int], dict[int, CycScalar]] = {}
     for a, i in enumerate(keep):

@@ -20,22 +20,40 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import det_rational, invert_rational, smith_diagonal
+from .linalg import bareiss, det_rational, invert_rational, smith_diagonal
 from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
 from .scalar import CycScalar
 
 
 class GroupElement:
-    """A diagonal symmetry, stored as phases in [0, 1)."""
+    """A diagonal symmetry, stored as integer numerators over its order.
 
-    __slots__ = ("phases", "_hash")
+    Phase qᵢ is num[i]/den with 0 <= num[i] < den and gcd(den, num) = 1, so
+    den is the order and equality, hashing and composition are integer
+    operations.  `phases` is the `Fraction` view, in [0, 1).
+    """
+
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, phases: tuple[Fraction, ...]):
-        self.phases = tuple(p % 1 for p in phases)
-        self._hash = hash(self.phases)  # group elements key many dicts
+        den = math.lcm(*(p.denominator for p in phases))
+        self._set(tuple(p.numerator * (den // p.denominator) % den for p in phases), den)
+
+    def _set(self, num: tuple[int, ...], den: int) -> None:
+        common = math.gcd(den, *num)
+        self.num = num if common == 1 else tuple(a // common for a in num)
+        self.den = den // common
+        self._hash = hash((self.num, self.den))  # group elements key many dicts
+
+    @classmethod
+    def from_numerators(cls, num: tuple[int, ...], den: int) -> "GroupElement":
+        """The element with phases num[i]/den, for numerators in [0, den)."""
+        g = cls.__new__(cls)
+        g._set(num, den)
+        return g
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is GroupElement and self.phases == other.phases
+        return type(other) is GroupElement and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         return self._hash
@@ -45,7 +63,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, arity: int) -> "GroupElement":
-        return cls((Fraction(0),) * arity)
+        return cls.from_numerators((0,) * arity, 1)
 
     @classmethod
     def parse(cls, text: str) -> "GroupElement":
@@ -55,33 +73,44 @@ class GroupElement:
             raise ValueError(f"bad group element {text!r}: {exc}") from None
 
     @property
+    def phases(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.num)
+
+    @property
     def arity(self) -> int:
-        return len(self.phases)
+        return len(self.num)
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        return GroupElement(tuple(a + b for a, b in zip(self.phases, other.phases)))
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return GroupElement.from_numerators(
+            tuple((a * s + b * t) % den for a, b in zip(self.num, other.num)), den)
 
     __mul__ = compose
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(tuple(-p for p in self.phases))
+        return GroupElement.from_numerators(tuple(-a % self.den for a in self.num), self.den)
 
     def __pow__(self, n: int) -> "GroupElement":
-        return GroupElement(tuple(n * p for p in self.phases))
+        return GroupElement.from_numerators(tuple(n * a % self.den for a in self.num), self.den)
 
     def order(self) -> int:
-        return math.lcm(*(p.denominator for p in self.phases)) if self.phases else 1
+        return self.den
 
     def age(self) -> Fraction:
-        return sum(self.phases, Fraction(0))
+        return Fraction(sum(self.num), self.den)
+
+    def fixes_monomial(self, m: Sequence[int]) -> bool:
+        """True iff g fixes x^m, that is Σᵢ qᵢ·mᵢ is an integer."""
+        return sum(a * e for a, e in zip(self.num, m)) % self.den == 0
 
     def fixed_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.phases) if p == 0)
+        return tuple(i for i, a in enumerate(self.num) if not a)
 
     def is_identity(self) -> bool:
-        return all(p == 0 for p in self.phases)
+        return self.den == 1
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.phases)
@@ -95,7 +124,9 @@ class SymmetryGroup:
     """
 
     def __init__(self, elements: Iterable[GroupElement], generators: Sequence[GroupElement] = ()):
-        elts = sorted(set(elements), key=lambda g: g.phases)
+        elts = set(elements)
+        scale = math.lcm(*(g.den for g in elts))  # the key orders by phases, on integers
+        elts = sorted(elts, key=lambda g: tuple(a * (scale // g.den) for a in g.num))
         if not elts:
             raise ValueError("a group needs at least the identity")
         arity = elts[0].arity
@@ -163,11 +194,12 @@ class InvertiblePoly(NamedTuple):
 
 
 def _weight_system(rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], int]:
-    n = len(rows)
-    inv = invert_rational(rows)
-    w_frac = [sum(inv[j]) for j in range(n)]  # E^{-1} * (1,...,1)
-    d = math.lcm(*(x.denominator for x in w_frac)) if n else 1
-    weights = tuple(int(x * d) for x in w_frac)
+    """The weights w and degree d with E w = d·(1, ..., 1), gcd(w, d) = 1."""
+    det, scaled = bareiss(rows, [1] * len(rows))  # scaled = det · E^{-1} · (1,...,1)
+    if det == 0:
+        raise ValueError("exponent matrix is singular")
+    common = math.gcd(det, *scaled) * (1 if det > 0 else -1)  # the sign makes d positive
+    weights, d = tuple(x // common for x in scaled), det // common
     if any(w <= 0 for w in weights):
         raise ValueError(f"no positive weight system (got {weights} over degree {d})")
     assert math.gcd(*weights, d) == 1
@@ -177,8 +209,6 @@ def _weight_system(rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], in
 def _assemble(vars: Sequence[str], rows: Sequence[tuple[int, ...]],
               coeffs: Sequence[CycScalar], check_nondegenerate: bool) -> InvertiblePoly:
     n = len(vars)
-    if det_rational(rows) == 0:
-        raise ValueError("exponent matrix is singular")
     weights, d = _weight_system(rows)
     poly = Poly(vars, dict(zip(rows, coeffs)))
     if len(poly.terms) != n:
@@ -239,17 +269,14 @@ def max_symmetry_group(ip: InvertiblePoly) -> SymmetryGroup:
         raise AssertionError(
             f"group order {group.order} disagrees with |det E| = {expected} / SNF {snf_order}")
     for g in group:
-        for row in ip.exponents:
-            s = sum(e * p for e, p in zip(row, g.phases))
-            if s.denominator != 1:
-                raise AssertionError(f"generated element {g} is not a symmetry")
+        if not all(g.fixes_monomial(row) for row in ip.exponents):
+            raise AssertionError(f"generated element {g} is not a symmetry")
     return group
 
 
 def is_sl_symmetry(ip: InvertiblePoly, g: GroupElement) -> bool:
     """True iff g lies in the SL subgroup of G_f: E·q is integral and the age is integral."""
-    return g.age().denominator == 1 and all(
-        sum(e * p for e, p in zip(row, g.phases)).denominator == 1 for row in ip.exponents)
+    return g.fixes_monomial((1,) * g.arity) and all(map(g.fixes_monomial, ip.exponents))
 
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
@@ -258,7 +285,7 @@ def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
     The group's generators that lie in the subgroup are kept only when they
     still generate it.
     """
-    members = [g for g in group if g.age().denominator == 1]
+    members = [g for g in group if g.fixes_monomial((1,) * g.arity)]
     generated = SymmetryGroup.generated_by(
         [g for g in group.generators if g in members], group.elements[0].arity)
     # `generated` lies inside the subgroup, so equal orders mean equal groups.

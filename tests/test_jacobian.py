@@ -329,9 +329,9 @@ def test_solve_three_cyclic_sector():
 
 def test_solve_with_degree_and_invariance():
     A = _algebra("x^4+y^3+z^3")
-    phases = [(Fraction(0), Fraction(2, 3), Fraction(1, 3))]
+    characters = [((0, 2, 1), 3)]  # the phases (0, 2/3, 1/3)
     h, unique = solve_in_quotient(A, _p("4*x^2"), _p("36*x^2*y*z"),
-                                  degree=8, invariant_under=phases)
+                                  degree=8, invariant_under=characters)
     assert h == _p("9*y*z")
     assert unique
 

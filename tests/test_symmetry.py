@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from oja.catalog import load_catalog
+from oja.catalog import load_catalog, row_target
+from oja.linalg import det_rational
 from oja.poly import Poly, parse
 from oja.symmetry import (
     GroupElement,
     SymmetryGroup,
+    _weight_system,
     build_invertible,
     is_sl_symmetry,
     max_symmetry_group,
@@ -87,6 +91,56 @@ def test_build_invertible_rejects_singular_exponents():
 def test_build_invertible_rejects_nonpositive_weights():
     with pytest.raises(ValueError, match="positive weight"):
         build_invertible(parse("x*y + y", ("x", "y")))
+
+
+def _cross(u, v) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _cofactors(rows) -> tuple[int, tuple[int, ...]]:
+    """det E and adj(E)·(1, ..., 1) for a 2×2 or 3×3 E, by cofactors."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c, (d - b, a - c)
+    r0, r1, r2 = rows
+    columns = zip(_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))  # cofactor columns
+    return sum(map(math.prod, zip(r0, _cross(r1, r2)))), tuple(map(sum, columns))
+
+
+def _fraction_weight_system(rows):
+    """The weight system from w = E⁻¹·(1, ..., 1) in `Fraction`s, by Cramer's rule."""
+    det, adjugate_sum = _cofactors(rows)
+    w = [Fraction(x, det) for x in adjugate_sum]
+    d = math.lcm(*(x.denominator for x in w))
+    weights = tuple(int(x * d) for x in w)
+    if any(x <= 0 for x in weights):
+        raise ValueError(f"no positive weight system (got {weights} over degree {d})")
+    return weights, d
+
+
+def _outcome(function, rows):
+    try:
+        return function(rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_fraction_free_weight_systems_match_the_fraction_reference():
+    """Every 2×2 matrix with entries ≤ 6, and every set of three distinct rows
+    with entries ≤ 3 (row order changes neither the weights nor |det|)."""
+    matrices = list(itertools.product(itertools.product(range(7), repeat=2), repeat=2))
+    matrices += itertools.combinations(itertools.product(range(4), repeat=3), 3)
+    positive = 0
+    for rows in matrices:
+        det = _cofactors(rows)[0]
+        assert det_rational(rows) == Fraction(det), rows
+        if det == 0:
+            assert _outcome(_weight_system, rows) == "exponent matrix is singular"
+            continue
+        expected = _outcome(_fraction_weight_system, rows)
+        assert _outcome(_weight_system, rows) == expected, rows
+        positive += not isinstance(expected, str)
+    assert positive == 882 + 5672
 
 
 def test_transpose_spec_example():
@@ -172,6 +226,25 @@ def test_sl_predicate_rejects_phase_vectors_outside_the_symmetry_group():
     grid = [GroupElement((Fraction(a, 12), Fraction(b, 12), Fraction(c, 12)))
             for a in range(12) for b in range(12) for c in range(12)]
     assert {g for g in grid if is_sl_symmetry(ip, g)} == sl
+
+
+def _is_sl_by_phases(ip, g) -> bool:
+    return g.age().denominator == 1 and all(
+        sum(e * p for e, p in zip(row, g.phases)).denominator == 1 for row in ip.exponents)
+
+
+def test_sl_predicate_matches_the_fraction_definition_on_catalog_groups():
+    catalog = load_catalog()
+    pairs = [row_target(row) for row in catalog.rows]
+    pairs += [(node.ip, node.group) for node in catalog.graph_nodes]
+    pairs += [(ip, max_symmetry_group(ip))
+              for ip in (build_invertible(parse(text, ("x1", "x2", "x3"))) for text in _VARIANTS)]
+    checked = 0
+    for ip, group in pairs:
+        for g in group:
+            assert is_sl_symmetry(ip, g) == _is_sl_by_phases(ip, g), (str(ip.poly), str(g))
+            checked += 1
+    assert len(pairs) == 20 + 23 + 21 and checked == 616
 
 
 def test_age_sum_rule():
