@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .duality import GraphNode, IsoWitness
+from .jacobian import add_scaled
 from .orbifold import orbifold_algebra
 from .poly import ENUMERATION_LIMIT, Poly, parse
 from .scalar import CycScalar, I_UNIT, SQRT2, SQRT3
@@ -291,14 +292,12 @@ def row_witness(row: CatalogRow) -> IsoWitness | None:
     algebra = orbifold_algebra(target_ip, group)
     images = []
     for image_terms in row.witness:
-        vector = list(algebra.zero_vector())
+        vector: dict[int, CycScalar] = {}
         for scalar_text, monomial_text, phases_text in image_terms:
-            scalar = _parse_scalar(scalar_text)
             monomial = parse(monomial_text, target_ip.vars)
-            sector = GroupElement.parse(phases_text)
-            term = algebra.element(monomial, sector)
-            vector = [a + scalar * b for a, b in zip(vector, term)]
-        images.append(tuple(vector))
+            term = algebra.element(monomial, GroupElement.parse(phases_text))
+            add_scaled(vector, _parse_scalar(scalar_text), term)
+        images.append(vector)
     return IsoWitness(source, algebra, tuple(images))
 
 

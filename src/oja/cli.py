@@ -185,14 +185,12 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     group = max_symmetry_group(_invertible(args.poly))
     if args.sl:
         group = sl_subgroup(group)
-    gens = _display_generators(group)
+    gens = [str(g) for g in _display_generators(group)]
     lines = [f"order {group.order}"]
     lines.extend(f"generator ({g})" for g in gens)
-    payload = {
-        "order": group.order,
-        "generators": [str(g) for g in gens],
-        "elements": [str(g) for g in group],
-    }
+    # Only --json lists the elements, so only it formats them.
+    payload = {"order": group.order, "generators": gens,
+               "elements": [str(g) for g in group]} if args.json else {}
     _emit(args, payload, lines)
     return 0
 
@@ -243,7 +241,7 @@ def _orbifold_lines(args: argparse.Namespace,
                     algebra: orbifold.OrbifoldAlgebra) -> list[str]:
     if args.structure:
         return [f"{algebra.label(i)} * {algebra.label(j)} = "
-                f"{algebra.vector_str(algebra.basis_vector_product(i, j))}"
+                f"{algebra.vector_str(algebra.basis_product(i, j))}"
                 for (i, j) in sorted(algebra.structure)]
     if args.pairing:
         return [f"eta[{algebra.label(i)}, {algebra.label(j)}] = {c}"

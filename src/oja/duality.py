@@ -37,10 +37,14 @@ class SearchFailure(ValueError):
 
 
 class IsoWitness:
-    """A candidate isomorphism Jac(f₁) → target, one image per variable."""
+    """A candidate isomorphism Jac(f₁) → target, one image per variable.
+
+    Each image is a sparse coordinate dict of the target with no zero stored,
+    so equal witnesses have equal images.
+    """
 
     def __init__(self, source: InvertiblePoly, target: OrbifoldAlgebra,
-                 images: tuple[tuple[CycScalar, ...], ...]):
+                 images: tuple[dict[int, CycScalar], ...]):
         self.source, self.target, self.images = source, target, images
 
     def __eq__(self, other: object) -> bool:
@@ -48,20 +52,20 @@ class IsoWitness:
             other.source, other.target, other.images)
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.images))
+        return hash((self.source, self.target))
 
     def __repr__(self) -> str:
         return f"IsoWitness(source={self.source!r}, target={self.target!r}, images={self.images!r})"
 
     def image_str(self, i: int) -> str:
-        return self.target.vector_str(list(self.images[i]))
+        return self.target.vector_str(self.images[i])
 
     table = cached_property(lambda self: _ImageTable(self.target, self.images))
 
     @cached_property
-    def relation_images(self) -> tuple[tuple[Poly, tuple[CycScalar, ...]], ...]:
+    def relation_images(self) -> tuple[tuple[Poly, dict[int, CycScalar]], ...]:
         """Each generator ∂f₁/∂xᵢ of the Jacobian ideal with its image."""
-        return tuple((p, tuple(evaluate_in_target(self.table, p)))
+        return tuple((p, evaluate_in_target(self.table, p))
                      for p in map(self.source.poly.partial_derivative, range(self.source.arity)))
 
     image_matrix = cached_property(  # images of the source basis, as rows
@@ -83,8 +87,7 @@ class IsoWitness:
                 "group": [str(g) for g in self.target.group],
             },
             "images": [
-                [[self.target.label(k), c.to_json()]
-                 for k, c in enumerate(img) if not c.is_zero()]
+                [[self.target.label(k), c.to_json()] for k, c in sorted(img.items())]
                 for img in self.images
             ],
         }
@@ -129,29 +132,40 @@ class _ImageTable(dict):
     φ(x^m) is φ(x^m/x_k)∘φ(x_k) with x_k the last variable of x^m: one product
     per monomial beyond its divisors, factors in variable order, and no
     product for 1 or a single variable.  The coordinates lie in any ring
-    holding the structure constants, with the given zero and one.
+    holding the structure constants, with the given one.
     """
 
-    def __init__(self, target: OrbifoldAlgebra, images: Sequence[Sequence],
-                 zero=_ZERO, one=_ONE):
+    def __init__(self, target: OrbifoldAlgebra, images: Sequence[Mapping], one=_ONE):
         n = len(images)
         super().__init__({(0,) * k + (1,) + (0,) * (n - 1 - k): image
                           for k, image in enumerate(images)})
-        self[(0,) * n] = target.identity_vector(zero, one)
-        self.target, self.images, self.zero = target, images, zero
+        self[(0,) * n] = target.identity_vector(one)
+        self.target, self.images = target, images
 
-    def __missing__(self, m: tuple[int, ...]) -> list:
+    def __missing__(self, m: tuple[int, ...]) -> dict:
         k = max(i for i, e in enumerate(m) if e)
         value = self[m] = self.target.product(self[m[:k] + (m[k] - 1,) + m[k + 1:]],
-                                              self.images[k], self.zero)
+                                              self.images[k])
         return value
 
 
-def evaluate_in_target(table: _ImageTable, p: Poly) -> list:
-    """φ(p) inside the target, one table entry per monomial of p."""
-    out = table.target.zero_vector(table.zero)
+def evaluate_in_target(table: _ImageTable, p: Poly) -> dict:
+    """φ(p) inside the target, one table entry per monomial of p.
+
+    An entry multiplies its scalar coefficient from the right (`b * coeff`),
+    so the entries may be polynomials in unknowns.
+    """
+    out: dict = {}
     for exps, coeff in p.terms.items():
-        out = [a + b * coeff if b else a for a, b in zip(out, table[exps])]
+        for k, b in table[exps].items():
+            term = b * coeff
+            prev = out.get(k)
+            if prev is None:
+                out[k] = term
+            elif total := prev + term:
+                out[k] = total
+            else:
+                del out[k]
     return out
 
 
@@ -167,10 +181,10 @@ def verify_algebra_iso(w: IsoWitness) -> Report:
     checks = []
 
     bad = [f"relation {partial} maps to {target.vector_str(value)}"
-           for partial, value in w.relation_images if any(not c.is_zero() for c in value)]
+           for partial, value in w.relation_images if value]
     checks.append(Check("relations", not bad, "; ".join(bad)))
 
-    r = rank([list(row) for row in w.image_matrix])
+    r = rank([[row.get(k, _ZERO) for k in range(target.dim)] for row in w.image_matrix])
     checks.append(Check("surjective", r == target.dim,
                         f"images of the source basis span {r} of {target.dim} dimensions"))
 
@@ -182,7 +196,7 @@ def verify_algebra_iso(w: IsoWitness) -> Report:
 def _is_algebra_map(w: IsoWitness) -> bool:
     """The relations die and the images commute: φ is multiplicative on Jac(f₁)."""
     product = w.target.product
-    return (all(c.is_zero() for _, value in w.relation_images for c in value)
+    return (not any(value for _, value in w.relation_images)
             and all(product(a, b) == product(b, a) for a, b in combinations(w.images, 2)))
 
 
@@ -406,7 +420,7 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
     zero, one = Poly.zero(ring), Poly.constant(ring, _ONE)
 
     # The ansatz is a witness whose coordinates are polynomials in the unknowns.
-    sym_images = [target.zero_vector(zero) for _ in range(source.arity)]
+    sym_images: list[dict[int, Poly]] = [{} for _ in range(source.arity)]
     for t, (i, k) in enumerate(layout):
         sym_images[i][k] = Poly.variable(ring, t)
 
@@ -418,10 +432,11 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
         if eq.terms:
             equations.setdefault(eq)
 
-    table = _ImageTable(target, sym_images, zero, one)
+    table = _ImageTable(target, sym_images, one)
     for i in range(source.arity):
-        for entry in evaluate_in_target(table, source.poly.partial_derivative(i)):
-            add_equation(entry)
+        value = evaluate_in_target(table, source.poly.partial_derivative(i))
+        for k in sorted(value):  # in basis order, as the solver branches on it
+            add_equation(value[k])
 
     if require_frobenius:
         phi = [table[m] for _, m in src.basis]
@@ -432,10 +447,11 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
 
     budget = _Budget(MAX_NODES)
     for assignment in _solve_system(list(equations), len(layout), budget):
-        images = [target.zero_vector() for _ in range(source.arity)]
+        images: list[dict[int, CycScalar]] = [{} for _ in range(source.arity)]
         for t, (i, k) in enumerate(layout):
-            images[i][k] = assignment[t]
-        w = IsoWitness(source, target, tuple(tuple(img) for img in images))
+            if assignment[t]:  # a zero from the bank or a root is not stored
+                images[i][k] = assignment[t]
+        w = IsoWitness(source, target, tuple(images))
         if not w.algebra_report.passed:
             continue
         if require_frobenius and not w.frobenius_report.passed:

@@ -238,11 +238,14 @@ def has_isolated_singularity(f: Poly) -> bool:
 # --- the quotient algebra -------------------------------------------------
 
 
-def _add_scaled(out: dict[int, CycScalar], c: CycScalar, vector: Mapping[int, CycScalar],
-                offset: int = 0) -> None:
+def add_scaled(out: dict[int, CycScalar], c: CycScalar, vector: Mapping[int, CycScalar],
+               offset: int = 0) -> None:
     """out[offset + i] += c · vector[i] for nonzero c, keeping only nonzero entries.
 
-    The table's unit entries are `_ONE` itself and are not multiplied.
+    The one accumulator of sparse coordinate dicts: normal forms, structure
+    constants, algebra products and witness images.  `c` may come from any
+    ring that multiplies the scalars of `vector` from the left.  The table's
+    unit entries are `_ONE` itself and are not multiplied.
     """
     for i, s in vector.items():
         term = c if s is _ONE else c * s
@@ -311,14 +314,14 @@ class QuotientAlgebra:
             if vector is None:  # a border monomial, of degree at most the socle's
                 nf = self.gb.reduce(Poly.monomial(self.vars, up))
                 vector = table[up] = {self.index[u]: s for u, s in nf.terms.items()}
-            _add_scaled(out, c, vector)
+            add_scaled(out, c, vector)
         table[m] = out
         return out
 
     def add_term(self, out: dict[int, CycScalar], c: CycScalar, m: Monomial,
                  offset: int = 0) -> None:
         """out[offset + i] += coordinate i of [c·x^m], for nonzero c."""
-        _add_scaled(out, c, self.monomial_coords(m), offset)
+        add_scaled(out, c, self.monomial_coords(m), offset)
 
     def _sparse(self, p: Poly) -> dict[int, CycScalar]:
         if len(p.vars) != len(self.vars):
@@ -330,13 +333,6 @@ class QuotientAlgebra:
 
     def normal_form(self, p: Poly) -> Poly:
         return Poly(self.vars, {self.basis[i]: c for i, c in self._sparse(p).items()})
-
-    def coords(self, p: Poly) -> list[CycScalar]:
-        """Coordinates of [p] over the standard-monomial basis."""
-        vec = [_ZERO] * self.mu
-        for i, c in self._sparse(p).items():
-            vec[i] = c
-        return vec
 
     def weighted_degree(self, m: Monomial) -> int:
         return sum(w * e for w, e in zip(self.weights, m))
@@ -449,8 +445,10 @@ def solve_in_quotient(algebra: QuotientAlgebra, a: Poly, b: Poly,
         for e, c in a_nf.terms.items():
             algebra.add_term(column, c, _mono_mul(e, m))
         columns.append(column)
+    rhs = algebra._sparse(b)
     matrix = [[column.get(i, _ZERO) for column in columns] for i in range(algebra.mu)]
-    particular, nullspace = solve_linear(matrix, algebra.coords(b), _ZERO, _ONE)
+    particular, nullspace = solve_linear(matrix, [rhs.get(i, _ZERO) for i in range(algebra.mu)],
+                                         _ZERO, _ONE)
     if particular is None:
         raise ValueError("no solution in the quotient under the given constraints")
     return Poly(algebra.vars, dict(zip(candidates, particular))), not nullspace
@@ -489,20 +487,20 @@ def _span_dim(vectors: list[list[CycScalar]]) -> list[list[CycScalar]]:
 def _degree_blocks(algebra: OrbifoldAlgebra) -> tuple[list[int], list[list[int | None]]]:
     """Integer block id of each basis index, and the block id of a product.
 
-    Blocks are the weighted degrees when every structure constant (i, j) -> k
-    has deg k = deg i + deg j; otherwise every index shares block 0.
-    `plus[a][b]` is the block of a product of blocks a and b, or None when
-    that degree carries no basis vector.
+    Blocks are the weighted degrees; every structure constant (i, j) -> k
+    must have deg k = deg i + deg j, or ValueError is raised.  `plus[a][b]`
+    is the block of a product of blocks a and b, or None when that degree
+    carries no basis vector.
     """
     den = math.lcm(*(d.denominator for d in algebra.degrees))
     ids: dict[int, int] = {}  # degree * den -> block id; integer sums below
     block = [ids.setdefault(d.numerator * (den // d.denominator), len(ids))
              for d in algebra.degrees]
     plus = [[ids.get(a + b) for b in ids] for a in ids]
-    if all(block[k] == plus[block[i]][block[j]]
-           for (i, j), row in algebra.structure.items() for k in row):
-        return block, plus
-    return [0] * algebra.dim, [[0]]
+    if not all(block[k] == plus[block[i]][block[j]]
+               for (i, j), row in algebra.structure.items() for k in row):
+        raise ValueError(f"{algebra!r}: a structure constant breaks the weighted grading")
+    return block, plus
 
 
 def fingerprint(algebra: OrbifoldAlgebra) -> Fingerprint:

@@ -24,7 +24,8 @@ from functools import lru_cache
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
-from .jacobian import Monomial, QuotientAlgebra, quotient_algebra, solve_in_quotient
+from .jacobian import (Monomial, QuotientAlgebra, add_scaled, quotient_algebra,
+                       solve_in_quotient)
 from .linalg import rank
 from .poly import Poly
 from .scalar import CycScalar
@@ -133,7 +134,7 @@ def _prefactor(arity: int, g: GroupElement) -> CycScalar:
 class OrbifoldAlgebra:
     """Jac'(f,G) or its G-invariant part Jac(f,G), with structure constants.
 
-    Elements are coordinate vectors over `basis`, whose entries are pairs
+    Elements are sparse coordinate dicts over `basis`, whose entries are pairs
     (group element, sector-local standard monomial).  The structure tensor,
     Gram matrix, and weighted degrees are all materialized at construction;
     instances are immutable.  The trace reads one coordinate: the socle of
@@ -187,31 +188,21 @@ class OrbifoldAlgebra:
     def basis_product(self, i: int, j: int) -> dict[int, CycScalar]:
         return self.structure.get((i, j), {})
 
-    def basis_vector_product(self, i: int, j: int) -> list[CycScalar]:
-        out = [_ZERO] * self.dim
-        for k, c in self.basis_product(i, j).items():
-            out[k] = c
-        return out
-
-    # -- elements as coordinate vectors --
+    # -- elements as sparse coordinate dicts --
     #
-    # Coordinates may come from any commutative ring that holds the structure
-    # constants (scalars, or polynomials in unknowns); callers pass that
-    # ring's zero and one.
+    # An element is {basis index: nonzero coordinate}; no zero is stored, so
+    # equal elements are equal dicts.  Coordinates may come from any
+    # commutative ring that holds the structure constants (scalars, or
+    # polynomials in unknowns).
 
-    def zero_vector(self, zero=_ZERO) -> list:
-        return [zero] * self.dim
+    def identity_vector(self, one=_ONE) -> dict:
+        return {self.identity_index: one}
 
-    def identity_vector(self, zero=_ZERO, one=_ONE) -> list:
-        out = self.zero_vector(zero)
-        out[self.identity_index] = one
-        return out
-
-    def element(self, p: Poly, g: GroupElement) -> list[CycScalar]:
+    def element(self, p: Poly, g: GroupElement) -> dict[int, CycScalar]:
         """Coordinates of [p]·v_g for an ambient polynomial p."""
         sector = self.sectors[g]
         nf = sector.algebra.normal_form(p.restrict(sector.fixed))
-        out = self.zero_vector()
+        out = {}
         for m, c in nf.terms.items():
             index = self._pos.get((g, m))
             if index is None:
@@ -220,29 +211,23 @@ class OrbifoldAlgebra:
             out[index] = c
         return out
 
-    def product(self, u: Sequence, v: Sequence, zero=_ZERO) -> list:
-        out = self.zero_vector(zero)
-        right = [(j, cv) for j, cv in enumerate(v) if not cv.is_zero()]
-        for i, cu in enumerate(u):
-            if cu.is_zero():
-                continue
-            for j, cv in right:
-                row = self.structure.get((i, j))
-                if row:
-                    c = cu * cv
-                    for k, s in row.items():
-                        out[k] = out[k] + c * s
+    def product(self, u: Mapping, v: Mapping) -> dict:
+        out: dict = {}
+        for i, cu in u.items():
+            for j, cv in v.items():
+                if row := self.structure.get((i, j)):
+                    add_scaled(out, cu * cv, row)
         return out
 
-    def trace(self, u: Sequence):
-        c = u[self._socle]
-        return c if c.is_zero() else c * self._trace_factor
+    def trace(self, u: Mapping[int, CycScalar]) -> CycScalar:
+        c = u.get(self._socle)
+        return _ZERO if c is None else c * self._trace_factor
 
-    def pairing(self, u: Sequence, v: Sequence, zero=_ZERO):
+    def pairing(self, u: Mapping, v: Mapping, zero=_ZERO):
         """η(u, v) = Σ u_a v_b gram[a][b] over nonzero entries: ε(u∘v), no product."""
-        right = [(b, cv) for b, cv in enumerate(v) if not cv.is_zero()]
-        return sum((cu * cv * self.gram[a][b] for a, cu in enumerate(u) if not cu.is_zero()
-                    for b, cv in right if not self.gram[a][b].is_zero()), zero)
+        gram = self.gram
+        return sum((cu * cv * gram[a][b] for a, cu in u.items()
+                    for b, cv in v.items() if gram[a][b]), zero)
 
     def label(self, i: int) -> str:
         g, m = self.basis[i]
@@ -251,8 +236,8 @@ class OrbifoldAlgebra:
         sector = "id" if g.is_identity() else str(g)
         return f"[{mono}] v_({sector})"
 
-    def vector_str(self, u: Sequence[CycScalar]) -> str:
-        parts = [f"({c}) {self.label(i)}" for i, c in enumerate(u) if not c.is_zero()]
+    def vector_str(self, u: Mapping[int, CycScalar]) -> str:
+        parts = [f"({c}) {self.label(i)}" for i, c in sorted(u.items())]
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:

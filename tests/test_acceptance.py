@@ -75,9 +75,7 @@ def _vec(algebra: OrbifoldAlgebra, mono: str, g: GroupElement):
 
 
 def _unit(algebra: OrbifoldAlgebra, i: int):
-    vec = algebra.zero_vector()
-    vec[i] = CycScalar.one()
-    return vec
+    return {i: CycScalar.one()}
 
 
 def _vpow(algebra: OrbifoldAlgebra, vec, n: int):
@@ -87,17 +85,20 @@ def _vpow(algebra: OrbifoldAlgebra, vec, n: int):
     return out
 
 
-def _scaled(vec, q) -> list:
+def _scaled(vec, q) -> dict:
     s = CycScalar.from_rational(q)
-    return [s * a for a in vec]
+    return {k: s * a for k, a in vec.items()}
 
 
-def _vadd(u, v) -> list:
-    return [a + b for a, b in zip(u, v)]
+def _vadd(u, v) -> dict:
+    out = dict(u)
+    for k, b in v.items():
+        out[k] = out[k] + b if k in out else b
+    return {k: c for k, c in out.items() if not c.is_zero()}
 
 
 def _is_zero_vec(vec) -> bool:
-    return all(c.is_zero() for c in vec)
+    return all(c.is_zero() for c in vec.values())
 
 
 @pytest.fixture(scope="module")

@@ -546,6 +546,33 @@ def test_symmetry_generates_the_group_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("json_flag, calls", [(False, 3), (True, 3 + 36)],
+                         ids=["text", "json"])
+def test_symmetry_formats_group_elements_only_for_the_output(monkeypatch, capsys,
+                                                              json_flag, calls):
+    """Text mode formats the three generator lines; --json adds the 36 elements."""
+    from oja.cli import main
+    from oja.symmetry import GroupElement
+
+    formatted: list = []
+    original = GroupElement.__str__
+
+    def counting_str(self):
+        formatted.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GroupElement, "__str__", counting_str)
+    argv = ["symmetry", "x1^4+x2^3+x3^3"] + ["--json"] * json_flag
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(formatted) == calls
+    if json_flag:
+        assert len(json.loads(out)["elements"]) == 36
+    else:
+        assert out.splitlines()[1:] == ["generator (1/4,0,0)", "generator (0,1/3,0)",
+                                        "generator (0,0,1/3)"]
+
+
 def test_catalog_stays_far_inside_the_enumeration_limit():
     from oja.catalog import row_source, row_target
     from oja.jacobian import _jacobian_ideal

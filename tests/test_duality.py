@@ -86,8 +86,7 @@ def test_target_trace_is_supported_on_one_socle_vector(index):
     algebra = _target_algebra(_catalog().row(index))
     values = []
     for k in range(algebra.dim):
-        unit = [_ONE if i == k else _ZERO for i in range(algebra.dim)]
-        value = algebra.trace(unit)
+        value = algebra.trace({k: _ONE})
         if not value.is_zero():
             values.append(value)
     assert len(values) == 1
@@ -123,9 +122,8 @@ def test_unscaled_twisted_image_fails_with_visible_residue():
     bad_images = (
         good.images[0],
         good.images[1],
-        tuple(algebra.element(Poly.constant(vars3, _ONE),
-                              next(g for g in algebra.group
-                                   if not g.is_identity()))),
+        algebra.element(Poly.constant(vars3, _ONE),
+                        next(g for g in algebra.group if not g.is_identity())),
     )
     report = verify_witness(IsoWitness(source, algebra, bad_images))
     assert not report.passed
@@ -139,9 +137,8 @@ def test_identity_witness_verifies():
     source = row_source(_catalog().row(1))
     algebra = source_algebra(source)
     identity = GroupElement.identity(source.arity)
-    images = tuple(
-        tuple(algebra.element(Poly.variable(source.vars, i), identity))
-        for i in range(source.arity))
+    images = tuple(algebra.element(Poly.variable(source.vars, i), identity)
+                   for i in range(source.arity))
     report = verify_witness(IsoWitness(source, algebra, images))
     assert report.passed, report.failure()
 
@@ -215,20 +212,18 @@ def test_inverse_of_frobenius_witness_preserves_pairing():
     w = row_witness(_catalog().row(2))
     src = source_algebra(w.source)
     target = w.target
-    phi = w.image_matrix  # rows: source basis -> target coordinates
-    transposed = [[phi[j][i] for j in range(src.dim)] for i in range(target.dim)]
+    phi = w.image_matrix  # rows: source basis -> sparse target coordinates
+    transposed = [[phi[j].get(i, _ZERO) for j in range(src.dim)] for i in range(target.dim)]
     inverse_rows = []
     for k in range(target.dim):
         rhs = [_ONE if i == k else _ZERO for i in range(target.dim)]
         particular, _ = solve_linear(transposed, rhs, _ZERO, _ONE)
         assert particular is not None
-        inverse_rows.append(particular)
+        inverse_rows.append({i: c for i, c in enumerate(particular) if c})
     for k in range(target.dim):
         for l in range(k, target.dim):
-            unit_k = [_ONE if i == k else _ZERO for i in range(target.dim)]
-            unit_l = [_ONE if i == l else _ZERO for i in range(target.dim)]
             assert src.pairing(inverse_rows[k], inverse_rows[l]) == \
-                target.pairing(unit_k, unit_l)
+                target.pairing({k: _ONE}, {l: _ONE})
 
 
 # --- the isomorphism graph ---------------------------------------------

@@ -428,12 +428,15 @@ def test_graded_fingerprint_matches_the_dense_reference(build):
     assert fingerprint(A) == _dense_fingerprint(A)
 
 
-def test_inconsistent_degrees_fall_back_to_one_block():
+def test_inconsistent_degrees_are_rejected():
+    """Every algebra oja builds is graded; a broken grading is an error, not a
+    second, ungraded fingerprint path."""
     A = copy.copy(orbifold_algebra(*row_target(load_catalog().row(1))))
     A.degrees = tuple(range(A.dim))  # distinct degrees that some product breaks
-    block, plus = jacobian._degree_blocks(A)
-    assert set(block) == {0} and plus == [[0]]
-    assert fingerprint(A) == _dense_fingerprint(A)
+    with pytest.raises(ValueError, match="breaks the weighted grading"):
+        jacobian._degree_blocks(A)
+    with pytest.raises(ValueError, match="breaks the weighted grading"):
+        fingerprint(A)
 
 
 def test_jacobian_ideal_is_computed_once_per_polynomial(monkeypatch):

@@ -45,7 +45,7 @@ def _fresh(w: IsoWitness) -> IsoWitness:
 
 def _rescaled(w: IsoWitness) -> IsoWitness:
     """x_i -> 2^(w_i)·φ(x_i): the relations still hold, the pairing does not."""
-    images = tuple(tuple(CycScalar.from_rational(2 ** weight) * c for c in image)
+    images = tuple({k: CycScalar.from_rational(2 ** weight) * c for k, c in image.items()}
                    for weight, image in zip(w.source.weights, w.images))
     return IsoWitness(w.source, w.target, images)
 
@@ -63,7 +63,7 @@ def _unscaled_twisted(index: int) -> IsoWitness:
     g = next(g for g in w.target.group if not g.is_identity())
     one = Poly.constant(w.source.vars, CycScalar.one())
     return IsoWitness(w.source, w.target,
-                      w.images[:-1] + (tuple(w.target.element(one, g)),))
+                      w.images[:-1] + (w.target.element(one, g),))
 
 
 def _algebra_witness(index: int) -> IsoWitness:
@@ -92,7 +92,7 @@ def test_pairing_failure_report_matches_pinned_text(name):
 # --- the counit verdict against the full pairing table ---------------------------
 
 
-def _naive_image(w: IsoWitness, m) -> list[CycScalar]:
+def _naive_image(w: IsoWitness, m) -> dict[int, CycScalar]:
     """φ(x₁)^m₁ ⋯ φ(xₙ)^mₙ, one factor at a time from the unit."""
     vector = w.target.identity_vector()
     for i, e in enumerate(m):
@@ -101,11 +101,12 @@ def _naive_image(w: IsoWitness, m) -> list[CycScalar]:
     return vector
 
 
-def _naive_evaluate(w: IsoWitness, p: Poly) -> list[CycScalar]:
-    out = w.target.zero_vector()
+def _naive_evaluate(w: IsoWitness, p: Poly) -> dict[int, CycScalar]:
+    out: dict[int, CycScalar] = {}
     for m, coeff in p.terms.items():
-        out = [a + coeff * b for a, b in zip(out, _naive_image(w, m))]
-    return out
+        for k, b in _naive_image(w, m).items():
+            out[k] = out.get(k, CycScalar.zero()) + coeff * b
+    return {k: c for k, c in out.items() if not c.is_zero()}
 
 
 def _table_verdict(w: IsoWitness) -> bool:
@@ -195,15 +196,15 @@ def test_image_matrix_takes_one_product_per_basis_element_besides_the_unit(monke
     calls = []
     original = OrbifoldAlgebra.product
 
-    def counting_product(self, u, v, *ring):
+    def counting_product(self, u, v):
         calls.append((u, v))
-        return original(self, u, v, *ring)
+        return original(self, u, v)
 
     monkeypatch.setattr(OrbifoldAlgebra, "product", counting_product)
     matrix = w.image_matrix
     # The unit and the variables are table seeds and take no product.
     assert len(calls) == sum(1 for _, m in source_algebra(w.source).basis if sum(m) > 1)
-    assert [list(row) for row in matrix] == expected
+    assert list(matrix) == expected
 
 
 def test_evaluate_in_target_never_multiplies_by_the_unit(monkeypatch):
@@ -217,9 +218,9 @@ def test_evaluate_in_target_never_multiplies_by_the_unit(monkeypatch):
     operands = []
     original = OrbifoldAlgebra.product
 
-    def recording_product(self, u, v, *ring):
-        operands.extend((list(u), list(v)))
-        return original(self, u, v, *ring)
+    def recording_product(self, u, v):
+        operands.extend((dict(u), dict(v)))
+        return original(self, u, v)
 
     monkeypatch.setattr(OrbifoldAlgebra, "product", recording_product)
     table = duality._ImageTable(target, w.images)
@@ -240,9 +241,9 @@ def test_pairing_equations_read_the_gram_matrix(monkeypatch):
     calls = []
     original = OrbifoldAlgebra.product
 
-    def counting_product(self, u, v, *ring):
+    def counting_product(self, u, v):
         calls.append((u, v))
-        return original(self, u, v, *ring)
+        return original(self, u, v)
 
     monkeypatch.setattr(OrbifoldAlgebra, "product", counting_product)
     monkeypatch.setattr(duality, "_solve_system", lambda *args: iter(()))
@@ -280,27 +281,27 @@ def test_ansatz_images_specialise_to_the_found_witness(index):
     source, target = w.source, w.target
     layout = [(i, k) for i, weight in enumerate(source.weights) for k in range(target.dim)
               if target.degrees[k] * source.degree == weight]
-    assert all(c.is_zero() or (i, k) in layout
-               for i, image in enumerate(w.images) for k, c in enumerate(image))
+    assert all((i, k) in layout for i, image in enumerate(w.images) for k in image)
     ring = tuple(f"u{t}" for t in range(len(layout)))
     zero, one = Poly.zero(ring), Poly.constant(ring, CycScalar.one())
-    images = [target.zero_vector(zero) for _ in range(source.arity)]
+    images: list[dict[int, Poly]] = [{} for _ in range(source.arity)]
     for t, (i, k) in enumerate(layout):
         images[i][k] = Poly.variable(ring, t)
-    values = [w.images[i][k] for i, k in layout]
+    values = [w.images[i].get(k, CycScalar.zero()) for i, k in layout]
 
     def specialise(vector):
-        return [_specialise(p, values) for p in vector]
+        out = {k: _specialise(p, values) for k, p in vector.items()}
+        return {k: c for k, c in out.items() if not c.is_zero()}
 
     polys = [source.poly.partial_derivative(i) for i in range(source.arity)]
     polys.append(source.poly + Poly.constant(source.vars, CycScalar.from_rational(3)))
-    table = duality._ImageTable(target, images, zero, one)
+    table = duality._ImageTable(target, images, one)
     for p in polys:
         assert (specialise(evaluate_in_target(table, p))
                 == evaluate_in_target(w.table, p))
     phi = [table[m] for _, m in source_algebra(source).basis]
-    assert [specialise(row) for row in phi] == [list(row) for row in w.image_matrix]
+    assert [specialise(row) for row in phi] == list(w.image_matrix)
     for i, j in [(0, 0), (0, len(phi) - 1), (1, len(phi) - 2)]:
-        pairing = target.trace(target.product(phi[i], phi[j], zero))
-        assert _specialise(pairing, values) == target.pairing(w.image_matrix[i],
-                                                              w.image_matrix[j])
+        expected = target.pairing(w.image_matrix[i], w.image_matrix[j])
+        assert target.trace(specialise(target.product(phi[i], phi[j]))) == expected
+        assert _specialise(target.pairing(phi[i], phi[j], zero), values) == expected
