@@ -1,10 +1,10 @@
 """Twisted and orbifold Jacobian algebras of invertible polynomials.
 
 For a symmetry group G (trivial, Z/2, or Z/3 inside the SL subgroup) the
-twisted algebra is the direct sum of the sector algebras Jac(f^g)·v_g, where
-f^g restricts f to the fixed variables of g.  The product of [φ]v_g and
-[ψ]v_h vanishes unless the fixed loci of g, h, gh cover all coordinates;
-otherwise it is
+twisted algebra Jac'(f,G) is the direct sum of the sector algebras
+Jac(f^g)·v_g, where f^g restricts f to the fixed variables of g.  The
+product of [φ]v_g and [ψ]v_h vanishes unless the fixed loci of g, h, gh
+cover all coordinates; otherwise it is
 
     (-1)^((N-N_g)(N-N_g-1)/2) · e[-age(g)/2] · [φ ψ H_{g,h}] v_{gh},
 
@@ -13,7 +13,9 @@ with the correction class H_{g,h} pinned by the Hessian-ratio equation
     (1/μ_{g∩h}) [hess(f^{g∩h}) · H] = (1/μ_{gh}) [hess(f^{gh})]  in Jac(f^{gh}),
 
 solved among G-invariant classes of the expected weighted degree (the class
-is asserted unique).  The orbifold algebra is the G-invariant part, carrying
+is asserted unique).  `twisted_algebra` keeps Jac'(f,G) as this product rule,
+multiplying out only the unit's row and column.  `OrbifoldAlgebra` is its
+G-invariant part Jac(f,G), built from invariant products alone and carrying
 the trace pairing normalized by λ([hess f]) = |G|·μ_f.
 """
 
@@ -46,17 +48,13 @@ class Sector(NamedTuple):
 
     def lift(self, m: Monomial, arity: int) -> Monomial:
         """Sector-local exponents placed at the ambient fixed positions."""
-        out = [0] * arity
-        for j, e in enumerate(m):
-            out[self.fixed[j]] = e
-        return tuple(out)
+        at = dict(zip(self.fixed, m))
+        return tuple(at.get(i, 0) for i in range(arity))
 
 
 def fix_union_holds(g: GroupElement, h: GroupElement) -> bool:
     """True iff Fix(g) ∪ Fix(h) ∪ Fix(gh) covers every coordinate."""
-    covered = set(g.fixed_indices()) | set(h.fixed_indices())
-    covered |= set((g * h).fixed_indices())
-    return len(covered) == g.arity
+    return len({*g.fixed_indices(), *h.fixed_indices(), *(g * h).fixed_indices()}) == g.arity
 
 
 def _check_group(ip: InvertiblePoly, group: SymmetryGroup) -> None:
@@ -132,26 +130,24 @@ def _prefactor(arity: int, g: GroupElement) -> CycScalar:
 
 
 class OrbifoldAlgebra:
-    """Jac'(f,G) or its G-invariant part Jac(f,G), with structure constants.
+    """The orbifold Jacobian algebra Jac(f,G), with structure constants.
 
-    Elements are sparse coordinate dicts over `basis`, whose entries are pairs
-    (group element, sector-local standard monomial).  The structure tensor,
-    Gram matrix, and weighted degrees are all materialized at construction;
-    instances are immutable.  The trace reads one coordinate: the socle of
-    the identity sector.
+    Elements are sparse coordinate dicts over `basis`: G-invariant pairs (group
+    element, sector-local standard monomial).  The structure tensor, Gram
+    matrix (checked nondegenerate) and weighted degrees are all materialized
+    at construction; instances are immutable.  The trace reads one
+    coordinate: the socle of the identity sector.
     """
 
     def __init__(self, ip: InvertiblePoly, group: SymmetryGroup,
                  sectors: Mapping[GroupElement, Sector],
                  basis: Sequence[tuple[GroupElement, Monomial]],
-                 structure: Mapping[tuple[int, int], dict[int, CycScalar]],
-                 invariant_only: bool):
+                 structure: Mapping[tuple[int, int], dict[int, CycScalar]]):
         self.ip = ip
         self.group = group
         self.sectors = dict(sectors)
         self.basis = tuple(basis)
-        self.structure = {k: dict(v) for k, v in structure.items() if v}
-        self.invariant_only = invariant_only
+        self.structure = dict(structure)
         self._pos = {key: i for i, key in enumerate(self.basis)}
         self.parities = tuple(self.sectors[g].parity for g, _ in self.basis)
 
@@ -176,7 +172,7 @@ class OrbifoldAlgebra:
         for (i, j), row in self.structure.items():
             if self._socle in row:
                 self.gram[i][j] = row[self._socle] * self._trace_factor
-        if invariant_only and rank([row[:] for row in self.gram]) != dim:
+        if rank([row[:] for row in self.gram]) != dim:
             raise ValueError("Frobenius pairing is degenerate; construction is inconsistent")
 
     # -- basics --
@@ -219,9 +215,10 @@ class OrbifoldAlgebra:
                     add_scaled(out, cu * cv, row)
         return out
 
-    def trace(self, u: Mapping[int, CycScalar]) -> CycScalar:
+    def trace(self, u: Mapping, zero=_ZERO):
+        """ε(u): the socle coordinate times the trace factor, else the ring's `zero`."""
         c = u.get(self._socle)
-        return _ZERO if c is None else c * self._trace_factor
+        return zero if c is None else c * self._trace_factor
 
     def pairing(self, u: Mapping, v: Mapping, zero=_ZERO):
         """η(u, v) = Σ u_a v_b gram[a][b] over nonzero entries: ε(u∘v), no product."""
@@ -244,7 +241,7 @@ class OrbifoldAlgebra:
         return {
             "polynomial": self.ip.poly.to_json(),
             "group": [str(g) for g in self.group],
-            "invariant_only": self.invariant_only,
+            "invariant_only": True,
             "sectors": [{
                 "element": str(g),
                 "fixed": list(s.fixed),
@@ -261,88 +258,90 @@ class OrbifoldAlgebra:
         }
 
     def __repr__(self) -> str:
-        kind = "Jac(f,G)" if self.invariant_only else "Jac'(f,G)"
-        return f"OrbifoldAlgebra[{kind}, dim={self.dim}]"
+        return f"OrbifoldAlgebra[Jac(f,G), dim={self.dim}]"
 
 
-def twisted_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> OrbifoldAlgebra:
-    """Build Jac'(f,G) with its full structure tensor.
+class TwistedAlgebra(NamedTuple):
+    """Jac'(f,G) as a product rule, with no structure tensor.
 
-    Each product of sector elements is read from the target sector's
-    normal-form table once per distinct (g, h, ambient exponent) triple;
-    many basis pairs share one.
+    `lifted[g]` holds sector g's standard monomials at ambient positions.  The
+    product of sectors g and h vanishes unless `correction[g, h]` holds
+    prefactor(g)·H_{g,h}, as (exponents on Fix(gh), coefficient) pairs.
     """
+
+    ip: InvertiblePoly
+    group: SymmetryGroup
+    sectors: dict[GroupElement, Sector]
+    lifted: dict[GroupElement, tuple[Monomial, ...]]
+    correction: dict[tuple[GroupElement, GroupElement], tuple[tuple[Monomial, CycScalar], ...]]
+
+    def products(self, g: GroupElement, h: GroupElement, rows: Sequence[tuple[int, Monomial]],
+                 cols: Sequence[tuple[int, Monomial]], index: Sequence[int | None]) -> dict:
+        """The products of sector g's `rows` with sector h's `cols`, keyed by index pair.
+
+        Rows and columns are (output index, ambient exponent) pairs; `index`
+        maps the target sector's basis positions to output indices, None
+        outside the output basis (ValueError).  Each distinct ambient exponent
+        is reduced once, and the pairs that share it share its entry.
+        """
+        target = self.sectors[g * h]
+        moved = [k for k in range(self.ip.arity) if k not in target.fixed]
+        reduced, structure = {}, {}
+        for a, x in rows:
+            for b, y in cols:
+                ambient = tuple(map(add, x, y))
+                entry = reduced.get(ambient)
+                if entry is None:
+                    local: dict[int, CycScalar] = {}
+                    # H_{g,h} lives on Fix(gh), so a factor x_k outside it kills the product.
+                    if not any(ambient[k] for k in moved):
+                        for exps, c in self.correction[g, h]:
+                            target.algebra.add_term(local, c, tuple(
+                                ambient[k] + e for k, e in zip(target.fixed, exps)))
+                    entry = reduced[ambient] = {index[k]: c for k, c in local.items()}
+                    if None in entry:
+                        raise ValueError("invariant basis is not closed under the product")
+                if entry:
+                    structure[(a, b)] = entry
+        return structure
+
+
+def twisted_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> TwistedAlgebra:
+    """Jac'(f,G) as a product rule, whose unit's row and column must be the identity."""
     sectors = build_sectors(ip, group)
     n = ip.arity
+    correction = {(g, h): tuple((e, _prefactor(n, g) * c)
+                                for e, c in compute_H(ip, group, g, h, sectors).terms.items())
+                  for g in group for h in group if fix_union_holds(g, h)}
+    lifted = {g: tuple(s.lift(m, n) for m in s.algebra.basis) for g, s in sectors.items()}
+    rule = TwistedAlgebra(ip, group, sectors, lifted, correction)
+    identity, unit = GroupElement.identity(n), [(0, (0,) * n)]
+    for g in group:
+        local, elements = range(len(lifted[g])), list(enumerate(lifted[g]))
+        left = rule.products(identity, g, unit, elements, local)
+        right = rule.products(g, identity, elements, unit, local)
+        if any(left.get((0, a)) != {a: _ONE} or right.get((a, 0)) != {a: _ONE} for a in local):
+            raise ValueError("v_id is not a two-sided unit for this group configuration; "
+                             "the product formula does not apply")
+    return rule
+
+
+def invariant_subalgebra(twisted: TwistedAlgebra) -> OrbifoldAlgebra:
+    """Jac(f,G): only the G-invariant basis elements of Jac'(f,G) are multiplied."""
     basis: list[tuple[GroupElement, Monomial]] = []
-    spans: dict[GroupElement, range] = {}
-    for g in group:
-        spans[g] = range(len(basis), len(basis) + sectors[g].algebra.mu)
-        basis.extend((g, m) for m in sectors[g].algebra.basis)
-    lifted = [sectors[g].lift(m, n) for g, m in basis]
-
-    structure: dict[tuple[int, int], dict[int, CycScalar]] = {}
-    for g in group:
-        pre = _prefactor(n, g)
-        for h in group:
-            if not fix_union_holds(g, h):
-                continue
-            target = sectors[g * h]
-            start = spans[target.g].start
-            moved = [k for k in range(n) if k not in target.fixed]
-            # H_{g,h} as (exponents on Fix(gh), prefactor(g) · coefficient) pairs.
-            correction = [(e, pre * c)
-                          for e, c in compute_H(ip, group, g, h, sectors).terms.items()]
-            reduced: dict[Monomial, dict[int, CycScalar]] = {}
-            for i in spans[g]:
-                for j in spans[h]:
-                    ambient = tuple(map(add, lifted[i], lifted[j]))
-                    entry = reduced.get(ambient)
-                    if entry is None:
-                        entry = reduced[ambient] = {}
-                        # H_{g,h} lives on Fix(gh), so a factor x_k outside it kills the product.
-                        if not any(ambient[k] for k in moved):
-                            for exps, c in correction:
-                                local = tuple(ambient[k] + e for k, e in zip(target.fixed, exps))
-                                target.algebra.add_term(entry, c, local, start)
-                    if entry:
-                        structure[(i, j)] = entry
-
-    algebra = OrbifoldAlgebra(ip, group, sectors, basis, structure, invariant_only=False)
-    _check_unit(algebra)
-    return algebra
-
-
-def _check_unit(algebra: OrbifoldAlgebra) -> None:
-    one = algebra.identity_index
-    for i in range(algebra.dim):
-        left = algebra.basis_product(one, i)
-        right = algebra.basis_product(i, one)
-        if left != {i: _ONE} or right != {i: _ONE}:
-            raise ValueError(
-                "v_id is not a two-sided unit for this group configuration; "
-                "the product formula does not apply")
-
-
-def invariant_subalgebra(algebra: OrbifoldAlgebra) -> OrbifoldAlgebra:
-    """Restrict Jac'(f,G) to its G-invariant part Jac(f,G)."""
-    arity = algebra.ip.arity
-    keep = [i for i, (g, m) in enumerate(algebra.basis)  # [x^m]v_g fixed by every q
-            if all(q.fixes_monomial(algebra.sectors[g].lift(m, arity)) for q in algebra.group)]
-    position = {old: new for new, old in enumerate(keep)}
-    structure: dict[tuple[int, int], dict[int, CycScalar]] = {}
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            entry = algebra.basis_product(i, j)
-            if not entry:
-                continue
-            for k in entry:
-                if k not in position:
-                    raise ValueError("invariant basis is not closed under the product")
-            structure[(a, b)] = {position[k]: c for k, c in entry.items()}
-    return OrbifoldAlgebra(algebra.ip, algebra.group, algebra.sectors,
-                           [algebra.basis[i] for i in keep], structure,
-                           invariant_only=True)
+    index: dict[GroupElement, list[int | None]] = {}  # sector position -> Jac(f,G) index
+    kept = {}
+    for g, sector in twisted.sectors.items():
+        index[g], kept[g] = [None] * sector.algebra.mu, []
+        for a, x in enumerate(twisted.lifted[g]):
+            if all(q.fixes_monomial(x) for q in twisted.group):  # [x^m]v_g fixed by every q
+                index[g][a] = len(basis)
+                kept[g].append((len(basis), x))
+                basis.append((g, sector.algebra.basis[a]))
+    structure = {}
+    for g, h in twisted.correction:
+        structure.update(twisted.products(g, h, kept[g], kept[h], index[g * h]))
+    return OrbifoldAlgebra(twisted.ip, twisted.group, twisted.sectors, basis, structure)
 
 
 @lru_cache(maxsize=None)

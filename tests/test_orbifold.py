@@ -16,6 +16,7 @@ from oja.orbifold import (OrbifoldAlgebra, build_sectors, compute_H, fix_union_h
 from oja.poly import Poly, grevlex_key, parse
 from oja.scalar import CycScalar
 from oja.symmetry import GroupElement, SymmetryGroup, build_invertible
+from test_orbifold_reference import FullTwisted, full_twisted
 
 XYZ = ("x", "y", "z")
 
@@ -96,10 +97,30 @@ def test_unit_guard_rejects_free_cyclic_action():
     # (1/3,1/3,1/3) on the Fermat cubic is an SL symmetry of order 3, but its
     # square has empty fixed locus and the sign conventions break unitality;
     # the construction refuses rather than returning a non-unital product.
+    # The full reference build shows the products the guard refuses.
     ip = build_invertible(parse("x^3+y^3+z^3", XYZ))
     group = SymmetryGroup.generated_by([GroupElement.parse("1/3,1/3,1/3")], 3)
     with pytest.raises(ValueError, match="unit"):
         twisted_algebra(ip, group)
+    T = full_twisted(ip, group)
+    one = T.identity_index
+    assert any(T.basis_product(one, i) != {i: CycScalar.one()}
+               or T.basis_product(i, one) != {i: CycScalar.one()} for i in range(T.dim))
+
+
+def test_invariant_subalgebra_rejects_a_product_leaving_the_invariant_basis():
+    # With H_{id,id} replaced by a non-invariant monomial, v_id · v_id leaves
+    # the invariant basis, and the closure check must say so.
+    ip, group = row_target(load_catalog().row(2))
+    rule = twisted_algebra(ip, group)
+    identity = GroupElement.identity(ip.arity)
+    outside = next(x for x in rule.lifted[identity]
+                   if not all(q.fixes_monomial(x) for q in group))
+    broken = rule._replace(correction={**rule.correction,
+                                       (identity, identity): ((outside, CycScalar.one()),)})
+    assert invariant_subalgebra(rule).dim == 10
+    with pytest.raises(ValueError, match="not closed"):
+        invariant_subalgebra(broken)
 
 
 # --- fixed-locus bookkeeping -------------------------------------------
@@ -257,8 +278,8 @@ def test_invariant_dimensions():
 
 def test_trivial_group_keeps_everything():
     ip, group = _setup("x^4+y^3+x*z^2", None)
-    A = twisted_algebra(ip, group)
-    assert invariant_subalgebra(A).dim == A.dim == 10
+    A = invariant_subalgebra(twisted_algebra(ip, group))
+    assert A.dim == full_twisted(ip, group).dim == 10
 
 
 # --- pairing ----------------------------------------------------------------
@@ -281,14 +302,15 @@ def test_pairing_values_order_two():
 # --- exhaustive property suites over every catalog algebra ------------------
 
 
-_ALGEBRAS: list[OrbifoldAlgebra] = []
+_ALGEBRAS: list[OrbifoldAlgebra | FullTwisted] = []
 
 
-def _all_algebras() -> list[OrbifoldAlgebra]:
+def _all_algebras() -> list[OrbifoldAlgebra | FullTwisted]:
+    """Jac'(f,G), from the test-side full build, and Jac(f,G) for each catalog entry."""
     if not _ALGEBRAS:
         for text, gen, _, _ in CATALOG:
             ip, group = _setup(text, gen)
-            _ALGEBRAS.append(twisted_algebra(ip, group))
+            _ALGEBRAS.append(full_twisted(ip, group))
             _ALGEBRAS.append(orbifold_algebra(ip, group))
     return _ALGEBRAS
 

@@ -305,3 +305,21 @@ def test_ansatz_images_specialise_to_the_found_witness(index):
         expected = target.pairing(w.image_matrix[i], w.image_matrix[j])
         assert target.trace(specialise(target.product(phi[i], phi[j]))) == expected
         assert _specialise(target.pairing(phi[i], phi[j], zero), values) == expected
+
+
+def test_trace_of_ansatz_products_stays_in_the_coordinate_ring():
+    """`trace` returns the ring's zero off the socle, so every trace is a `Poly`."""
+    row = _catalog().row(2)
+    source, target = row_source(row), _target(row)
+    layout = [(i, k) for i, weight in enumerate(source.weights) for k in range(target.dim)
+              if target.degrees[k] * source.degree == weight]
+    ring = tuple(f"u{t}" for t in range(len(layout)))
+    zero, one = Poly.zero(ring), Poly.constant(ring, CycScalar.one())
+    images: list[dict[int, Poly]] = [{} for _ in range(source.arity)]
+    for t, (i, k) in enumerate(layout):
+        images[i][k] = Poly.variable(ring, t)
+    table = duality._ImageTable(target, images, one)
+    phi = [table[m] for _, m in source_algebra(source).basis]
+    traces = [target.trace(target.product(a, b), zero) for a in phi for b in phi]
+    assert len(traces) == 100
+    assert all(isinstance(t, Poly) for t in traces)
