@@ -40,7 +40,6 @@ _ONE = CycScalar.one()
 class Sector(NamedTuple):
     """One summand Jac(f^g)·v_g of the twisted algebra."""
 
-    g: GroupElement
     fixed: tuple[int, ...]
     f_g: Poly
     algebra: QuotientAlgebra
@@ -82,7 +81,7 @@ def build_sectors(ip: InvertiblePoly, group: SymmetryGroup) -> dict[GroupElement
         f_g = ip.poly.restrict(fixed)
         weights = tuple(ip.weights[i] for i in fixed)
         algebra = quotient_algebra(f_g, weights, ip.degree)
-        sectors[g] = Sector(g, fixed, f_g, algebra, (n - len(fixed)) % 2)
+        sectors[g] = Sector(fixed, f_g, algebra, (n - len(fixed)) % 2)
     return sectors
 
 

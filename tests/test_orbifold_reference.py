@@ -89,7 +89,7 @@ def full_twisted(ip, group) -> FullTwisted:
             if not fix_union_holds(g, h):
                 continue
             target = sectors[g * h]
-            start = spans[target.g].start
+            start = spans[g * h].start
             moved = [k for k in range(n) if k not in target.fixed]
             correction = [(e, pre * c)
                           for e, c in compute_H(ip, group, g, h, sectors).terms.items()]
