@@ -272,6 +272,21 @@ def _specialise(p: Poly, values) -> CycScalar:
     return total
 
 
+def _ansatz_table(source, target):
+    """The search's layout, one unknown u_t per slot, and the monomial table over them.
+
+    Returns the layout, the zero of the coordinate ring Q(ζ₂₄)[u] and the table.
+    """
+    layout = [(i, k) for i, weight in enumerate(source.weights) for k in range(target.dim)
+              if target.degrees[k] * source.degree == weight]
+    ring = tuple(f"u{t}" for t in range(len(layout)))
+    images: list[dict[int, Poly]] = [{} for _ in range(source.arity)]
+    for t, (i, k) in enumerate(layout):
+        images[i][k] = Poly.variable(ring, t)
+    one = Poly.constant(ring, CycScalar.one())
+    return layout, Poly.zero(ring), duality._ImageTable(target, images, one)
+
+
 @pytest.mark.parametrize("index", [2, 8])
 def test_ansatz_images_specialise_to_the_found_witness(index):
     """Poly coordinates through the monomial table, evaluate_in_target and the
@@ -279,14 +294,8 @@ def test_ansatz_images_specialise_to_the_found_witness(index):
     row = _catalog().row(index)
     w = search_iso(row_source(row), _target(row))
     source, target = w.source, w.target
-    layout = [(i, k) for i, weight in enumerate(source.weights) for k in range(target.dim)
-              if target.degrees[k] * source.degree == weight]
+    layout, zero, table = _ansatz_table(source, target)
     assert all((i, k) in layout for i, image in enumerate(w.images) for k in image)
-    ring = tuple(f"u{t}" for t in range(len(layout)))
-    zero, one = Poly.zero(ring), Poly.constant(ring, CycScalar.one())
-    images: list[dict[int, Poly]] = [{} for _ in range(source.arity)]
-    for t, (i, k) in enumerate(layout):
-        images[i][k] = Poly.variable(ring, t)
     values = [w.images[i].get(k, CycScalar.zero()) for i, k in layout]
 
     def specialise(vector):
@@ -295,7 +304,6 @@ def test_ansatz_images_specialise_to_the_found_witness(index):
 
     polys = [source.poly.partial_derivative(i) for i in range(source.arity)]
     polys.append(source.poly + Poly.constant(source.vars, CycScalar.from_rational(3)))
-    table = duality._ImageTable(target, images, one)
     for p in polys:
         assert (specialise(evaluate_in_target(table, p))
                 == evaluate_in_target(w.table, p))
@@ -311,14 +319,7 @@ def test_trace_of_ansatz_products_stays_in_the_coordinate_ring():
     """`trace` returns the ring's zero off the socle, so every trace is a `Poly`."""
     row = _catalog().row(2)
     source, target = row_source(row), _target(row)
-    layout = [(i, k) for i, weight in enumerate(source.weights) for k in range(target.dim)
-              if target.degrees[k] * source.degree == weight]
-    ring = tuple(f"u{t}" for t in range(len(layout)))
-    zero, one = Poly.zero(ring), Poly.constant(ring, CycScalar.one())
-    images: list[dict[int, Poly]] = [{} for _ in range(source.arity)]
-    for t, (i, k) in enumerate(layout):
-        images[i][k] = Poly.variable(ring, t)
-    table = duality._ImageTable(target, images, one)
+    _, zero, table = _ansatz_table(source, target)
     phi = [table[m] for _, m in source_algebra(source).basis]
     traces = [target.trace(target.product(a, b), zero) for a in phi for b in phi]
     assert len(traces) == 100
