@@ -266,7 +266,8 @@ def cmd_orbifold(args: argparse.Namespace) -> int:
         raise CliError(
             f"<{'; '.join(args.group)}> is not a special-linear symmetry group of {ip.poly}")
     algebra = orbifold.orbifold_algebra(ip, group)
-    payload = {"dimension": algebra.dim, **algebra.to_json()}
+    # Only --json prints the serialized algebra, so only it builds it.
+    payload = {"dimension": algebra.dim, **algebra.to_json()} if args.json else {}
     _emit(args, payload, _orbifold_lines(args, algebra))
     return 0
 

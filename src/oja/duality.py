@@ -184,7 +184,7 @@ def verify_algebra_iso(w: IsoWitness) -> Report:
            for partial, value in w.relation_images if value]
     checks.append(Check("relations", not bad, "; ".join(bad)))
 
-    r = rank([[row.get(k, _ZERO) for k in range(target.dim)] for row in w.image_matrix])
+    r = rank(w.image_matrix)
     checks.append(Check("surjective", r == target.dim,
                         f"images of the source basis span {r} of {target.dim} dimensions"))
 
@@ -596,25 +596,6 @@ class DualityGraph:
         return "\n".join(lines)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _transported_group(group: SymmetryGroup, perm: Sequence[int]) -> SymmetryGroup:
     members = [GroupElement.from_numerators(
         tuple(g.num[perm.index(i)] for i in range(g.arity)), g.den) for g in group]
@@ -623,11 +604,16 @@ def _transported_group(group: SymmetryGroup, perm: Sequence[int]) -> SymmetryGro
 
 def _same_node(ip_a: InvertiblePoly, group_a: SymmetryGroup,
                ip_b: InvertiblePoly, group_b: SymmetryGroup) -> bool:
-    """Equal up to a variable renaming that also transports the group."""
-    for perm in matching_permutations(ip_a.poly, ip_b.poly):
-        if _transported_group(group_a, perm) == group_b:
-            return True
-    return False
+    """Equal up to a variable renaming that also transports the group.
+
+    A renaming permutes the canonical weights and keeps the degree and the
+    group order, so pairs that differ in these need no permutation search.
+    """
+    if ((ip_a.degree, sorted(ip_a.weights), group_a.order)
+            != (ip_b.degree, sorted(ip_b.weights), group_b.order)):
+        return False
+    return any(_transported_group(group_a, perm) == group_b
+               for perm in matching_permutations(ip_a.poly, ip_b.poly))
 
 
 def _describe_pair(ip: InvertiblePoly, group: SymmetryGroup) -> str:
@@ -656,26 +642,34 @@ def duality_graph(catalog) -> DualityGraph:
     for node in nodes:
         clusters.setdefault(node.cluster, []).append(node)
 
-    uf = _UnionFind()
-    # Pairs are keyed by (polynomial, group) rather than by the InvertiblePoly:
-    # a transposed polynomial keeps its own monomial row order, so equal pairs
-    # can arrive as unequal InvertiblePoly objects.
-    pairs: dict[tuple[Poly, SymmetryGroup], tuple[InvertiblePoly, SymmetryGroup, str]] = {}
+    # Pairs are interned by (polynomial, group) rather than by the
+    # InvertiblePoly: a transposed polynomial keeps its own monomial row order,
+    # so equal pairs can arrive as unequal InvertiblePoly objects.  Every later
+    # lookup, and the union-find, runs on the interned ints.
+    ids: dict[tuple[Poly, SymmetryGroup], int] = {}
+    pairs: list[tuple[InvertiblePoly, SymmetryGroup, str]] = []  # indexed by id
+    parent: list[int] = []  # the union-find over ids; a root is its own parent
     certifications: list[str] = []
 
-    def register(ip: InvertiblePoly, group: SymmetryGroup,
-                 name: str) -> tuple[Poly, SymmetryGroup]:
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def register(ip: InvertiblePoly, group: SymmetryGroup, name: str) -> int:
         """Intern a pair; a new pair is checked against all known ones for renamings."""
         key = (ip.poly, group)
-        if key in pairs:
-            return key
-        uf.add(key)
-        for other, (oip, ogroup, oname) in pairs.items():
+        if key in ids:
+            return ids[key]
+        new = ids[key] = len(pairs)
+        parent.append(new)
+        for other, (oip, ogroup, oname) in enumerate(pairs):
             if _same_node(ip, group, oip, ogroup):
-                uf.union(key, other)
+                parent[find(new)] = find(other)
                 certifications.append(f"variable renaming: {name} ~ {oname}")
-        pairs[key] = (ip, group, name)
-        return key
+        pairs.append((ip, group, name))
+        return new
 
     key_of = {node.label: register(node.ip, node.group, node.label)
               for node in nodes}
@@ -684,12 +678,12 @@ def duality_graph(catalog) -> DualityGraph:
         return [(a.label, b.label)
                 for members in clusters.values()
                 for a, b in combinations(members, 2)
-                if uf.find(key_of[a.label]) != uf.find(key_of[b.label])]
+                if find(key_of[a.label]) != find(key_of[b.label])]
 
-    def needy_roots() -> set:
+    def needy_roots() -> set[int]:
         roots = set()
         for members in clusters.values():
-            cluster_roots = {uf.find(key_of[m.label]) for m in members}
+            cluster_roots = {find(key_of[m.label]) for m in members}
             if len(cluster_roots) > 1:
                 roots |= cluster_roots
         return roots
@@ -708,17 +702,17 @@ def duality_graph(catalog) -> DualityGraph:
                          _describe_pair(source, SymmetryGroup.trivial(source.arity)))
             b = register(target_ip, target_group,
                          _describe_pair(target_ip, target_group))
-            if uf.find(a) == uf.find(b):
+            if find(a) == find(b):
                 pending.remove(row)
                 continue
-            if only_relevant_rows and uf.find(a) not in needy and uf.find(b) not in needy:
+            if only_relevant_rows and find(a) not in needy and find(b) not in needy:
                 continue  # cannot help a still-unlinked cluster edge; deferred
             pending.remove(row)
             target = orbifold_algebra(target_ip, target_group)
             cert = certify(source, target, row_witness(row))
             name_a, name_b = pairs[a][2], pairs[b][2]
             if cert.full:
-                uf.union(a, b)
+                parent[find(a)] = find(b)
                 certifications.append(
                     f"row {row.index}: {name_a} ~ {name_b} by {cert.method}")
             else:
@@ -738,7 +732,7 @@ def duality_graph(catalog) -> DualityGraph:
              for a, b in combinations(clusters[cid], 2)]
 
     # Nodes that share a (polynomial, group) pair share one fingerprint.
-    by_key: dict[tuple[Poly, SymmetryGroup], Fingerprint] = {}
+    by_key: dict[int, Fingerprint] = {}
     for node in nodes:
         key = key_of[node.label]
         if key not in by_key:

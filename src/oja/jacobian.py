@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product as cartesian
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from .linalg import rank, rref, solve_linear
+from .linalg import echelon, rank, solve_linear
 from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
 from .scalar import CycScalar
 
@@ -476,82 +476,35 @@ class Fingerprint(NamedTuple):
         return {"dim": self.dim, "powers": list(self.powers), "socle_dim": self.socle_dim}
 
 
-def _span_dim(vectors: list[list[CycScalar]]) -> list[list[CycScalar]]:
-    """Row-reduce and drop zero rows, returning a basis of the span."""
-    if not vectors:
-        return []
-    reduced, pivots = rref(vectors)
-    return reduced[:len(pivots)]
-
-
-def _degree_blocks(algebra: OrbifoldAlgebra) -> tuple[list[int], list[list[int | None]]]:
-    """Integer block id of each basis index, and the block id of a product.
-
-    Blocks are the weighted degrees; every structure constant (i, j) -> k
-    must have deg k = deg i + deg j, or ValueError is raised.  `plus[a][b]`
-    is the block of a product of blocks a and b, or None when that degree
-    carries no basis vector.
-    """
+def _check_grading(algebra: OrbifoldAlgebra) -> None:
+    """ValueError unless every structure constant (i, j) -> k has deg k = deg i + deg j."""
     den = math.lcm(*(d.denominator for d in algebra.degrees))
-    ids: dict[int, int] = {}  # degree * den -> block id; integer sums below
-    block = [ids.setdefault(d.numerator * (den // d.denominator), len(ids))
-             for d in algebra.degrees]
-    plus = [[ids.get(a + b) for b in ids] for a in ids]
-    if not all(block[k] == plus[block[i]][block[j]]
+    deg = [d.numerator * (den // d.denominator) for d in algebra.degrees]  # integer sums below
+    if not all(deg[k] == deg[i] + deg[j]
                for (i, j), row in algebra.structure.items() for k in row):
         raise ValueError(f"{algebra!r}: a structure constant breaks the weighted grading")
-    return block, plus
 
 
 def fingerprint(algebra: OrbifoldAlgebra) -> Fingerprint:
     """Fingerprint of an orbifold algebra; Jac(f) is `duality.source_algebra`.
 
-    m^k and the socle are graded, so each is computed per degree block, over
-    that block's coordinates only.
+    The grading makes m a nilpotent ideal.  The indices of m that are not
+    pivots of the sparse echelon of m² span a complement V of m² in m, a
+    minimal generating set of m.  So mᵏ = V·mᵏ⁻¹ (Nakayama): each power is
+    multiplied by V alone, and the socle ann(m) is ann(V).
     """
-    n = algebra.dim
-    one = algebra.identity_index
-    generators = [i for i in range(n) if i != one]
-    block, plus = _degree_blocks(algebra)
-    members: list[list[int]] = [[] for _ in plus]
-    for i, b in enumerate(block):
-        members[b].append(i)
-    local = [0] * n
-    for indices in members:
-        for p, i in enumerate(indices):
-            local[i] = p
-
-    # m^k as one list of spanning vectors per block.
-    current = [[[_ONE if q == p else _ZERO for q in range(len(indices))]
-                for p, i in enumerate(indices) if i != one] for indices in members]
-    powers = [n]
-    while any(current):
-        powers.append(sum(map(len, current)))
-        products: list[list[list[CycScalar]]] = [[] for _ in members]
-        for i in generators:
-            for b, vectors in enumerate(current):
-                t = plus[block[i]][b]
-                if t is None:
-                    continue  # the grading check leaves these products zero
-                for vec in vectors:
-                    out = [_ZERO] * len(members[t])
-                    for j, c in zip(members[b], vec):
-                        if c:
-                            for k, s in algebra.basis_product(i, j).items():
-                                out[local[k]] = out[local[k]] + c * s
-                    if any(out):
-                        products[t].append(out)
-        current = [_span_dim(vectors) for vectors in products]
+    _check_grading(algebra)
+    n, one = algebra.dim, algebra.identity_index
+    radical = [i for i in range(n) if i != one]
+    # Graded commutativity: e_j·e_i = ±e_i·e_j, so the pairs i <= j span m².
+    power = echelon(algebra.basis_product(i, j) for i in radical for j in radical if i <= j)
+    gens = [i for i in radical if i not in power]
+    powers = [n, n - 1] if radical else [n]
+    while power:
+        powers.append(len(power))
+        power = echelon(algebra.product({v: _ONE}, row) for v in gens for row in power.values())
     powers.append(0)
-
-    # Socle: simultaneous kernel of multiplication by every generator of m.
-    socle_dim = 0
-    for b, indices in enumerate(members):
-        rows = []
-        for i in generators:
-            t = plus[block[i]][b]
-            if t is not None:
-                mats = [algebra.basis_product(i, j) for j in indices]
-                rows.extend([m.get(k, _ZERO) for m in mats] for k in members[t])
-        socle_dim += len(indices) - rank(rows)
-    return Fingerprint(n, tuple(powers), socle_dim)
+    # Column j of multiplication by V: x = Σ x_j e_j lies in the socle iff V·x = 0.
+    columns = ({(v, k): c for v in gens for k, c in algebra.basis_product(v, j).items()}
+               for j in range(n))
+    return Fingerprint(n, tuple(powers), n - rank(columns))

@@ -1,21 +1,24 @@
 """Exact linear algebra over the cyclotomic field and over the integers.
 
 Gaussian elimination is generic in the coefficient field: it only needs
-+, -, *, `1 / x` and truthiness, so the same routine serves `CycScalar`
-matrices (rank and solve steps inside the algebra computations) and
-`Fraction` matrices (exponent-matrix inverses).  `rref` takes one
-reciprocal per pivot and multiplies the pivot row by it, and it skips every
-product with a zero entry.  Determinants and weight systems stay in the
-integers: `bareiss` gives det A and det A·A⁻¹b by fraction-free elimination.
-The integer Smith normal form is used to cross-check symmetry group orders.
++, -, *, `1 / x` and truthiness, so the same routines serve `CycScalar`
+and `Fraction` entries.  Ranks run on sparse rows ({column: nonzero}):
+`echelon` is forward elimination only, and `rank` counts its pivots.  The
+dense `rref` is kept for the solves that need the reduced form
+(`solve_linear`, exponent-matrix inverses).  Both take one reciprocal per
+pivot and multiply the pivot row by it.  Determinants and weight systems
+stay in the integers: `bareiss` gives det A and det A·A⁻¹b by fraction-free
+elimination.  The integer Smith normal form is used to cross-check symmetry
+group orders.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
+K = TypeVar("K")
 T = TypeVar("T")
 
 
@@ -48,10 +51,41 @@ def rref(matrix: list[list[T]]) -> tuple[list[list[T]], list[int]]:
     return mat, pivots
 
 
-def rank(matrix: list[list[T]]) -> int:
-    if not matrix:
-        return 0
-    return len(rref(matrix)[1])
+def echelon(rows: Iterable[Mapping[K, T]]) -> dict[K, dict[K, T]]:
+    """Forward elimination over sparse rows {column: nonzero entry}.
+
+    Columns are any mutually ordered keys (ints, or tuples of ints).  Returns
+    {pivot column: row}: each row is 1 at its smallest column, its pivot, and
+    the pivots are distinct, so the rows are a basis of the input's span.
+    Input rows must store no zero; they are not modified.
+    """
+    basis: dict[K, dict[K, T]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            pivot = basis.get(lead)
+            if pivot is None:
+                inv = 1 / row[lead]
+                basis[lead] = {k: c * inv for k, c in row.items()}
+                break
+            factor = row.pop(lead)
+            for k, c in pivot.items():
+                if k == lead:
+                    continue
+                term = factor * c
+                if k not in row:
+                    row[k] = -term
+                elif total := row[k] - term:
+                    row[k] = total
+                else:
+                    del row[k]
+    return basis
+
+
+def rank(rows: Iterable[Mapping[K, T]]) -> int:
+    """Rank of sparse rows {column: nonzero entry}: the pivots of `echelon`."""
+    return len(echelon(rows))
 
 
 def solve_linear(matrix: list[list[T]], rhs: list[T], zero: T, one: T

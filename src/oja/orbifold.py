@@ -168,10 +168,13 @@ class OrbifoldAlgebra:
 
         dim = len(self.basis)
         self.gram = [[_ZERO] * dim for _ in range(dim)]
+        # The Gram rows over the trace factor, which has no effect on the rank.
+        socle_rows: list[dict[int, CycScalar]] = [{} for _ in range(dim)]
         for (i, j), row in self.structure.items():
             if self._socle in row:
+                socle_rows[i][j] = row[self._socle]
                 self.gram[i][j] = row[self._socle] * self._trace_factor
-        if rank([row[:] for row in self.gram]) != dim:
+        if rank(socle_rows) != dim:
             raise ValueError("Frobenius pairing is degenerate; construction is inconsistent")
 
     # -- basics --

@@ -194,6 +194,8 @@ class CycScalar:
         """q / x for a rational q, as in `1 / pivot`."""
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
+        if other == 1:  # every elimination pivot: no Fraction, one canonical form
+            return self.inverse()
         q, inv = Fraction(other), self.inverse()
         return _canonical([q.numerator * x for x in inv.n], q.denominator * inv.d)
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from oja import jacobian
+from oja import jacobian, linalg
 from oja.catalog import load_catalog, row_source, row_target
 from oja.duality import source_algebra
 from oja.jacobian import (Fingerprint, fingerprint, groebner, has_isolated_singularity,
@@ -20,6 +20,7 @@ from oja.orbifold import orbifold_algebra
 from oja.poly import Poly, parse
 from oja.scalar import CycScalar, SQRT2
 from oja.symmetry import _weight_system, build_invertible
+from test_linalg import sparse
 
 XYZ = ("x", "y", "z")
 
@@ -297,7 +298,7 @@ def test_trace_pairing_is_nondegenerate():
         lam = trace_functional(A, A.mu)
         gram = [[lam(Poly.monomial(XYZ, a) * Poly.monomial(XYZ, b)) for b in A.basis]
                 for a in A.basis]
-        assert rank(gram) == A.mu
+        assert rank(sparse(gram)) == A.mu
 
 
 # --- solving in the quotient -------------------------------------------------
@@ -423,9 +424,21 @@ def _catalog_algebras():
 @pytest.mark.parametrize("build", _catalog_algebras())
 def test_graded_fingerprint_matches_the_dense_reference(build):
     A = build()
-    block, _ = jacobian._degree_blocks(A)
-    assert len(set(block)) > 1  # homogeneous: the per-degree blocks are taken
+    jacobian._check_grading(A)
+    assert len(set(A.degrees)) > 1  # graded with more than one degree
     assert fingerprint(A) == _dense_fingerprint(A)
+
+
+@pytest.mark.parametrize("build", _catalog_algebras())
+def test_fingerprint_runs_no_dense_elimination(build, monkeypatch):
+    """The fingerprint is sparse echelon work only: it never reaches `rref`."""
+    A = build()  # the construction may solve through rref; the fingerprint may not
+
+    def no_rref(*args):
+        raise AssertionError("fingerprint called the dense rref")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    assert fingerprint(A).dim == A.dim
 
 
 def test_inconsistent_degrees_are_rejected():
@@ -434,7 +447,7 @@ def test_inconsistent_degrees_are_rejected():
     A = copy.copy(orbifold_algebra(*row_target(load_catalog().row(1))))
     A.degrees = tuple(range(A.dim))  # distinct degrees that some product breaks
     with pytest.raises(ValueError, match="breaks the weighted grading"):
-        jacobian._degree_blocks(A)
+        jacobian._check_grading(A)
     with pytest.raises(ValueError, match="breaks the weighted grading"):
         fingerprint(A)
 
