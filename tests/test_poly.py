@@ -67,6 +67,46 @@ def test_parse_trailing_garbage_rejected():
         parse("", XYZ)
 
 
+X123 = ("x1", "x2", "x3")
+_IN_Z = " (parentheses hold only a Q(ζ₂₄) coefficient written in z)"
+
+
+@pytest.mark.parametrize("text, vars, message", [
+    ("", XYZ, "position 0: empty polynomial"),
+    ("   ", XYZ, "position 3: empty polynomial"),
+    ("x^-1", XYZ, "position 2: negative exponent"),
+    ("x^", XYZ, "position 2: expected an integer"),
+    ("1/0*x", XYZ, "position 3: zero denominator"),
+    ("1/ 2*x", XYZ, "position 2: expected an integer"),
+    ("1/x", XYZ, "position 2: expected an integer"),
+    ("*x", XYZ, "position 0: expected a variable name"),
+    ("x*", XYZ, "position 2: expected a variable name"),
+    ("x + -y", XYZ, "position 4: expected a variable name"),
+    ("2*3", XYZ, "position 2: expected a variable name"),
+    ("(z)*(z)", XYZ, "position 4: expected a variable name"),
+    ("x1 2", X123, "position 3: unexpected character '2'"),
+    ("(z", XYZ, "position 0: unclosed parenthesis"),
+    ("(x1+x2)^2", X123, "position 1: unknown variable 'x1'" + _IN_Z),
+    ("(1/0)*x", XYZ, "position 4: zero denominator" + _IN_Z),
+    ("x ^ 2 )", XYZ, "position 6: unexpected character ')'"),
+    ("x + w^2", XYZ, "position 4: unknown variable 'w'"),
+    ("é^2", XYZ, "position 0: unknown variable 'é'"),
+])
+def test_parse_error_messages(text: str, vars: tuple[str, ...], message: str):
+    with pytest.raises(PolyParseError) as caught:
+        parse(text, vars)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("text, exps, coeff", [
+    ("2x", (1, 0, 0), 2),     # juxtaposition after a coefficient
+    ("x y", (1, 1, 0), 1),    # juxtaposition of two factors
+    ("x ^ 2", (2, 0, 0), 1),  # spaces around '^'
+])
+def test_parse_juxtaposition_and_spacing(text: str, exps: tuple[int, ...], coeff: int):
+    assert parse(text, XYZ) == Poly.monomial(XYZ, exps, CycScalar.from_rational(coeff))
+
+
 def test_ring_axioms_and_cancellation():
     rng = random.Random(11)
     f, g, h = (_random_poly(XYZ, rng) for _ in range(3))
