@@ -18,7 +18,6 @@ The catalog is a JSON document with three sections:
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import NamedTuple
 from .duality import GraphNode, IsoWitness
 from .jacobian import add_scaled
 from .orbifold import orbifold_algebra
-from .poly import ENUMERATION_LIMIT, Poly, parse
+from .poly import ENUMERATION_LIMIT, Poly, infer_vars, parse
 from .scalar import CycScalar, I_UNIT, SQRT2, SQRT3
 from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
                        build_invertible, is_sl_symmetry,
@@ -222,17 +221,10 @@ class Catalog:
         return self._by_index[index]
 
 
-_VAR_PATTERN = re.compile(r"x(\d+)")
-
-
 @lru_cache(maxsize=None)
 def _ip_from_text(text: str) -> InvertiblePoly:
-    """Parse an invertible polynomial over variables x1..xN."""
-    indices = [int(m) for m in _VAR_PATTERN.findall(text)]
-    if not indices:
-        raise ValueError(f"no variables in {text!r}")
-    names = tuple(f"x{i}" for i in range(1, max(indices) + 1))
-    return build_invertible(parse(text, names))
+    """Parse an invertible polynomial over the variables `infer_vars` reads."""
+    return build_invertible(parse(text, infer_vars(text)))
 
 
 @lru_cache(maxsize=None)

@@ -22,12 +22,11 @@ import argparse
 import importlib.util
 import json
 import math
-import re
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .jacobian import QuotientAlgebra, milnor, quotient_algebra
-from .poly import ENUMERATION_LIMIT, Poly, parse
+from .poly import ENUMERATION_LIMIT, Poly, infer_vars, parse
 from .scalar import CycScalar
 from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
                        build_invertible, is_sl_symmetry, max_symmetry_group,
@@ -54,35 +53,6 @@ catalog, duality, orbifold = (sys.modules[name] for name in _LAZY)
 
 # --- input parsing -----------------------------------------------------------
 
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-# A parenthesized Q(ζ₂₄) coefficient, written in z; `parse` does not nest them.
-_COEFFICIENT = re.compile(r"\([^)]*\)")
-_CANONICAL = re.compile(r"x[1-9][0-9]*\Z")
-
-_ALIASES = ("x", "y", "z")
-
-
-def _infer_vars(text: str) -> tuple[str, ...]:
-    """Variable tuple for a polynomial given in canonical or alias names.
-
-    Canonical names x1…xN fix the tuple (x1, …, xN) with N the largest
-    index used; the aliases x, y, z are accepted as-is, in that order.
-    Names inside a parenthesized coefficient are not variables, unless no
-    name lies outside one: then `parse` reports the misplaced parentheses.
-    """
-    names = (set(_IDENTIFIER.findall(_COEFFICIENT.sub(" ", text)))
-             or set(_IDENTIFIER.findall(text)))
-    if not names:
-        raise CliError(f"no variables found in {text!r}")
-    if all(_CANONICAL.match(n) for n in names):
-        top = max(int(n[1:]) for n in names)
-        return tuple(f"x{i}" for i in range(1, top + 1))
-    if names <= set(_ALIASES):
-        return tuple(n for n in _ALIASES if n in names)
-    raise CliError(
-        f"cannot infer variables from {sorted(names)}; "
-        "use canonical names x1..xN (or the aliases x, y, z)")
-
 
 def _explicit_vars(spec: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in spec.split(","))
@@ -92,7 +62,7 @@ def _explicit_vars(spec: str) -> tuple[str, ...]:
 
 
 def _poly(text: str, vars: tuple[str, ...] | None = None) -> Poly:
-    return parse(text, vars if vars is not None else _infer_vars(text))
+    return parse(text, vars if vars is not None else infer_vars(text))
 
 
 def _invertible(text: str, vars: tuple[str, ...] | None = None) -> InvertiblePoly:
@@ -122,11 +92,14 @@ def _load_catalog(args: argparse.Namespace) -> catalog.Catalog:
 # --- output helpers ----------------------------------------------------------
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: Callable[[], dict],
+          lines: Callable[[], list[str]]) -> None:
+    """Print the JSON payload under --json, else the text lines; only the
+    printed form is built."""
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -171,13 +144,12 @@ def _display_generators(group: SymmetryGroup) -> list[GroupElement]:
 def cmd_transpose(args: argparse.Namespace) -> int:
     vars = _explicit_vars(args.vars) if args.vars else None
     tp = transpose(_invertible(args.poly, vars))
-    payload = {
+    _emit(args, lambda: {
         "polynomial": str(tp.poly),
         "variables": list(tp.vars),
         "weights": list(tp.weights),
         "degree": tp.degree,
-    }
-    _emit(args, payload, [str(tp.poly)])
+    }, lambda: [str(tp.poly)])
     return 0
 
 
@@ -186,19 +158,16 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     if args.sl:
         group = sl_subgroup(group)
     gens = [str(g) for g in _display_generators(group)]
-    lines = [f"order {group.order}"]
-    lines.extend(f"generator ({g})" for g in gens)
-    # Only --json lists the elements, so only it formats them.
-    payload = {"order": group.order, "generators": gens,
-               "elements": [str(g) for g in group]} if args.json else {}
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"order": group.order, "generators": gens,
+                         "elements": [str(g) for g in group]},
+          lambda: [f"order {group.order}", *(f"generator ({g})" for g in gens)])
     return 0
 
 
 def cmd_milnor(args: argparse.Namespace) -> int:
     f = _poly(args.poly)
     mu = milnor(f)
-    _emit(args, {"polynomial": str(f), "milnor": mu}, [str(mu)])
+    _emit(args, lambda: {"polynomial": str(f), "milnor": mu}, lambda: [str(mu)])
     return 0
 
 
@@ -223,7 +192,7 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
     ip = _invertible(args.poly)
     algebra = quotient_algebra(ip.poly, ip.weights, ip.degree)
     trace = CycScalar.from_rational(algebra.mu) * algebra.trace_scale
-    payload = {
+    _emit(args, lambda: {
         "polynomial": str(ip.poly),
         "dimension": algebra.mu,
         "weights": list(algebra.weights),
@@ -232,8 +201,7 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
         "socle": _mono_str(algebra.vars, algebra.socle),
         "hessian": str(algebra.hess_nf),
         "trace": str(trace),
-    }
-    _emit(args, payload, _jacobian_lines(args, algebra, trace))
+    }, lambda: _jacobian_lines(args, algebra, trace))
     return 0
 
 
@@ -266,9 +234,8 @@ def cmd_orbifold(args: argparse.Namespace) -> int:
         raise CliError(
             f"<{'; '.join(args.group)}> is not a special-linear symmetry group of {ip.poly}")
     algebra = orbifold.orbifold_algebra(ip, group)
-    # Only --json prints the serialized algebra, so only it builds it.
-    payload = {"dimension": algebra.dim, **algebra.to_json()} if args.json else {}
-    _emit(args, payload, _orbifold_lines(args, algebra))
+    _emit(args, lambda: {"dimension": algebra.dim, **algebra.to_json()},
+          lambda: _orbifold_lines(args, algebra))
     return 0
 
 
@@ -291,6 +258,27 @@ def _row_line(row: catalog.CatalogRow, cert: duality.RowCertificate | None, erro
     return f"row {row.index}: {pair} {cert.level} ({cert.method})"
 
 
+def _verify_lines(args: argparse.Namespace, results: list, full: int) -> list[str]:
+    lines = [_row_line(row, cert, error) for row, cert, error in results]
+    if args.row is not None:
+        row, cert, _ = results[0]
+        if cert is not None:
+            lines.extend(f"  {v} -> {cert.witness.image_str(i)}"
+                         for i, v in enumerate(cert.witness.source.vars))
+            lines.extend(
+                f"  {check.name}: {'ok' if check.passed else 'FAIL (' + check.detail + ')'}"
+                for check in cert.report.checks)
+    partial = [row.index for row, cert, _ in results if cert is not None and not cert.full]
+    failed = [row.index for row, cert, _ in results if cert is None]
+    if len(results) > 1:
+        lines.append(f"{full}/{len(results)} rows certified at Frobenius level")
+        if partial:
+            lines.append("algebra level only: " + " ".join(str(i) for i in partial))
+        if failed:
+            lines.append("not certified: " + " ".join(str(i) for i in failed))
+    return lines
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     loaded = _load_catalog(args)
     if args.row is not None:
@@ -302,26 +290,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rows = list(loaded.rows)
 
     results = [_certify_row(row, args.search) for row in rows]
-    lines = [_row_line(row, cert, error) for row, cert, error in results]
-    if args.row is not None:
-        row, cert, _ = results[0]
-        if cert is not None:
-            lines.extend(f"  {v} -> {cert.witness.image_str(i)}"
-                         for i, v in enumerate(cert.witness.source.vars))
-            lines.extend(
-                f"  {check.name}: {'ok' if check.passed else 'FAIL (' + check.detail + ')'}"
-                for check in cert.report.checks)
     full = sum(1 for _, cert, _ in results if cert is not None and cert.full)
-    partial = [row.index for row, cert, _ in results if cert is not None and not cert.full]
-    failed = [row.index for row, cert, _ in results if cert is None]
-    if len(results) > 1:
-        lines.append(f"{full}/{len(results)} rows certified at Frobenius level")
-        if partial:
-            lines.append("algebra level only: " + " ".join(str(i) for i in partial))
-        if failed:
-            lines.append("not certified: " + " ".join(str(i) for i in failed))
-
-    payload = {
+    _emit(args, lambda: {
         "rows": [{
             "index": row.index,
             "pair": [row.f1_type, row.f2_type],
@@ -331,8 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "frobenius": full,
         "total": len(results),
         "passed": full == len(results),
-    }
-    _emit(args, payload, lines)
+    }, lambda: _verify_lines(args, results, full))
     return 0 if full == len(results) else 1
 
 

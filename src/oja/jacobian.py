@@ -123,11 +123,9 @@ class GroebnerBasis:
 def groebner(gens: Sequence[Poly]) -> GroebnerBasis:
     """Buchberger's algorithm with the normal selection strategy.
 
-    Each pending pair keeps its lcm and grevlex key from its creation on
-    (Gebauer–Möller, J. Symb. Comp. 6, 1988).  Pairs whose leading monomials
-    are coprime are discarded (first Buchberger criterion), as are pairs
-    subsumed by an already-processed third generator (chain criterion).  The
-    result is auto-reduced and monic.
+    Each pending pair keeps its lcm and grevlex key from its creation on, and
+    pairs whose leading monomials are coprime are discarded (first Buchberger
+    criterion).  The result is auto-reduced and monic.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -135,9 +133,7 @@ def groebner(gens: Sequence[Poly]) -> GroebnerBasis:
     if not basis:
         raise ValueError("all generators are zero")
     vars = basis[0][1].vars
-    # Every pair is stored as (smaller index, larger index), which is the
-    # form the chain criterion looks up; its value is (grevlex key, lcm).
-    pending: dict[tuple[int, int], tuple] = {}
+    pending: dict[tuple[int, int], tuple] = {}  # pair -> (grevlex key, lcm)
 
     def add_pairs(new: int) -> None:
         for k in range(new):
@@ -152,11 +148,6 @@ def groebner(gens: Sequence[Poly]) -> GroebnerBasis:
         (li, fi), (lj, fj) = basis[i], basis[j]  # both monic
         if lcm == _mono_mul(li, lj):
             continue  # coprime leading monomials
-        if any(k != i and k != j and _divides(lk, lcm)
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending
-               for k, (lk, _) in enumerate(basis)):
-            continue  # chain criterion
         # The S-polynomial is the first step of reducing x^(lcm−li)·fi with fj
         # tried first; the term dict of fi is shifted, no `Poly` is multiplied.
         shift = tuple(l - e for l, e in zip(lcm, li))
@@ -238,9 +229,8 @@ def has_isolated_singularity(f: Poly) -> bool:
 # --- the quotient algebra -------------------------------------------------
 
 
-def add_scaled(out: dict[int, CycScalar], c: CycScalar, vector: Mapping[int, CycScalar],
-               offset: int = 0) -> None:
-    """out[offset + i] += c · vector[i] for nonzero c, keeping only nonzero entries.
+def add_scaled(out: dict[int, CycScalar], c: CycScalar, vector: Mapping[int, CycScalar]) -> None:
+    """out[i] += c · vector[i] for nonzero c, keeping only nonzero entries.
 
     The one accumulator of sparse coordinate dicts: normal forms, structure
     constants, algebra products and witness images.  `c` may come from any
@@ -249,14 +239,13 @@ def add_scaled(out: dict[int, CycScalar], c: CycScalar, vector: Mapping[int, Cyc
     """
     for i, s in vector.items():
         term = c if s is _ONE else c * s
-        k = offset + i
-        prev = out.get(k)
+        prev = out.get(i)
         if prev is None:
-            out[k] = term
+            out[i] = term
         elif total := prev + term:
-            out[k] = total
+            out[i] = total
         else:
-            del out[k]
+            del out[i]
 
 
 class QuotientAlgebra:
@@ -318,10 +307,9 @@ class QuotientAlgebra:
         table[m] = out
         return out
 
-    def add_term(self, out: dict[int, CycScalar], c: CycScalar, m: Monomial,
-                 offset: int = 0) -> None:
-        """out[offset + i] += coordinate i of [c·x^m], for nonzero c."""
-        add_scaled(out, c, self.monomial_coords(m), offset)
+    def add_term(self, out: dict[int, CycScalar], c: CycScalar, m: Monomial) -> None:
+        """out[i] += coordinate i of [c·x^m], for nonzero c."""
+        add_scaled(out, c, self.monomial_coords(m))
 
     def _sparse(self, p: Poly) -> dict[int, CycScalar]:
         if len(p.vars) != len(self.vars):

@@ -12,6 +12,7 @@ that equal polynomials always print and dump identically.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -265,51 +266,55 @@ def _determinant(matrix: list[list[Poly]], vars: Sequence[str]) -> Poly:
 
 # --- parsing ------------------------------------------------------------
 
+# The tokens of polynomial text, each matched at the cursor.  A name starts
+# with a letter or `_` (`_at_name`); an integer is ASCII digits only.
+_SPACE = re.compile(r"\s*")
+_UINT = re.compile(r"[0-9]+")
+_NAME = re.compile(r"\w+")
+# A parenthesized Q(ζ₂₄) coefficient, written in z; parentheses do not nest.
+_COEFFICIENT = re.compile(r"\([^)]*\)")
+_CANONICAL = re.compile(r"x[1-9][0-9]*\Z")
+_ALIASES = ("x", "y", "z")
+
+
+def _at_name(text: str, pos: int) -> bool:
+    return pos < len(text) and (text[pos].isalpha() or text[pos] == "_")
+
+
 def parse(text: str, vars: Sequence[str]) -> Poly:
     """Parse `coeff*x1^2*x2 + ...` into a Poly over the given variables.
 
     The grammar is sums/differences of terms, each an optional coefficient
-    followed by `*`-separated variable powers.  A coefficient is an unsigned
-    integer or fraction, or a scalar in parentheses written as a polynomial
-    in z = ζ₂₄, so `parse(str(p), p.vars) == p`.  Unknown variables and
-    negative exponents are reported with their position.
+    followed by variable powers, separated by `*` or juxtaposed.  A
+    coefficient is an unsigned integer or fraction, or a scalar in
+    parentheses written as a polynomial in z = ζ₂₄, so
+    `parse(str(p), p.vars) == p`.  Every error names its position in `text`.
     """
     vars = tuple(vars)
     index = {v: i for i, v in enumerate(vars)}
     pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
 
     def fail(message: str):
         raise PolyParseError(f"position {pos}: {message}")
 
+    def skip(sep: str = "") -> bool:
+        """Skip whitespace, then `sep` and the whitespace after it if it is next."""
+        nonlocal pos
+        pos = _SPACE.match(text, pos).end()
+        if sep and text.startswith(sep, pos):
+            pos = _SPACE.match(text, pos + 1).end()
+            return True
+        return False
+
     def read_uint() -> int:
         nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            fail("expected an integer")
-        return int(text[start:pos])
-
-    def read_name() -> str:
-        nonlocal pos
-        start = pos
-        if pos < n and (text[pos].isalpha() or text[pos] == "_"):
-            pos += 1
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-        if start == pos:
-            fail("expected a variable name")
-        return text[start:pos]
+        match = _UINT.match(text, pos) or fail("expected an integer")
+        pos = match.end()
+        return int(match.group())
 
     def read_coeff() -> CycScalar:
         nonlocal pos
-        if text[pos] == "(":
+        if text.startswith("(", pos):
             end = text.find(")", pos)
             if end < 0:
                 fail("unclosed parenthesis")
@@ -327,74 +332,80 @@ def parse(text: str, vars: Sequence[str]) -> Poly:
             value /= read_uint() or fail("zero denominator")
         return CycScalar.from_rational(value)
 
-    def read_factor() -> tuple[int, int]:
+    def read_factor(exps: list[int]) -> None:
         nonlocal pos
-        name_at = pos
-        name = read_name()
+        if not _at_name(text, pos):
+            fail("expected a variable name")
+        name = _NAME.match(text, pos).group()
         if name not in index:
-            pos = name_at
             fail(f"unknown variable {name!r}")
-        exp = 1
-        skip_ws()
-        if pos < n and text[pos] == "^":
-            pos += 1
-            skip_ws()
-            if pos < n and text[pos] == "-":
-                fail("negative exponent")
-            exp = read_uint()
-        return index[name], exp
-
-    def read_term() -> Poly:
-        nonlocal pos
-        skip_ws()
-        coeff = CycScalar.one()
-        if pos < n and (text[pos].isdigit() or text[pos] == "("):
-            coeff = read_coeff()
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-            elif pos < n and (text[pos].isalpha() or text[pos] == "_"):
-                pass  # juxtaposition, e.g. "2x1"
-            else:
-                return Poly.constant(vars, coeff)
-        exps = [0] * len(vars)
-        i, e = read_factor()
-        exps[i] += e
-        while True:
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                i, e = read_factor()
-                exps[i] += e
-            elif pos < n and (text[pos].isalpha() or text[pos] == "_"):
-                i, e = read_factor()
-                exps[i] += e
-            else:
-                break
-        return Poly.monomial(vars, exps, coeff)
-
-    skip_ws()
-    if pos >= n:
-        fail("empty polynomial")
-    negative = False
-    if text[pos] in "+-":
-        negative = text[pos] == "-"
-        pos += 1
-    result = read_term()
-    if negative:
-        result = -result
-    while True:
-        skip_ws()
-        if pos >= n:
-            break
-        if text[pos] == "+":
-            pos += 1
-            result = result + read_term()
-        elif text[pos] == "-":
-            pos += 1
-            result = result - read_term()
+        pos += len(name)
+        if not skip("^"):
+            exps[index[name]] += 1
+        elif text.startswith("-", pos):
+            fail("negative exponent")
         else:
+            exps[index[name]] += read_uint()
+
+    def read_term() -> tuple[tuple[int, ...], CycScalar]:
+        skip()
+        coeff = CycScalar.one()
+        exps = [0] * len(vars)
+        if text.startswith("(", pos) or _UINT.match(text, pos):
+            coeff = read_coeff()
+        else:
+            read_factor(exps)
+        while skip("*") or _at_name(text, pos):
+            read_factor(exps)
+        return tuple(exps), coeff
+
+    skip()
+    if pos == len(text):
+        fail("empty polynomial")
+    terms: dict[tuple[int, ...], CycScalar] = {}
+    sign = "+"
+    while True:
+        if text[pos] in "+-":
+            sign = text[pos]
+            pos += 1
+        exps, coeff = read_term()
+        if coeff:  # summed as `Poly.__add__` sums: a cancelled term is deleted
+            coeff = coeff if sign == "+" else -coeff
+            prev = terms.get(exps)
+            if prev is None:
+                terms[exps] = coeff
+            elif total := prev + coeff:
+                terms[exps] = total
+            else:
+                del terms[exps]
+        skip()
+        if pos == len(text):
+            return Poly._clean(vars, terms)
+        if text[pos] not in "+-":
             fail(f"unexpected character {text[pos]!r}")
-    return result
+
+
+def infer_vars(text: str) -> tuple[str, ...]:
+    """Variable tuple for polynomial text in canonical or alias names.
+
+    Canonical names x1…xN give (x1, …, xN) with N the largest index used;
+    the aliases x, y, z are taken as-is, in that order.  A name is what
+    `parse` reads as one, and names inside a parenthesized coefficient are
+    not variables, unless no name lies outside one: then `parse` reports the
+    misplaced parentheses.
+    """
+    def names(source: str) -> set[str]:
+        # A digit run before a name is a coefficient or exponent: "2x1" is x1.
+        words = (w.lstrip("0123456789") for w in _NAME.findall(source))
+        return {w for w in words if _at_name(w, 0)}
+
+    found = names(_COEFFICIENT.sub(" ", text)) or names(text)
+    if not found:
+        raise PolyParseError(f"no variables found in {text!r}")
+    if all(_CANONICAL.match(n) for n in found):
+        return tuple(f"x{i}" for i in range(1, max(int(n[1:]) for n in found) + 1))
+    if found <= set(_ALIASES):
+        return tuple(n for n in _ALIASES if n in found)
+    raise PolyParseError(
+        f"cannot infer variables from {sorted(found)}; "
+        "use canonical names x1..xN (or the aliases x, y, z)")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -157,6 +158,23 @@ def test_round_trip_is_byte_identical(tmp_path):
 
 def test_serialize_is_deterministic():
     assert serialize(_catalog()) == serialize(load_catalog())
+
+
+def test_catalog_in_alias_names_loads_and_verifies(tmp_path, capsys):
+    """Catalog polynomials follow the command line's rule for variables, so a
+    catalog written in x, y, z loads, and its witnesses parse in those names."""
+    from oja.cli import main
+
+    text = re.sub(r"x([123])", lambda m: "xyz"[int(m.group(1)) - 1], serialize(_catalog()))
+    path = tmp_path / "xyz.json"
+    path.write_text(text)
+    row = load_catalog(path).row(2)
+    assert row.f1 == "x^4+y^3+x*z^2"
+    assert row_source(row).vars == ("x", "y", "z")
+    assert main(["--catalog", str(path), "verify", "--row", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["row 2: Q10 ~ E14 frobenius (embedded witness)",
+                         "  x -> (1) [x^2] v_(id)"]
 
 
 # --- validation -----------------------------------------------------------

@@ -449,6 +449,15 @@ def test_names_inside_a_coefficient_are_not_variables(poly: str):
     assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
 
 
+@pytest.mark.parametrize("poly, message", [
+    ("x1^²", "position 3: expected an integer"),
+    ("2²*x1", "position 1: unexpected character '²'"),
+])
+def test_non_ascii_digits_are_not_integers(poly: str, message: str):
+    result = _run("milnor", poly)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_parse_errors_exit_with_code_two():
     result = _run("milnor", "x1^(3)")
     assert result.returncode == 2
@@ -571,6 +580,29 @@ def test_symmetry_formats_group_elements_only_for_the_output(monkeypatch, capsys
     else:
         assert out.splitlines()[1:] == ["generator (1/4,0,0)", "generator (0,1/3,0)",
                                         "generator (0,0,1/3)"]
+
+
+_ORBIFOLD = ["orbifold", "x1^8+x2^3+x3^2", "--group", "1/2,0,1/2", "--structure"]
+
+
+def test_orbifold_builds_only_the_form_it_prints(monkeypatch, capsys):
+    """--json never formats the text lines; text never serializes the algebra."""
+    from oja import cli, orbifold
+
+    calls: list = []
+    original = cli._orbifold_lines
+    monkeypatch.setattr(cli, "_orbifold_lines", lambda *a: calls.append(a) or original(*a))
+    assert cli.main(["--json", *_ORBIFOLD]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 10
+    assert calls == []
+
+    def no_json(self):
+        raise AssertionError("text mode serialized the algebra")
+
+    monkeypatch.setattr(orbifold.OrbifoldAlgebra, "to_json", no_json)
+    assert cli.main(_ORBIFOLD) == 0
+    assert capsys.readouterr().out.startswith("[1] v_(id) * [1] v_(id) = ")
+    assert len(calls) == 1
 
 
 def test_catalog_stays_far_inside_the_enumeration_limit():

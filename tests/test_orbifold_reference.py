@@ -99,11 +99,12 @@ def full_twisted(ip, group) -> FullTwisted:
                     ambient = tuple(map(add, lifted[i], lifted[j]))
                     entry = reduced.get(ambient)
                     if entry is None:
-                        entry = reduced[ambient] = {}
+                        coords: dict[int, CycScalar] = {}
                         if not any(ambient[k] for k in moved):
                             for exps, c in correction:
                                 local = tuple(ambient[k] + e for k, e in zip(target.fixed, exps))
-                                target.algebra.add_term(entry, c, local, start)
+                                target.algebra.add_term(coords, c, local)
+                        entry = reduced[ambient] = {start + k: s for k, s in coords.items()}
                     if entry:
                         structure[(i, j)] = entry
     return FullTwisted(ip, group, sectors, basis, structure)

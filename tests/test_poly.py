@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oja.poly import Poly, PolyParseError, grevlex_key, parse
+from oja.poly import Poly, PolyParseError, grevlex_key, infer_vars, parse
 from oja.scalar import SQRT2, CycScalar
 
 XYZ = ("x", "y", "z")
@@ -105,6 +105,30 @@ def test_parse_error_messages(text: str, vars: tuple[str, ...], message: str):
 ])
 def test_parse_juxtaposition_and_spacing(text: str, exps: tuple[int, ...], coeff: int):
     assert parse(text, XYZ) == Poly.monomial(XYZ, exps, CycScalar.from_rational(coeff))
+
+
+@pytest.mark.parametrize("text, vars", [
+    ("x1^3+x3", ("x1", "x2", "x3")),       # canonical: up to the largest index
+    ("2x1 + 3x2^2", ("x1", "x2")),         # a digit run before a name is a coefficient
+    ("z^2+x", ("x", "z")),                 # aliases, in the order x, y, z
+    ("(z)*x^2+y^2", ("x", "y")),           # z in a coefficient is not a variable
+    ("(z^2+1)", ("z",)),                   # ... unless no name lies outside one
+])
+def test_infer_vars(text: str, vars: tuple[str, ...]):
+    assert infer_vars(text) == vars
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/2 + 3", "no variables found in '1/2 + 3'"),
+    ("x1^2+y^3", "cannot infer variables from ['x1', 'y']; "
+                 "use canonical names x1..xN (or the aliases x, y, z)"),
+    ("é^2", "cannot infer variables from ['é']; "
+            "use canonical names x1..xN (or the aliases x, y, z)"),
+])
+def test_infer_vars_messages(text: str, message: str):
+    with pytest.raises(PolyParseError) as caught:
+        infer_vars(text)
+    assert str(caught.value) == message
 
 
 def test_ring_axioms_and_cancellation():
