@@ -340,12 +340,10 @@ def parse(text: str, vars: Sequence[str]) -> Poly:
         if name not in index:
             fail(f"unknown variable {name!r}")
         pos += len(name)
-        if not skip("^"):
-            exps[index[name]] += 1
-        elif text.startswith("-", pos):
+        power = skip("^")
+        if power and text.startswith("-", pos):
             fail("negative exponent")
-        else:
-            exps[index[name]] += read_uint()
+        exps[index[name]] += read_uint() if power else 1
 
     def read_term() -> tuple[tuple[int, ...], CycScalar]:
         skip()
@@ -369,15 +367,12 @@ def parse(text: str, vars: Sequence[str]) -> Poly:
             sign = text[pos]
             pos += 1
         exps, coeff = read_term()
-        if coeff:  # summed as `Poly.__add__` sums: a cancelled term is deleted
-            coeff = coeff if sign == "+" else -coeff
-            prev = terms.get(exps)
-            if prev is None:
-                terms[exps] = coeff
-            elif total := prev + coeff:
-                terms[exps] = total
-            else:
-                del terms[exps]
+        coeff = coeff if sign == "+" else -coeff
+        total = terms[exps] + coeff if exps in terms else coeff
+        if total:  # summed in place, as `Poly.__add__` sums
+            terms[exps] = total
+        else:
+            terms.pop(exps, None)  # cancelled, or a zero coefficient
         skip()
         if pos == len(text):
             return Poly._clean(vars, terms)
