@@ -26,7 +26,7 @@ import sys
 from typing import Callable, Sequence
 
 from .jacobian import QuotientAlgebra, milnor, quotient_algebra
-from .poly import ENUMERATION_LIMIT, Poly, infer_vars, parse
+from .poly import ENUMERATION_LIMIT, Poly, infer_vars, is_name, parse
 from .scalar import CycScalar
 from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
                        build_invertible, is_sl_symmetry, max_symmetry_group,
@@ -56,7 +56,7 @@ catalog, duality, orbifold = (sys.modules[name] for name in _LAZY)
 
 def _explicit_vars(spec: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in spec.split(","))
-    if any(not n for n in names) or len(set(names)) != len(names):
+    if not all(map(is_name, names)) or len(set(names)) != len(names):
         raise CliError(f"bad variable list {spec!r}")
     return names
 
@@ -104,8 +104,6 @@ def _emit(args: argparse.Namespace, payload: Callable[[], dict],
 
 
 def _mono_str(vars: Sequence[str], exponents: Sequence[int]) -> str:
-    if not any(exponents):
-        return "1"
     return str(Poly.monomial(tuple(vars), tuple(exponents)))
 
 
@@ -312,19 +310,12 @@ def cmd_graph(args: argparse.Namespace) -> int:
     except ValueError as exc:  # SearchFailure is a ValueError
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(graph.to_json(), indent=2, sort_keys=True))
-        return 0
-    if args.dot:
-        print(graph.to_dot())
-        return 0
-    lines = [f"nodes {len(graph.nodes)}", f"edges {len(graph.edges)}"]
-    lines.extend("component " + " ".join(comp) for comp in graph.components)
-    lines.extend(graph.certifications)
-    lines.extend(f"compare {a} {b}: {'equal' if eq else 'distinct'}"
-                 for a, b, eq in graph.fingerprint_comparisons())
-    for line in lines:
-        print(line)
+    _emit(args, graph.to_json, lambda: [graph.to_dot()] if args.dot else [
+        f"nodes {len(graph.nodes)}", f"edges {len(graph.edges)}",
+        *("component " + " ".join(comp) for comp in graph.components),
+        *graph.certifications,
+        *(f"compare {a} {b}: {'equal' if eq else 'distinct'}"
+          for a, b, eq in graph.fingerprint_comparisons())])
     return 0
 
 
@@ -415,10 +406,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -306,10 +306,7 @@ def _univariate_roots(profile: dict[int, CycScalar]) -> list[CycScalar] | None:
         return [_ZERO]  # A·u^j = 0
     if len(exponents) == 2 and exponents[0] == 0:
         j = exponents[1]
-        value = -(profile[0] * profile[j].inverse())
-        if j == 1:
-            return [value]
-        return kth_roots(value, j)
+        return kth_roots(-(profile[0] * profile[j].inverse()), j)
     if exponents == [0, 1, 2]:
         a, b, c = profile[2], profile[1], profile[0]
         disc = b * b - CycScalar.from_rational(4) * a * c
@@ -674,12 +671,6 @@ def duality_graph(catalog) -> DualityGraph:
     key_of = {node.label: register(node.ip, node.group, node.label)
               for node in nodes}
 
-    def unlinked() -> list[tuple[str, str]]:
-        return [(a.label, b.label)
-                for members in clusters.values()
-                for a, b in combinations(members, 2)
-                if find(key_of[a.label]) != find(key_of[b.label])]
-
     def needy_roots() -> set[int]:
         roots = set()
         for members in clusters.values():
@@ -690,8 +681,6 @@ def duality_graph(catalog) -> DualityGraph:
 
     pending = list(catalog.rows)
     for only_relevant_rows in (True, False):
-        if not unlinked():
-            break
         for row in list(pending):
             needy = needy_roots()
             if not needy:
@@ -720,10 +709,11 @@ def duality_graph(catalog) -> DualityGraph:
                     f"row {row.index}: {name_a} ~ {name_b} not certified "
                     f"({cert.level}-level result only); not linked")
 
-    missing = unlinked()
-    if missing:
-        raise ValueError("uncertified edges remain: "
-                         + "; ".join(f"{a} -- {b}" for a, b in missing))
+    if needy_roots():
+        raise ValueError("uncertified edges remain: " + "; ".join(
+            f"{a.label} -- {b.label}" for members in clusters.values()
+            for a, b in combinations(members, 2)
+            if find(key_of[a.label]) != find(key_of[b.label])))
 
     components = tuple(tuple(n.label for n in clusters[cid])
                        for cid in sorted(clusters))

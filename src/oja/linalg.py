@@ -3,13 +3,13 @@
 Gaussian elimination is generic in the coefficient field: it only needs
 +, -, *, `1 / x` and truthiness, so the same routines serve `CycScalar`
 and `Fraction` entries.  Ranks run on sparse rows ({column: nonzero}):
-`echelon` is forward elimination only, and `rank` counts its pivots.  The
-dense `rref` is kept for the solves that need the reduced form
-(`solve_linear`, exponent-matrix inverses).  Both take one reciprocal per
-pivot and multiply the pivot row by it.  Determinants and weight systems
-stay in the integers: `bareiss` gives det A and det A·A⁻¹b by fraction-free
-elimination.  The integer Smith normal form is used to cross-check symmetry
-group orders.
+`echelon` is forward elimination only, and `rank` counts its pivots.  `rref`
+is the same elimination plus a back-reduction, returned as the dense rows
+the solves read (`solve_linear`, exponent-matrix inverses).  Each pivot
+takes one reciprocal, and the pivot row is multiplied by it.  Determinants
+and weight systems stay in the integers: `bareiss` gives det A and
+det A·A⁻¹b by fraction-free elimination.  The integer Smith normal form is
+used to cross-check symmetry group orders.
 """
 
 from __future__ import annotations
@@ -22,33 +22,22 @@ K = TypeVar("K")
 T = TypeVar("T")
 
 
-def rref(matrix: list[list[T]]) -> tuple[list[list[T]], list[int]]:
-    """Reduced row echelon form (in place on a copy) and pivot columns."""
-    mat = [list(row) for row in matrix]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def _eliminate(row: dict[K, T], pivot: Mapping[K, T], col: K) -> None:
+    """row −= row[col]·pivot, in place, for a pivot that is 1 at `col`.
+
+    Drops `col` and every entry that cancels, so the row stores no zero.
+    """
+    factor = row.pop(col)
+    for k, c in pivot.items():
+        if k == col:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv if x else x for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b if b else a for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return mat, pivots
+        term = factor * c
+        if k not in row:
+            row[k] = -term
+        elif total := row[k] - term:
+            row[k] = total
+        else:
+            del row[k]
 
 
 def echelon(rows: Iterable[Mapping[K, T]]) -> dict[K, dict[K, T]]:
@@ -69,18 +58,29 @@ def echelon(rows: Iterable[Mapping[K, T]]) -> dict[K, dict[K, T]]:
                 inv = 1 / row[lead]
                 basis[lead] = {k: c * inv for k, c in row.items()}
                 break
-            factor = row.pop(lead)
-            for k, c in pivot.items():
-                if k == lead:
-                    continue
-                term = factor * c
-                if k not in row:
-                    row[k] = -term
-                elif total := row[k] - term:
-                    row[k] = total
-                else:
-                    del row[k]
+            _eliminate(row, pivot, lead)
     return basis
+
+
+def rref(matrix: list[list[T]]) -> tuple[list[list[T]], list[int]]:
+    """Reduced row echelon form of a dense matrix, and its pivot columns.
+
+    `echelon`, then back-reduction: from the last pivot to the first, each
+    pivot column is cleared from the earlier pivot rows.  The reduced form
+    is unique.  The result is dense with the input's shape, its rows past
+    the rank all zero.
+    """
+    basis = echelon({c: x for c, x in enumerate(row) if x} for row in matrix)
+    pivots = sorted(basis)
+    for i in range(len(pivots) - 1, 0, -1):
+        col = pivots[i]
+        for earlier in pivots[:i]:
+            if col in basis[earlier]:
+                _eliminate(basis[earlier], basis[col], col)
+    cols = len(matrix[0]) if matrix else 0
+    zero = matrix[0][0] - matrix[0][0] if cols else None
+    reduced = [[basis[p].get(c, zero) for c in range(cols)] for p in pivots]
+    return reduced + [[zero] * cols for _ in range(len(matrix) - len(pivots))], pivots
 
 
 def rank(rows: Iterable[Mapping[K, T]]) -> int:

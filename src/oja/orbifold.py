@@ -231,9 +231,8 @@ class OrbifoldAlgebra:
     def label(self, i: int) -> str:
         g, m = self.basis[i]
         lifted = self.sectors[g].lift(m, self.ip.arity)
-        mono = "1" if not any(lifted) else str(Poly.monomial(self.ip.vars, lifted))
         sector = "id" if g.is_identity() else str(g)
-        return f"[{mono}] v_({sector})"
+        return f"[{Poly.monomial(self.ip.vars, lifted)}] v_({sector})"
 
     def vector_str(self, u: Mapping[int, CycScalar]) -> str:
         parts = [f"({c}) {self.label(i)}" for i, c in sorted(u.items())]

@@ -281,6 +281,11 @@ def _at_name(text: str, pos: int) -> bool:
     return pos < len(text) and (text[pos].isalpha() or text[pos] == "_")
 
 
+def is_name(word: str) -> bool:
+    """Whether `parse` reads `word` as one variable name."""
+    return _at_name(word, 0) and _NAME.fullmatch(word) is not None
+
+
 def parse(text: str, vars: Sequence[str]) -> Poly:
     """Parse `coeff*x1^2*x2 + ...` into a Poly over the given variables.
 
@@ -392,7 +397,7 @@ def infer_vars(text: str) -> tuple[str, ...]:
     def names(source: str) -> set[str]:
         # A digit run before a name is a coefficient or exponent: "2x1" is x1.
         words = (w.lstrip("0123456789") for w in _NAME.findall(source))
-        return {w for w in words if _at_name(w, 0)}
+        return set(filter(is_name, words))
 
     found = names(_COEFFICIENT.sub(" ", text)) or names(text)
     if not found:

@@ -308,11 +308,7 @@ def monomial_shape(x: CycScalar) -> tuple[Fraction, int] | None:
 
 
 def _int_nth_root(n: int, k: int) -> int | None:
-    """Exact k-th root of a nonnegative integer, or None."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n in (0, 1):
-        return n
+    """Exact k-th root of a positive integer, or None."""
     lo, hi = 1, 1
     while hi**k < n:
         hi *= 2
@@ -323,19 +319,6 @@ def _int_nth_root(n: int, k: int) -> int | None:
         else:
             hi = mid
     return lo if lo**k == n else None
-
-
-def _rational_nth_root(q: Fraction, k: int) -> Fraction | None:
-    if q < 0:
-        if k % 2 == 0:
-            return None
-        root = _rational_nth_root(-q, k)
-        return None if root is None else -root
-    num = _int_nth_root(q.numerator, k)
-    den = _int_nth_root(q.denominator, k)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
 
 
 def _squarefree_decomposition(n: int) -> tuple[int, int]:
@@ -357,69 +340,64 @@ def _squarefree_decomposition(n: int) -> tuple[int, int]:
 _SURDS = {1: _ONE_ELT, 2: SQRT2, 3: SQRT3, 6: SQRT6}
 
 
+def _shaped_roots(x: CycScalar, k: int) -> list[CycScalar]:
+    """All c in the field with c**k = x, for k = 2 or odd k and x = q * z^m.
+
+    The sign of q folds into z^m (-1 = z^12), and c = s * z^t with s**k = |q|
+    and t*k = m (mod 24).  Only a square root s may carry sqrt 2, 3 or 6.
+    """
+    if x.is_zero():
+        return [x]
+    shape = monomial_shape(x)
+    if shape is None:
+        return []
+    q, m = shape
+    if q < 0:
+        q, m = -q, (m + ORDER // 2) % ORDER
+    if k == 2:
+        # sqrt(num/den) = sqrt(num*den)/den, pulled apart into s * sqrt(r).
+        s, r = _squarefree_decomposition(q.numerator * q.denominator)
+        if r not in _SURDS:
+            return []
+        root = CycScalar.from_rational(Fraction(s, q.denominator)) * _SURDS[r]
+    else:
+        num, den = _int_nth_root(q.numerator, k), _int_nth_root(q.denominator, k)
+        if num is None or den is None:
+            return []
+        root = CycScalar.from_rational(Fraction(num, den))
+    g = gcd(k, ORDER)
+    if m % g:
+        return []
+    step = ORDER // g
+    t0 = (m // g) * pow(k // g, -1, step) % step
+    return [root * CycScalar.zeta(t0 + j * step) for j in range(g)]
+
+
 def square_roots(x: CycScalar) -> list[CycScalar]:
     """All square roots of x lying in the field, for monomial-shaped x.
 
     Inputs that are not of the shape q * z^m yield [] — such roots are never
     needed here and finding them exactly would require genuine lattice work.
     """
-    if x.is_zero():
-        return [x]
-    shape = monomial_shape(x)
-    if shape is None:
-        return []
-    q, m = shape
-    if q < 0:
-        q, m = -q, (m + ORDER // 2) % ORDER
-    if m % 2:
-        return []
-    # sqrt(num/den) = sqrt(num*den)/den, pulled apart into s * sqrt(r).
-    s, r = _squarefree_decomposition(q.numerator * q.denominator)
-    if r not in _SURDS:
-        return []
-    root = (CycScalar.from_rational(Fraction(s, q.denominator))
-            * _SURDS[r] * CycScalar.zeta(m // 2))
-    return [root, -root]
-
-
-def _odd_roots(x: CycScalar, k: int) -> list[CycScalar]:
-    shape = monomial_shape(x)
-    if shape is None:
-        return []
-    q, m = shape
-    if q < 0:
-        # fold -1 = z^(ORDER/2) into the root-of-unity part (k is odd, so
-        # the rational part keeps a k-th root only if |q| has one)
-        q, m = -q, (m + ORDER // 2) % ORDER
-    s = _rational_nth_root(q, k)
-    if s is None:
-        return []
-    g = gcd(k, ORDER)
-    if m % g:
-        return []
-    step = ORDER // g
-    t0 = (m // g) * pow(k // g, -1, step) % step
-    return [CycScalar.from_rational(s) * CycScalar.zeta(t0 + j * step) for j in range(g)]
+    return _shaped_roots(x, 2)
 
 
 def kth_roots(x: CycScalar, k: int) -> list[CycScalar]:
     """All solutions c in the field of c**k = x that the shape search finds.
 
-    k factors as 2^a * m; odd parts go through the rational-root path and
-    each factor of two through `square_roots`, which is how surd-valued
-    roots like (1+i)**4 = -4 are reached.
+    k factors as 2^a * m; an odd k goes to the shape finder at once and each
+    factor of two through `square_roots`, which is how surd-valued roots like
+    (1+i)**4 = -4 are reached.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if k == 1:
         return [x]
-    if x.is_zero():
-        return [x]
-    if k % 2 == 0:
-        found: list[CycScalar] = []
-        for u in kth_roots(x, k // 2):
-            for r in square_roots(u):
-                if r not in found:
-                    found.append(r)
-        return found
-    return _odd_roots(x, k)
+    if k % 2:
+        return _shaped_roots(x, k)
+    found: list[CycScalar] = []
+    for u in kth_roots(x, k // 2):
+        for r in square_roots(u):
+            if r not in found:
+                found.append(r)
+    return found

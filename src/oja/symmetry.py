@@ -241,10 +241,13 @@ def build_invertible(f: Poly) -> InvertiblePoly:
 
 
 def transpose(ip: InvertiblePoly) -> InvertiblePoly:
-    """Berglund–Hübsch transpose: transpose the exponent matrix, keep coefficients.
+    """Berglund–Hübsch transpose, up to renaming variables.
 
-    Row order is preserved (row i of the transpose is column i of the
-    original), which makes the operation an exact involution.
+    The exponent matrix is transposed and the coefficients kept.  Row order is
+    preserved (row i of the transpose is column i of the original), which
+    makes the operation an exact involution.  Rows pair with variables by
+    descending grevlex, not by the variable each monomial is built on, so
+    `x1^2 + x2^3` comes out as `x1^3 + x2^2`.
     """
     n = ip.arity
     rows = [tuple(ip.exponents[j][i] for j in range(n)) for i in range(n)]

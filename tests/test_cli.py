@@ -48,6 +48,13 @@ def test_transpose_accepts_alias_variable_names():
     assert inferred.stdout == explicit.stdout == "x*y^3 + x^3 + z^2\n"
 
 
+@pytest.mark.parametrize("poly, spec", [("2^2+b^3", "2,b"), ("x1^2+x2^3", "x1,x2,q+r")])
+def test_transpose_rejects_variable_names_the_parser_cannot_read(poly: str, spec: str):
+    result = _run("transpose", poly, "--vars", spec)
+    assert result.returncode == 2
+    assert result.stderr == f"error: bad variable list '{spec}'\n"
+
+
 def test_transpose_json_reports_the_weight_system():
     result = _run("--json", "transpose", "x1^3*x2+x2^3+x3^2")
     data = json.loads(result.stdout)

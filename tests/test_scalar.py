@@ -228,3 +228,19 @@ def test_kth_roots_of_zero_and_identity_cases():
     assert kth_roots(a, 1) == [a]
     with pytest.raises(ValueError):
         kth_roots(a, 0)
+
+
+@pytest.mark.parametrize("x, k, expected", [
+    (CycScalar.from_rational(-4), 2, ["2*z^6", "-2*z^6"]),
+    (CycScalar.from_rational(3) * CycScalar.zeta(10), 2, ["z^3 + z^7", "-z^3 - z^7"]),
+    (CycScalar.from_rational(-4), 4, ["1 + z^6", "-1 - z^6", "-1 + z^6", "1 - z^6"]),
+    (CycScalar.from_rational(8), 3, ["2", "-2 + 2*z^4", "-2*z^4"]),
+    (CycScalar.from_rational(-27), 3, ["3*z^4", "-3", "3 - 3*z^4"]),
+    (CycScalar.from_rational(Fraction(-1, 64)), 6,
+     ["1/2*z^2", "-1/2*z^2", "1/2*z^6", "-1/2*z^6", "-1/2*z^2 + 1/2*z^6", "1/2*z^2 - 1/2*z^6"]),
+])
+def test_root_order_is_pinned(x, k, expected):
+    """The ansatz search branches on the roots in this order."""
+    assert [str(r) for r in kth_roots(x, k)] == expected
+    if k == 2:
+        assert [str(r) for r in square_roots(x)] == expected

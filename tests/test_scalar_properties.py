@@ -9,8 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from oja.scalar import (DEGREE, ORDER, SQRT2, SQRT3, CycScalar, kth_roots,  # noqa: E402
-                        _canonical, _CONJUGATIONS, _conjugate, _int_mul)
+from oja.scalar import (DEGREE, ORDER, SQRT2, SQRT3, SQRT6, CycScalar,  # noqa: E402
+                        kth_roots, square_roots, _canonical, _CONJUGATIONS, _conjugate,
+                        _int_mul)
 
 PHI = [1, 0, 0, 0, -1, 0, 0, 0, 1]  # t^8 - t^4 + 1, the minimal polynomial of z
 assert ORDER == 24 and len(PHI) == DEGREE + 1
@@ -111,3 +112,23 @@ def test_kth_roots_are_roots(x, k, as_power):
         x = x**k  # guarantees at least one root exists in the field
     for r in kth_roots(x, k):
         assert r**k == x
+
+
+def _assert_roots_of_a_power(roots, c, k):
+    assert c in roots
+    assert all(r**k == c**k for r in roots)
+    assert len(set(roots)) == len(roots)
+
+
+@given(fractions, st.integers(0, ORDER - 1), st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
+def test_kth_roots_of_a_power_contain_its_base(s, t, k):
+    """c = s·z^t: every root of c**k is found, c among them, none twice."""
+    c = CycScalar.from_rational(s) * CycScalar.zeta(t)
+    _assert_roots_of_a_power(kth_roots(c**k, k), c, k)
+
+
+@given(fractions, st.sampled_from([SQRT2, SQRT3, SQRT6]), st.integers(0, ORDER - 1))
+def test_square_roots_of_a_surd_square_contain_its_base(s, surd, t):
+    """c = s·√r·z^t for r in {2, 3, 6}: only a square root may carry the surd."""
+    c = CycScalar.from_rational(s) * surd * CycScalar.zeta(t)
+    _assert_roots_of_a_power(square_roots(c**2), c, 2)

@@ -161,6 +161,19 @@ def test_transpose_diagonal_fixed_points():
     assert transpose(ip).poly == ip.poly
 
 
+@pytest.mark.parametrize("f, textbook", [
+    ("x^2+y^3", "x^2+y^3"),  # Fermat: its own transpose
+    ("x^5*y+y^3+z^2", "x^5+x*y^3+z^2"),  # chain
+    ("x^2*y+y^3*z+z^4*x", "x^2*z+x*y^3+y*z^4"),  # loop, reversed
+])
+def test_transpose_is_the_textbook_transpose_up_to_renaming_variables(f, textbook):
+    """Rows pair with variables by descending grevlex, so only the renaming
+    class is guaranteed: `x^2+y^3` comes out as `x^3+y^2`."""
+    vars = XYZ[:2] if "z" not in f else XYZ
+    assert same_up_to_variable_permutation(transpose(_ip(f, vars)).poly,
+                                           parse(textbook, vars))
+
+
 # --- symmetry groups ---------------------------------------------------
 
 
