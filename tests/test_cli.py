@@ -317,6 +317,18 @@ def _set_witness_term(index: int, image: int, slot: int, value) -> Callable[[dic
     return mutate
 
 
+def _set_witness_image(index: int, image: int, terms: list) -> Callable[[dict], None]:
+    def mutate(data: dict) -> None:
+        data["rows"][index]["witness"]["images"][image] = terms
+    return mutate
+
+
+def _drop_witness_image(index: int) -> Callable[[dict], None]:
+    def mutate(data: dict) -> None:
+        data["rows"][index]["witness"]["images"].pop()
+    return mutate
+
+
 def _set_generator(section: str, index: int, value) -> Callable[[dict], None]:
     def mutate(data: dict) -> None:
         data[section][index]["generator"] = value
@@ -330,18 +342,35 @@ def _set_node(field: str, index: int, value) -> Callable[[dict], None]:
 
 
 # Each case: a change to the bundled catalog (None: the catalog path is a
-# directory), and the message expected on stderr.  Position 1 holds row 2,
-# whose group is <(1/2,0,1/2)>, and graph node B.
+# directory), and the message expected on stderr: a substring, or the whole
+# line with its newline.  Position 1 holds row 2, whose group is
+# <(1/2,0,1/2)>, and graph node B.
 _BROKEN_CATALOGS = {
     "missing-sections": (_keep_only_version, "invalid catalog"),
-    "scalar-not-a-string": (_set_witness_term(1, 0, 0, 1), "invalid catalog"),
-    "scalar-divides-by-zero": (_set_witness_term(1, 0, 0, "1/0"), "invalid catalog"),
+    "scalar-not-a-string": (
+        _set_witness_term(1, 0, 0, 1),
+        "error: invalid catalog: row 2: witness term [1, 'x1^2', '0,0,0'] is not three "
+        "strings (scalar, monomial, sector)\n"),
+    "scalar-divides-by-zero": (_set_witness_term(1, 0, 0, "1/0"),
+                               "error: invalid catalog: bad witness scalar '1/0'\n"),
+    "term-not-three-strings": (
+        _set_witness_image(1, 0, [["1", "x1^2"]]),
+        "error: invalid catalog: row 2: witness term ['1', 'x1^2'] is not three "
+        "strings (scalar, monomial, sector)\n"),
+    "wrong-number-of-images": (_drop_witness_image(1),
+                               "error: invalid catalog: row 2: witness needs 3 images\n"),
     "row-generator-not-a-string": (_set_generator("rows", 1, ["1/2", "0", "1/2"]),
                                    "invalid catalog"),
     "node-generator-not-a-string": (_set_generator("graph_nodes", 1, ["1/2", "0", "1/2"]),
                                     "invalid catalog"),
-    "sector-outside-group": (_set_witness_term(1, 2, 2, "0,1/2,1/2"), "invalid catalog"),
-    "monomial-unknown-variable": (_set_witness_term(1, 0, 1, "x9^2"), "invalid catalog"),
+    "sector-outside-group": (
+        _set_witness_term(1, 2, 2, "0,1/2,1/2"),
+        "error: invalid catalog: row 2: witness sector (0,1/2,1/2) is not in the row's "
+        "group\n"),
+    "monomial-unknown-variable": (
+        _set_witness_term(1, 0, 1, "x9^2"),
+        "error: invalid catalog: row 2: witness monomial 'x9^2': position 0: unknown "
+        "variable 'x9'\n"),
     "node-cluster-not-int": (_set_node("cluster", 1, "1"), "invalid catalog"),
     "node-cluster-list": (_set_node("cluster", 1, [1]), "invalid catalog"),
     "node-cluster-bool": (_set_node("cluster", 1, True), "invalid catalog"),

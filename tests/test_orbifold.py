@@ -109,6 +109,15 @@ def test_unit_guard_rejects_free_cyclic_action():
                or T.basis_product(i, one) != {i: CycScalar.one()} for i in range(T.dim))
 
 
+def test_unit_guard_message_is_pinned():
+    ip = build_invertible(parse("x1^3+x2^3+x3^3", ("x1", "x2", "x3")))
+    group = SymmetryGroup.generated_by([GroupElement.parse("1/3,1/3,1/3")], 3)
+    with pytest.raises(ValueError) as info:
+        orbifold_algebra(ip, group)
+    assert str(info.value) == ("v_id is not a two-sided unit for this group configuration; "
+                               "the product formula does not apply")
+
+
 def test_invariant_subalgebra_rejects_a_product_leaving_the_invariant_basis():
     # With H_{id,id} replaced by a non-invariant monomial, v_id · v_id leaves
     # the invariant basis, and the closure check must say so.

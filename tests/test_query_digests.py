@@ -1,6 +1,6 @@
 """sha256 digests of the CLI's stdout and stderr over the whole command matrix.
 
-The goldens pin 17 transcripts byte for byte; this pins 428 more by
+The goldens pin 17 transcripts byte for byte; this pins 429 more by
 digest, run in-process through ``oja.cli.main``: every ``verify`` and
 ``graph`` form, ``verify --row`` for each catalog row, the
 ``transpose``/``milnor``/``symmetry``/``jacobian`` forms over every catalog
@@ -35,6 +35,7 @@ ERROR_CASES = [
     ["verify", "--row", "99"],
     ["--catalog", "no/such/catalog.json", "verify", "--all"],
     ["--catalog", "no/such/catalog.json", "graph"],
+    ["orbifold", "x1^3+x2^3+x3^3", "--group", "1/3,1/3,1/3"],
 ]
 
 
