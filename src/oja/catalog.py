@@ -26,11 +26,10 @@ from typing import NamedTuple
 from .duality import GraphNode, IsoWitness
 from .jacobian import add_scaled
 from .orbifold import orbifold_algebra
-from .poly import ENUMERATION_LIMIT, Poly, infer_vars, parse
+from .poly import ENUMERATION_LIMIT, Poly, parse
 from .scalar import CycScalar, I_UNIT, SQRT2, SQRT3
-from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
-                       build_invertible, is_sl_symmetry,
-                       same_up_to_variable_permutation, transpose)
+from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup, is_sl_symmetry,
+                       parse_invertible, same_up_to_variable_permutation, transpose)
 
 # type, strange dual, polynomial variants
 _ENTRY_TABLE = (
@@ -207,8 +206,8 @@ class Catalog:
                              for image in r["witness"]["images"]))
             for r in data["rows"])
         self.graph_nodes = tuple(
-            GraphNode(n["label"], _ip_from_text(n["f"]),
-                      _group_from_generator(n["generator"], _ip_from_text(n["f"]).arity),
+            GraphNode(n["label"], parse_invertible(n["f"]),
+                      _group_from_generator(n["generator"], parse_invertible(n["f"]).arity),
                       n["cluster"])
             for n in data["graph_nodes"])
         self._by_type = {e.type_name: e for e in self.entries}
@@ -222,15 +221,9 @@ class Catalog:
 
 
 @lru_cache(maxsize=None)
-def _ip_from_text(text: str) -> InvertiblePoly:
-    """Parse an invertible polynomial over the variables `infer_vars` reads."""
-    return build_invertible(parse(text, infer_vars(text)))
-
-
-@lru_cache(maxsize=None)
 def _transposed(text: str) -> Poly:
     """The transpose of a catalog variant, computed once per distinct text."""
-    return transpose(_ip_from_text(text)).poly
+    return transpose(parse_invertible(text)).poly
 
 
 def _group_from_generator(generator: str, arity: int) -> SymmetryGroup:
@@ -267,12 +260,39 @@ def _parse_scalar(text: str) -> CycScalar:
 
 
 def row_source(row: CatalogRow) -> InvertiblePoly:
-    return _ip_from_text(row.f1)
+    return parse_invertible(row.f1)
 
 
 def row_target(row: CatalogRow) -> tuple[InvertiblePoly, SymmetryGroup]:
-    ip = _ip_from_text(row.f2_transpose)
+    ip = parse_invertible(row.f2_transpose)
     return ip, _group_from_generator(row.generator, ip.arity)
+
+
+def _witness_terms(row: CatalogRow, arity: int, target_ip: InvertiblePoly,
+                   group: SymmetryGroup) -> list[list[tuple[CycScalar, Poly, GroupElement]]]:
+    """Parse and check a row's witness: its (scalar, monomial, sector) terms per image."""
+    if len(row.witness) != arity:
+        raise ValueError(f"row {row.index}: witness needs {arity} images")
+    images = []
+    for image in row.witness:
+        terms = []
+        for term in image:
+            if len(term) != 3 or not all(isinstance(t, str) for t in term):
+                raise ValueError(f"row {row.index}: witness term {list(term)!r} is not "
+                                 "three strings (scalar, monomial, sector)")
+            scalar_text, monomial_text, sector_text = term
+            scalar = _parse_scalar(scalar_text)
+            try:
+                monomial = parse(monomial_text, target_ip.vars)
+            except ValueError as exc:
+                raise ValueError(
+                    f"row {row.index}: witness monomial {monomial_text!r}: {exc}") from None
+            if (sector := GroupElement.parse(sector_text)) not in group:
+                raise ValueError(
+                    f"row {row.index}: witness sector ({sector_text}) is not in the row's group")
+            terms.append((scalar, monomial, sector))
+        images.append(terms)
+    return images
 
 
 def row_witness(row: CatalogRow) -> IsoWitness | None:
@@ -283,12 +303,10 @@ def row_witness(row: CatalogRow) -> IsoWitness | None:
     target_ip, group = row_target(row)
     algebra = orbifold_algebra(target_ip, group)
     images = []
-    for image_terms in row.witness:
+    for terms in _witness_terms(row, source.arity, target_ip, group):
         vector: dict[int, CycScalar] = {}
-        for scalar_text, monomial_text, phases_text in image_terms:
-            monomial = parse(monomial_text, target_ip.vars)
-            term = algebra.element(monomial, GroupElement.parse(phases_text))
-            add_scaled(vector, _parse_scalar(scalar_text), term)
+        for scalar, monomial, sector in terms:
+            add_scaled(vector, scalar, algebra.element(monomial, sector))
         images.append(vector)
     return IsoWitness(source, algebra, tuple(images))
 
@@ -312,10 +330,10 @@ def _validate(catalog: Catalog) -> None:
         if not entry.variants:
             raise ValueError(f"{entry.type_name}: no variants")
         for variant in entry.variants:
-            _ip_from_text(variant)  # raises if not invertible with isolated singularity
+            parse_invertible(variant)  # raises if not invertible with isolated singularity
         # Some variant must be a transpose of the dual's, up to renaming.
         if not any(
-                same_up_to_variable_permutation(_ip_from_text(a).poly, _transposed(b))
+                same_up_to_variable_permutation(parse_invertible(a).poly, _transposed(b))
                 for a in entry.variants for b in partner.variants):
             raise ValueError(
                 f"{entry.type_name}: no variant matches a transposed "
@@ -326,7 +344,7 @@ def _validate(catalog: Catalog) -> None:
     for row in catalog.rows:
         source = row_source(row)
         entry = catalog.entry(row.f1_type)
-        if not any(source.poly == _ip_from_text(v).poly for v in entry.variants):
+        if not any(source.poly == parse_invertible(v).poly for v in entry.variants):
             raise ValueError(
                 f"row {row.index}: f1 is not a listed {row.f1_type} variant")
         target_ip, group = row_target(row)
@@ -337,26 +355,7 @@ def _validate(catalog: Catalog) -> None:
             raise ValueError(
                 f"row {row.index}: reduced rows carry a witness, others do not")
         if row.witness is not None:
-            if len(row.witness) != source.arity:
-                raise ValueError(
-                    f"row {row.index}: witness needs {source.arity} images")
-            for term in (term for image in row.witness for term in image):
-                if len(term) != 3 or not all(isinstance(t, str) for t in term):
-                    raise ValueError(
-                        f"row {row.index}: witness term {list(term)!r} is not "
-                        "three strings (scalar, monomial, sector)")
-                scalar_text, monomial_text, sector_text = term
-                _parse_scalar(scalar_text)
-                try:
-                    parse(monomial_text, target_ip.vars)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"row {row.index}: witness monomial {monomial_text!r}: {exc}"
-                    ) from None
-                if GroupElement.parse(sector_text) not in group:
-                    raise ValueError(
-                        f"row {row.index}: witness sector ({sector_text}) "
-                        "is not in the row's group")
+            _witness_terms(row, source.arity, target_ip, group)
         partner = catalog.entry(row.f2_type)
         if not any(
                 same_up_to_variable_permutation(_transposed(v), target_ip.poly)

@@ -28,9 +28,8 @@ from typing import Callable, Sequence
 from .jacobian import QuotientAlgebra, milnor, quotient_algebra
 from .poly import ENUMERATION_LIMIT, Poly, infer_vars, is_name, parse
 from .scalar import CycScalar
-from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
-                       build_invertible, is_sl_symmetry, max_symmetry_group,
-                       sl_subgroup, transpose)
+from .symmetry import (GroupElement, SymmetryGroup, is_sl_symmetry, max_symmetry_group,
+                       parse_invertible, sl_subgroup, transpose)
 
 
 class CliError(Exception):
@@ -59,14 +58,6 @@ def _explicit_vars(spec: str) -> tuple[str, ...]:
     if not all(map(is_name, names)) or len(set(names)) != len(names):
         raise CliError(f"bad variable list {spec!r}")
     return names
-
-
-def _poly(text: str, vars: tuple[str, ...] | None = None) -> Poly:
-    return parse(text, vars if vars is not None else infer_vars(text))
-
-
-def _invertible(text: str, vars: tuple[str, ...] | None = None) -> InvertiblePoly:
-    return build_invertible(_poly(text, vars))
 
 
 def _group_element(text: str, arity: int) -> GroupElement:
@@ -141,7 +132,7 @@ def _display_generators(group: SymmetryGroup) -> list[GroupElement]:
 
 def cmd_transpose(args: argparse.Namespace) -> int:
     vars = _explicit_vars(args.vars) if args.vars else None
-    tp = transpose(_invertible(args.poly, vars))
+    tp = transpose(parse_invertible(args.poly, vars))
     _emit(args, lambda: {
         "polynomial": str(tp.poly),
         "variables": list(tp.vars),
@@ -152,7 +143,7 @@ def cmd_transpose(args: argparse.Namespace) -> int:
 
 
 def cmd_symmetry(args: argparse.Namespace) -> int:
-    group = max_symmetry_group(_invertible(args.poly))
+    group = max_symmetry_group(parse_invertible(args.poly))
     if args.sl:
         group = sl_subgroup(group)
     gens = [str(g) for g in _display_generators(group)]
@@ -163,7 +154,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
 
 
 def cmd_milnor(args: argparse.Namespace) -> int:
-    f = _poly(args.poly)
+    f = parse(args.poly, infer_vars(args.poly))
     mu = milnor(f)
     _emit(args, lambda: {"polynomial": str(f), "milnor": mu}, lambda: [str(mu)])
     return 0
@@ -187,7 +178,7 @@ def _jacobian_lines(args: argparse.Namespace, algebra: QuotientAlgebra,
 
 
 def cmd_jacobian(args: argparse.Namespace) -> int:
-    ip = _invertible(args.poly)
+    ip = parse_invertible(args.poly)
     algebra = quotient_algebra(ip.poly, ip.weights, ip.degree)
     trace = CycScalar.from_rational(algebra.mu) * algebra.trace_scale
     _emit(args, lambda: {
@@ -211,8 +202,7 @@ def _orbifold_lines(args: argparse.Namespace,
                 for (i, j) in sorted(algebra.structure)]
     if args.pairing:
         return [f"eta[{algebra.label(i)}, {algebra.label(j)}] = {c}"
-                for i, row in enumerate(algebra.gram)
-                for j, c in enumerate(row) if not c.is_zero()]
+                for i, row in enumerate(algebra.gram) for j, c in sorted(row.items())]
     lines = [f"dimension {algebra.dim}"]
     parity = {0: "even", 1: "odd"}
     lines.extend(f"{algebra.label(i)}  degree {algebra.degrees[i]}  {parity[p]}"
@@ -221,7 +211,7 @@ def _orbifold_lines(args: argparse.Namespace,
 
 
 def cmd_orbifold(args: argparse.Namespace) -> int:
-    ip = _invertible(args.poly)
+    ip = parse_invertible(args.poly)
     generators = [_group_element(text, ip.arity) for text in args.group]
     bound = math.prod(g.order() for g in generators)  # |<generators>| <= bound
     if bound > ENUMERATION_LIMIT:

@@ -210,14 +210,15 @@ def verify_frobenius_iso(w: IsoWitness) -> Report:
     target = w.target
     src = source_algebra(w.source)
     phi = w.image_matrix
-    if _is_algebra_map(w) and all(target.trace(phi[k]) == src.gram[k][src.identity_index]
+    unit = src.identity_index
+    if _is_algebra_map(w) and all(target.trace(phi[k]) == src.gram[k].get(unit, _ZERO)
                                   for k in range(src.dim)):
         return Report(True, (Check("pairings", True, ""),))
     mismatches = []
     for i in range(src.dim):
         for j in range(i, src.dim):
             got = target.pairing(phi[i], phi[j])
-            expected = src.gram[i][j]
+            expected = src.gram[i].get(j, _ZERO)
             if got != expected:
                 mismatches.append(
                     f"eta({src.label(i)}, {src.label(j)}): {got} != {expected}")
@@ -261,18 +262,13 @@ def _used_unknowns(eq: Poly) -> set[int]:
 
 
 def _plug(eq: Poly, index: int, value: CycScalar) -> Poly:
-    """eq with the unknown `index` set to `value`; each power is taken once."""
-    powers: dict[int, CycScalar] = {}
+    """eq with the unknown `index` set to `value`."""
     terms: dict[tuple[int, ...], CycScalar] = {}
     for exps, coeff in eq.terms.items():
-        e = exps[index]
-        if e:
-            power = powers.get(e)
-            if power is None:
-                power = powers[e] = value**e
-            if not power:
+        if e := exps[index]:
+            coeff = coeff * value**e
+            if not coeff:
                 continue
-            coeff = coeff * power
             exps = exps[:index] + (0,) + exps[index + 1:]
         prev = terms.get(exps)
         if prev is None:
@@ -439,7 +435,7 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
         phi = [table[m] for _, m in src.basis]
         for i in range(src.dim):
             for j in range(i, src.dim):
-                pairing, gram = target.pairing(phi[i], phi[j], zero), src.gram[i][j]
+                pairing, gram = target.pairing(phi[i], phi[j], zero), src.gram[i].get(j)
                 add_equation(pairing - Poly.constant(ring, gram) if gram else pairing)
 
     budget = _Budget(MAX_NODES)

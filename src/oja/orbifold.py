@@ -13,8 +13,8 @@ with the correction class H_{g,h} pinned by the Hessian-ratio equation
     (1/μ_{g∩h}) [hess(f^{g∩h}) · H] = (1/μ_{gh}) [hess(f^{gh})]  in Jac(f^{gh}),
 
 solved among G-invariant classes of the expected weighted degree (the class
-is asserted unique).  `twisted_algebra` keeps Jac'(f,G) as this product rule,
-multiplying out only the unit's row and column.  `OrbifoldAlgebra` is its
+is asserted unique).  `twisted_algebra` keeps Jac'(f,G) as this product rule
+and checks from the prefactors that v_id is its unit.  `OrbifoldAlgebra` is its
 G-invariant part Jac(f,G), built from invariant products alone and carrying
 the trace pairing normalized by λ([hess f]) = |G|·μ_f.
 """
@@ -133,7 +133,7 @@ class OrbifoldAlgebra:
 
     Elements are sparse coordinate dicts over `basis`: G-invariant pairs (group
     element, sector-local standard monomial).  The structure tensor, Gram
-    matrix (checked nondegenerate) and weighted degrees are all materialized
+    rows (checked nondegenerate) and weighted degrees are all materialized
     at construction; instances are immutable.  The trace reads one
     coordinate: the socle of the identity sector.
     """
@@ -166,15 +166,12 @@ class OrbifoldAlgebra:
             Fraction(2 * sum(w[i] * e for i, e in zip(self.sectors[g].fixed, m)) + shift[g], 2 * d)
             for g, m in self.basis)
 
-        dim = len(self.basis)
-        self.gram = [[_ZERO] * dim for _ in range(dim)]
-        # The Gram rows over the trace factor, which has no effect on the rank.
-        socle_rows: list[dict[int, CycScalar]] = [{} for _ in range(dim)]
+        # gram[i] = {j: η(e_i, e_j)}, sparse like every element.
+        self.gram: list[dict[int, CycScalar]] = [{} for _ in self.basis]
         for (i, j), row in self.structure.items():
             if self._socle in row:
-                socle_rows[i][j] = row[self._socle]
                 self.gram[i][j] = row[self._socle] * self._trace_factor
-        if rank(socle_rows) != dim:
+        if rank(self.gram) != self.dim:
             raise ValueError("Frobenius pairing is degenerate; construction is inconsistent")
 
     # -- basics --
@@ -223,10 +220,10 @@ class OrbifoldAlgebra:
         return zero if c is None else c * self._trace_factor
 
     def pairing(self, u: Mapping, v: Mapping, zero=_ZERO):
-        """η(u, v) = Σ u_a v_b gram[a][b] over nonzero entries: ε(u∘v), no product."""
+        """η(u, v) = Σ u_a v_b gram[a][b] over stored entries: ε(u∘v), no product."""
         gram = self.gram
-        return sum((cu * cv * gram[a][b] for a, cu in u.items()
-                    for b, cv in v.items() if gram[a][b]), zero)
+        return sum((cu * cv * c for a, cu in u.items()
+                    for b, cv in v.items() if (c := gram[a].get(b))), zero)
 
     def label(self, i: int) -> str:
         g, m = self.basis[i]
@@ -255,7 +252,8 @@ class OrbifoldAlgebra:
             "structure": [[i, j, k, c.to_json()]
                           for (i, j), row in sorted(self.structure.items())
                           for k, c in sorted(row.items())],
-            "gram": [[c.to_json() for c in row] for row in self.gram],
+            "gram": [[row.get(j, _ZERO).to_json() for j in range(self.dim)]
+                     for row in self.gram],
         }
 
     def __repr__(self) -> str:
@@ -308,23 +306,19 @@ class TwistedAlgebra(NamedTuple):
 
 
 def twisted_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> TwistedAlgebra:
-    """Jac'(f,G) as a product rule, whose unit's row and column must be the identity."""
+    """Jac'(f,G) as a product rule, of which v_id must be the two-sided unit."""
     sectors = build_sectors(ip, group)
     n = ip.arity
     correction = {(g, h): tuple((e, _prefactor(n, g) * c)
                                 for e, c in compute_H(ip, group, g, h, sectors).terms.items())
                   for g in group for h in group if fix_union_holds(g, h)}
+    # H = 1 when a factor is the identity and prefactor(id) = 1, so v_id·[x]v_g = [x]v_g
+    # and [x]v_g·v_id = prefactor(g)·[x]v_g: v_id is the unit iff every prefactor is 1.
+    if any(_prefactor(n, g) != _ONE for g in group):
+        raise ValueError("v_id is not a two-sided unit for this group configuration; "
+                         "the product formula does not apply")
     lifted = {g: tuple(s.lift(m, n) for m in s.algebra.basis) for g, s in sectors.items()}
-    rule = TwistedAlgebra(ip, group, sectors, lifted, correction)
-    identity, unit = GroupElement.identity(n), [(0, (0,) * n)]
-    for g in group:
-        local, elements = range(len(lifted[g])), list(enumerate(lifted[g]))
-        left = rule.products(identity, g, unit, elements, local)
-        right = rule.products(g, identity, elements, unit, local)
-        if any(left.get((0, a)) != {a: _ONE} or right.get((a, 0)) != {a: _ONE} for a in local):
-            raise ValueError("v_id is not a two-sided unit for this group configuration; "
-                             "the product formula does not apply")
-    return rule
+    return TwistedAlgebra(ip, group, sectors, lifted, correction)
 
 
 def invariant_subalgebra(twisted: TwistedAlgebra) -> OrbifoldAlgebra:

@@ -273,21 +273,10 @@ I_UNIT = CycScalar.zeta(6)
 SQRT2 = CycScalar.zeta(3) + CycScalar.zeta(21)
 SQRT3 = CycScalar.zeta(2) + CycScalar.zeta(22)
 SQRT6 = SQRT2 * SQRT3
-SQRT_MINUS6 = I_UNIT * SQRT6
 HALF_I = I_UNIT * CycScalar.from_rational(Fraction(1, 2))
-
-NAMED_CONSTANTS = {
-    "i": I_UNIT,
-    "sqrt2": SQRT2,
-    "sqrt3": SQRT3,
-    "sqrt6": SQRT6,
-    "sqrt_minus6": SQRT_MINUS6,
-    "half_i": HALF_I,
-}
 
 assert (SQRT2 * SQRT2).rational_value() == 2
 assert (SQRT3 * SQRT3).rational_value() == 3
-assert (SQRT_MINUS6 * SQRT_MINUS6).rational_value() == -6
 
 
 # --- exact k-th roots -------------------------------------------------

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import bareiss, det_rational, invert_rational, smith_diagonal
-from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
+from .poly import ENUMERATION_LIMIT, Poly, grevlex_key, infer_vars, parse
 from .scalar import CycScalar
 
 
@@ -238,6 +239,12 @@ def build_invertible(f: Poly) -> InvertiblePoly:
             f"invertible polynomial needs exactly {n} monomials in {n} variables, got {len(rows)}")
     coeffs = [f.terms[e] for e in rows]
     return _assemble(f.vars, rows, coeffs, check_nondegenerate=True)
+
+
+@lru_cache(maxsize=None)
+def parse_invertible(text: str, vars: tuple[str, ...] | None = None) -> InvertiblePoly:
+    """Read an invertible polynomial, over `vars` or else the ones `infer_vars` reads."""
+    return build_invertible(parse(text, vars if vars is not None else infer_vars(text)))
 
 
 def transpose(ip: InvertiblePoly) -> InvertiblePoly:

@@ -88,7 +88,7 @@ def test_row_source_and_target():
 
 
 def test_row_transposes_match_up_to_renaming():
-    from oja.catalog import _ip_from_text
+    from oja.symmetry import parse_invertible
 
     cat = _catalog()
     for row in cat.rows:
@@ -96,7 +96,7 @@ def test_row_transposes_match_up_to_renaming():
         variants = cat.entry(row.f2_type).variants
         assert any(
             any(True for _ in matching_permutations(
-                transpose(_ip_from_text(v)).poly, target_ip.poly))
+                transpose(parse_invertible(v)).poly, target_ip.poly))
             for v in variants), f"row {row.index} transpose mismatch"
 
 

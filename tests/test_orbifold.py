@@ -325,6 +325,12 @@ def _all_algebras() -> list[OrbifoldAlgebra | FullTwisted]:
     return _ALGEBRAS
 
 
+def _dense_gram(A: OrbifoldAlgebra | FullTwisted) -> list[list[CycScalar]]:
+    """The Gram matrix as dense rows: Jac(f,G) keeps sparse rows, the full reference dense ones."""
+    return [[row.get(j, CycScalar.zero()) for j in range(A.dim)] if isinstance(row, dict) else row
+            for row in A.gram]
+
+
 def _sparse_product(A: OrbifoldAlgebra, row: dict, k: int) -> dict:
     out: dict[int, CycScalar] = {}
     for m, c in row.items():
@@ -384,7 +390,7 @@ def test_parity_is_additive_on_products():
 
 def test_frobenius_identity_and_gram_shape():
     for A in _all_algebras():
-        gram = A.gram
+        gram = _dense_gram(A)
         for i in range(A.dim):
             for j in range(A.dim):
                 assert gram[i][j] == gram[j][i]
@@ -403,7 +409,7 @@ def test_frobenius_identity_and_gram_shape():
 
 def test_gram_matrices_have_full_rank():
     for A in _all_algebras():
-        assert rank(sparse(A.gram)) == A.dim
+        assert rank(sparse(_dense_gram(A))) == A.dim
 
 
 def test_invariant_bases_are_fixed_by_the_group():
@@ -452,7 +458,7 @@ def test_trivial_group_gram_matches_the_trace_functional(text):
     assert [m for _, m in A.basis] == list(jac.basis)
     expected = [[trace(Poly.monomial(ip.vars, a) * Poly.monomial(ip.vars, b))
                  for b in jac.basis] for a in jac.basis]
-    assert A.gram == expected
+    assert A.gram == sparse(expected)
 
 
 @pytest.mark.parametrize("node", _CATALOG.graph_nodes, ids=lambda node: node.label)
@@ -462,10 +468,11 @@ def test_graph_node_gram_is_symmetric_and_matches_the_pairing(node):
     def unit(i: int) -> dict[int, CycScalar]:
         return {i: CycScalar.one()}
 
+    gram = _dense_gram(A)
     for i in range(A.dim):
         for j in range(A.dim):
-            assert A.gram[i][j] == A.gram[j][i]
-            assert A.gram[i][j] == A.trace(A.product(unit(i), unit(j)))
+            assert gram[i][j] == gram[j][i]
+            assert gram[i][j] == A.trace(A.product(unit(i), unit(j)))
 
 
 # --- graded dimensions from the Koszul complex ------------------------------------

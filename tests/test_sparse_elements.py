@@ -89,6 +89,13 @@ def test_scalar_products_store_no_zero():
                 _assert_sparse(A.product({i: _ONE}, {j: _ONE}))
 
 
+def test_gram_rows_store_no_zero():
+    for _, A in _algebras():
+        assert len(A.gram) == A.dim
+        for row in A.gram:
+            _assert_sparse(row)
+
+
 @pytest.mark.parametrize("index", range(1, 21))
 def test_polynomial_products_of_the_ansatz_store_no_zero(index):
     """The search's table with coordinates in Poly, built as `search_iso` builds it."""
@@ -148,10 +155,11 @@ def test_product_trace_and_pairing_match_the_dense_reference(data):
     name, A = data.draw(st.sampled_from(_algebras()), label="algebra")
     u, v = data.draw(_elements(A.dim), label="u"), data.draw(_elements(A.dim), label="v")
     du, dv, n = _dense(u, A.dim), _dense(v, A.dim), A.dim
+    gram = [_dense(row, n) for row in A.gram]
     product = _dense_product(A, du, dv)
     assert A.product(u, v) == {k: c for k, c in enumerate(product) if c}, name
     # ε(u) = η(u, 1), one column of the Gram matrix.
     one = A.identity_index
-    assert A.trace(u) == sum((du[a] * A.gram[a][one] for a in range(n)), _ZERO), name
-    assert A.pairing(u, v) == sum((du[a] * dv[b] * A.gram[a][b]
+    assert A.trace(u) == sum((du[a] * gram[a][one] for a in range(n)), _ZERO), name
+    assert A.pairing(u, v) == sum((du[a] * dv[b] * gram[a][b]
                                    for a in range(n) for b in range(n)), _ZERO), name

@@ -113,7 +113,7 @@ def _table_verdict(w: IsoWitness) -> bool:
     """η_T(φbᵢ, φbⱼ) = η_S(bᵢ, bⱼ) on every pair of source basis elements."""
     src = source_algebra(w.source)
     phi = [_naive_image(w, m) for _, m in src.basis]
-    return all(w.target.pairing(phi[i], phi[j]) == src.gram[i][j]
+    return all(w.target.pairing(phi[i], phi[j]) == src.gram[i].get(j, CycScalar.zero())
                for i in range(src.dim) for j in range(i, src.dim))
 
 
