@@ -83,17 +83,13 @@ def test_relations_of_a_verified_witness_cancel_to_the_empty_dict():
 
 
 def test_scalar_products_store_no_zero():
-    for _, A in _algebras():
-        for i in range(A.dim):
-            for j in range(A.dim):
-                _assert_sparse(A.product({i: _ONE}, {j: _ONE}))
-
-
-def test_gram_rows_store_no_zero():
+    """Basis products, and the Gram rows read from them."""
     for _, A in _algebras():
         assert len(A.gram) == A.dim
-        for row in A.gram:
-            _assert_sparse(row)
+        for i in range(A.dim):
+            _assert_sparse(A.gram[i])
+            for j in range(A.dim):
+                _assert_sparse(A.product({i: _ONE}, {j: _ONE}))
 
 
 @pytest.mark.parametrize("index", range(1, 21))
