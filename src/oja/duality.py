@@ -210,8 +210,7 @@ def verify_frobenius_iso(w: IsoWitness) -> Report:
     target = w.target
     src = source_algebra(w.source)
     phi = w.image_matrix
-    unit = src.identity_index
-    if _is_algebra_map(w) and all(target.trace(phi[k]) == src.gram[k].get(unit, _ZERO)
+    if _is_algebra_map(w) and all(target.trace(phi[k]) == src.trace({k: _ONE})
                                   for k in range(src.dim)):
         return Report(True, (Check("pairings", True, ""),))
     mismatches = []

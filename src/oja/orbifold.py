@@ -309,12 +309,13 @@ def twisted_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> TwistedAlgebra:
     """Jac'(f,G) as a product rule, of which v_id must be the two-sided unit."""
     sectors = build_sectors(ip, group)
     n = ip.arity
-    correction = {(g, h): tuple((e, _prefactor(n, g) * c)
+    prefactor = {g: _prefactor(n, g) for g in group}
+    correction = {(g, h): tuple((e, prefactor[g] * c)
                                 for e, c in compute_H(ip, group, g, h, sectors).terms.items())
                   for g in group for h in group if fix_union_holds(g, h)}
     # H = 1 when a factor is the identity and prefactor(id) = 1, so v_id·[x]v_g = [x]v_g
     # and [x]v_g·v_id = prefactor(g)·[x]v_g: v_id is the unit iff every prefactor is 1.
-    if any(_prefactor(n, g) != _ONE for g in group):
+    if any(c != _ONE for c in prefactor.values()):
         raise ValueError("v_id is not a two-sided unit for this group configuration; "
                          "the product formula does not apply")
     lifted = {g: tuple(s.lift(m, n) for m in s.algebra.basis) for g, s in sectors.items()}
