@@ -189,10 +189,68 @@ class CatalogRow(NamedTuple):
     witness: tuple | None
 
 
+# section, record noun, each field's JSON types; the first field names the
+# record in messages ("row 2"), or its position does when that field is bad
+_SHAPE = (
+    ("entries", "entry", {"type": (str,), "dual": (str,), "variants": (list,)}),
+    ("rows", "row", {"index": (int,), "f1_type": (str,), "f1": (str,),
+                     "f2_transpose": (str,), "generator": (str,), "f2_type": (str,),
+                     "reduced": (bool,), "witness": (dict, type(None))}),
+    ("graph_nodes", "graph node", {"label": (str,), "f": (str,), "generator": (str,),
+                                   "cluster": (int,)}),
+)
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+               list: "a list", dict: "an object", type(None): "null"}
+
+
+def _check_type(name: str, value, kinds: tuple) -> None:
+    if type(value) not in kinds:  # exact: a bool is no integer, an integer no bool
+        raise ValueError(f"{name} is {_JSON_NAMES[type(value)]}, not "
+                         + " or ".join(_JSON_NAMES[k] for k in kinds))
+
+
+def _check_shape(data) -> None:
+    """Check the JSON types of a catalog document before anything reads it, so
+    that every error names the record and the field at fault."""
+    _check_type("catalog document", data, (dict,))
+    if "version" not in data:
+        raise ValueError("missing key 'version'")
+    if data["version"] != 1:  # another version may be shaped otherwise
+        raise ValueError(f"unsupported catalog version {data['version']!r}")
+    for section, noun, fields in _SHAPE:
+        if section not in data:
+            raise ValueError(f"missing key {section!r}")
+        _check_type(section, data[section], (list,))
+        for position, record in enumerate(data[section]):
+            _check_type(f"{section}[{position}]", record, (dict,))
+            key, kinds = next(iter(fields.items()))
+            name = (f"{noun} {record[key]}" if type(record.get(key)) in kinds
+                    else f"{section}[{position}]")
+            for field, kinds in fields.items():
+                if field not in record:
+                    raise ValueError(f"{name}: missing key {field!r}")
+                _check_type(f"{name}: {field}", record[field], kinds)
+            if section == "entries":
+                for variant in record["variants"]:
+                    _check_type(f"{name}: variant", variant, (str,))
+            elif section == "rows" and record["witness"] is not None:
+                images = record["witness"].get("images")
+                _check_type(f"{name}: witness images", images, (list,))
+                for image in images:
+                    _check_type(f"{name}: witness image", image, (list,))
+                    for term in image:
+                        if (type(term) is not list or len(term) != 3
+                                or not all(type(t) is str for t in term)):
+                            raise ValueError(
+                                f"{name}: witness term {term!r} is not three strings "
+                                "(scalar, monomial, sector)")
+
+
 class Catalog:
     """Parsed catalog: typed views plus the raw document for serialization."""
 
     def __init__(self, data: dict):
+        _check_shape(data)
         self.data = data
         self.version = data["version"]
         self.entries = tuple(
@@ -227,8 +285,6 @@ def _transposed(text: str) -> Poly:
 
 
 def _group_from_generator(generator: str, arity: int) -> SymmetryGroup:
-    if not isinstance(generator, str):
-        raise ValueError(f"group generator must be a string, got {generator!r}")
     if not generator:
         return SymmetryGroup.trivial(arity)
     g = GroupElement.parse(generator)
@@ -242,20 +298,17 @@ _SYMBOLIC_SCALARS = {"i": I_UNIT, "sqrt2": SQRT2, "sqrt3": SQRT3}
 
 
 def _parse_scalar(text: str) -> CycScalar:
-    """Parse '-1/4', 'i/2', 'sqrt3/3', ... into an exact scalar."""
+    """Parse '-1/4', 'i/2', 'sqrt3/3', ... into an exact scalar; raises
+    ValueError or ZeroDivisionError on anything else."""
     negative = text.startswith("-")
     body = text[1:] if negative else text
     base, _, denominator = body.partition("/")
-    try:
-        if base in _SYMBOLIC_SCALARS:
-            value = _SYMBOLIC_SCALARS[base]
-            if denominator:
-                value = value * CycScalar.from_rational(
-                    Fraction(1, int(denominator)))
-        else:
-            value = CycScalar.from_rational(Fraction(body))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad witness scalar {text!r}") from None
+    if base in _SYMBOLIC_SCALARS:
+        value = _SYMBOLIC_SCALARS[base]
+        if denominator:
+            value = value * CycScalar.from_rational(Fraction(1, int(denominator)))
+    else:
+        value = CycScalar.from_rational(Fraction(body))
     return -value if negative else value
 
 
@@ -270,18 +323,20 @@ def row_target(row: CatalogRow) -> tuple[InvertiblePoly, SymmetryGroup]:
 
 def _witness_terms(row: CatalogRow, arity: int, target_ip: InvertiblePoly,
                    group: SymmetryGroup) -> list[list[tuple[CycScalar, Poly, GroupElement]]]:
-    """Parse and check a row's witness: its (scalar, monomial, sector) terms per image."""
+    """Parse and check a row's witness: its (scalar, monomial, sector) terms per
+    image.  `_check_shape` has made each term three strings."""
     if len(row.witness) != arity:
         raise ValueError(f"row {row.index}: witness needs {arity} images")
     images = []
     for image in row.witness:
         terms = []
-        for term in image:
-            if len(term) != 3 or not all(isinstance(t, str) for t in term):
-                raise ValueError(f"row {row.index}: witness term {list(term)!r} is not "
-                                 "three strings (scalar, monomial, sector)")
-            scalar_text, monomial_text, sector_text = term
-            scalar = _parse_scalar(scalar_text)
+        for scalar_text, monomial_text, sector_text in image:
+            try:
+                scalar = _parse_scalar(scalar_text)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"row {row.index}: witness scalar {scalar_text!r} is not a rational "
+                    "number or i, sqrt2 or sqrt3 over an integer") from None
             try:
                 monomial = parse(monomial_text, target_ip.vars)
             except ValueError as exc:
@@ -312,9 +367,6 @@ def row_witness(row: CatalogRow) -> IsoWitness | None:
 
 
 def _validate(catalog: Catalog) -> None:
-    if catalog.version != 1:
-        raise ValueError(f"unsupported catalog version {catalog.version!r}")
-
     if len(catalog.entries) != 14:
         raise ValueError(f"expected 14 entries, found {len(catalog.entries)}")
     names = [e.type_name for e in catalog.entries]
@@ -370,11 +422,6 @@ def _validate(catalog: Catalog) -> None:
     if len(labels) != 23:
         raise ValueError(f"expected 23 graph nodes, found {len(labels)}")
     for node in catalog.graph_nodes:
-        if type(node.label) is not str:
-            raise ValueError(f"graph node label {node.label!r} is not a string")
-        if type(node.cluster) is not int:  # bool is an int subclass, not a cluster id
-            raise ValueError(
-                f"graph node {node.label}: cluster {node.cluster!r} is not an integer")
         if not all(is_sl_symmetry(node.ip, g) for g in node.group):
             raise ValueError(
                 f"graph node {node.label}: group is not a special-linear symmetry")

@@ -460,9 +460,10 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
 class RowCertificate(NamedTuple):
     """Outcome of certifying one catalog row.
 
-    `level` is "frobenius" when a pairing-preserving isomorphism was verified,
-    "algebra" when only an algebra isomorphism could be established, and
-    "failed" when a supplied witness did not verify.
+    `level` is read from the witness's reports: "frobenius" when a
+    pairing-preserving isomorphism was verified, "algebra" when only an
+    algebra isomorphism could be established, and "failed" when a supplied
+    witness did not verify, or a searched one not even as an algebra map.
     """
 
     level: str
@@ -501,8 +502,13 @@ def certify(source: InvertiblePoly, target: OrbifoldAlgebra,
         found = search_iso(source, target)
     except SearchFailure:
         found = search_iso(source, target, require_frobenius=False)
-        return RowCertificate("algebra", "ansatz search", found, found.algebra_report)
-    return RowCertificate("frobenius", "ansatz search", found, verify_witness(found))
+    else:
+        report = verify_witness(found)
+        if report.passed:
+            return RowCertificate("frobenius", "ansatz search", found, report)
+    report = found.algebra_report
+    return RowCertificate("algebra" if report.passed else "failed", "ansatz search",
+                          found, report)
 
 
 # --- the isomorphism graph ---------------------------------------------------

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -341,28 +343,38 @@ def _set_node(field: str, index: int, value) -> Callable[[dict], None]:
     return mutate
 
 
-# Each case: a change to the bundled catalog (None: the catalog path is a
-# directory), and the message expected on stderr: a substring, or the whole
-# line with its newline.  Position 1 holds row 2, whose group is
-# <(1/2,0,1/2)>, and graph node B.
+# Each case: a change to the bundled catalog (a string: the whole file's
+# text; None: the catalog path is a directory), and the message expected on
+# stderr: a substring, or the whole line with its newline.  Position 1 holds
+# row 2, whose group is <(1/2,0,1/2)>, and graph node B.
 _BROKEN_CATALOGS = {
-    "missing-sections": (_keep_only_version, "invalid catalog"),
+    "missing-sections": (_keep_only_version, "error: invalid catalog: missing key 'entries'\n"),
+    "document-not-an-object": (
+        "[]", "error: invalid catalog: catalog document is a list, not an object\n"),
+    "term-not-a-list": (
+        _set_witness_image(1, 0, [5]),
+        "error: invalid catalog: row 2: witness term 5 is not three strings (scalar, "
+        "monomial, sector)\n"),
     "scalar-not-a-string": (
         _set_witness_term(1, 0, 0, 1),
         "error: invalid catalog: row 2: witness term [1, 'x1^2', '0,0,0'] is not three "
         "strings (scalar, monomial, sector)\n"),
-    "scalar-divides-by-zero": (_set_witness_term(1, 0, 0, "1/0"),
-                               "error: invalid catalog: bad witness scalar '1/0'\n"),
+    "scalar-divides-by-zero": (
+        _set_witness_term(1, 0, 0, "1/0"),
+        "error: invalid catalog: row 2: witness scalar '1/0' is not a rational number or "
+        "i, sqrt2 or sqrt3 over an integer\n"),
     "term-not-three-strings": (
         _set_witness_image(1, 0, [["1", "x1^2"]]),
         "error: invalid catalog: row 2: witness term ['1', 'x1^2'] is not three "
         "strings (scalar, monomial, sector)\n"),
     "wrong-number-of-images": (_drop_witness_image(1),
                                "error: invalid catalog: row 2: witness needs 3 images\n"),
-    "row-generator-not-a-string": (_set_generator("rows", 1, ["1/2", "0", "1/2"]),
-                                   "invalid catalog"),
-    "node-generator-not-a-string": (_set_generator("graph_nodes", 1, ["1/2", "0", "1/2"]),
-                                    "invalid catalog"),
+    "row-generator-not-a-string": (
+        _set_generator("rows", 1, ["1/2", "0", "1/2"]),
+        "error: invalid catalog: row 2: generator is a list, not a string\n"),
+    "node-generator-not-a-string": (
+        _set_generator("graph_nodes", 1, ["1/2", "0", "1/2"]),
+        "error: invalid catalog: graph node B: generator is a list, not a string\n"),
     "sector-outside-group": (
         _set_witness_term(1, 2, 2, "0,1/2,1/2"),
         "error: invalid catalog: row 2: witness sector (0,1/2,1/2) is not in the row's "
@@ -371,10 +383,16 @@ _BROKEN_CATALOGS = {
         _set_witness_term(1, 0, 1, "x9^2"),
         "error: invalid catalog: row 2: witness monomial 'x9^2': position 0: unknown "
         "variable 'x9'\n"),
-    "node-cluster-not-int": (_set_node("cluster", 1, "1"), "invalid catalog"),
+    "node-cluster-not-int": (
+        _set_node("cluster", 1, "1"),
+        "error: invalid catalog: graph node B: cluster is a string, not an integer\n"),
     "node-cluster-list": (_set_node("cluster", 1, [1]), "invalid catalog"),
-    "node-cluster-bool": (_set_node("cluster", 1, True), "invalid catalog"),
-    "node-label-null": (_set_node("label", 1, None), "invalid catalog"),
+    "node-cluster-bool": (
+        _set_node("cluster", 1, True),
+        "error: invalid catalog: graph node B: cluster is true or false, not an integer\n"),
+    "node-label-null": (
+        _set_node("label", 1, None),
+        "error: invalid catalog: graph_nodes[1]: label is null, not a string\n"),
     "node-label-int": (_set_node("label", 1, 7), "invalid catalog"),
     "directory": (None, "cannot read catalog file"),
 }
@@ -385,10 +403,13 @@ def test_verify_rejects_an_invalid_catalog(tmp_path: Path, case: str):
     mutate, message = _BROKEN_CATALOGS[case]
     path = tmp_path
     if mutate is not None:
-        data = json.loads(serialize(load_catalog()))
-        mutate(data)
         path = tmp_path / "broken.json"
-        path.write_text(json.dumps(data))
+        if isinstance(mutate, str):
+            path.write_text(mutate)
+        else:
+            data = json.loads(serialize(load_catalog()))
+            mutate(data)
+            path.write_text(json.dumps(data))
     result = _run("--catalog", str(path), "verify", "--row", "2")
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
@@ -712,3 +733,117 @@ def test_importing_the_cli_runs_neither_the_verify_stack_nor_dataclasses():
     importers = [path.name for path in sorted((SRC / "oja").glob("*.py"))
                  if re.search(r"^\s*(from|import) dataclasses\b", path.read_text(), re.M)]
     assert importers == []
+
+
+# --- process exit ----------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Registers an atexit handler and keeps an object whose finalizer would report
+# interpreter teardown, then runs `milnor` as `python -m oja.cli` does (runpy)
+# or as the installed `oja` script does (script).
+_LAUNCHER = """
+import atexit, runpy, sys
+class Teardown:
+    def __del__(self):
+        print("teardown", file=sys.stderr)
+keep = Teardown()
+atexit.register(print, "atexit", file=sys.stderr)
+sys.argv = ["oja", "milnor", "x1^3+x2^2"]
+if LAUNCH == "runpy":
+    runpy.run_module("oja.cli", run_name="__main__", alter_sys=True)
+else:
+    from oja.cli import run
+    sys.exit(run())
+print("after the command", file=sys.stderr)
+"""
+
+
+def _run_buffered(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """`python ARGV` with block-buffered stdout, as it is outside a terminal
+    without PYTHONUNBUFFERED, so output still buffered at exit must come out."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *argv], env=env, **kwargs)
+
+
+def test_output_larger_than_the_buffer_is_complete_in_a_file_and_a_pipe(tmp_path: Path):
+    expected = (ROOT / "tests" / "golden" / "verify_all_search_json.txt").read_bytes()
+    assert len(expected) > io.DEFAULT_BUFFER_SIZE
+    argv = ["-m", "oja.cli", "--json", "verify", "--all", "--search"]
+    path = tmp_path / "out.json"
+    with open(path, "wb") as stdout:
+        to_file = _run_buffered(argv, stdout=stdout)
+    piped = _run_buffered(argv, stdout=subprocess.PIPE)
+    assert to_file.returncode == piped.returncode == 1
+    assert path.read_bytes() == expected
+    assert piped.stdout == expected
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (["milnor", "x1^3+x2^2"], 0, "2\n", ""),
+    (["milnor", "x1^"], 2, "", "error: position 3: expected an integer\n"),
+    (["verify", "--row", "2", "--all"], 2, "",
+     "usage: oja verify [-h] (--row ID | --all) [--search]\n"
+     "oja verify: error: argument --all: not allowed with argument --row\n"),
+], ids=["success", "bad-input", "argparse"])
+def test_exit_codes_and_streams_of_a_command(argv, code, stdout, stderr):
+    result = _run_buffered(["-m", "oja.cli", *argv], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (code, stdout, stderr)
+
+
+def test_no_command_prints_the_help_and_exits_2():
+    result = _run_buffered(["-m", "oja.cli"], capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("usage: oja [-h] [--json] [--catalog PATH] command ...\n")
+
+
+def test_a_write_error_at_exit_is_reported_by_the_normal_shutdown():
+    """`milnor`'s two bytes wait in the buffer until exit; the pipe's reader is
+    gone, so the flush fails and Python's shutdown reports it (exit 120)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _run_buffered(["-m", "oja.cli", "milnor", "x1^3+x2^2"],
+                               stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 120
+    assert result.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert result.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_a_profiled_run_still_prints_its_report():
+    result = _run_buffered(["-m", "cProfile", "-m", "oja.cli", "milnor", "x1^3+x2^2"],
+                           capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.startswith("2\n")
+    assert "function calls" in result.stdout and "Ordered by" in result.stdout
+
+
+@pytest.mark.parametrize("launch", ["runpy", "script"])
+def test_the_process_ends_after_atexit_handlers_without_teardown(launch: str):
+    result = _run_buffered(["-c", f"LAUNCH = {launch!r}\n" + _LAUNCHER],
+                           capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "2\n", "atexit\n")
+
+
+def test_main_in_process_returns_its_code(capsys):
+    from oja.cli import main
+
+    codes = [main(["milnor", "x1^3+x2^2"]), main(["milnor", "x1^"])]
+    assert codes == [0, 2] and all(type(code) is int for code in codes)
+    assert capsys.readouterr() == ("2\n", "error: position 3: expected an integer\n")
+
+
+def test_the_oja_script_runs_the_entry_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    import oja.cli
+
+    script = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["oja"]
+    module, _, name = script.partition(":")
+    tree = ast.parse((SRC / "oja" / "cli.py").read_text())
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    called = [node.func.id for node in ast.walk(block) if isinstance(node, ast.Call)]
+    assert module == "oja.cli"
+    assert called == [name] and callable(getattr(oja.cli, name))

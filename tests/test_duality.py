@@ -7,6 +7,7 @@ import pytest
 
 from oja import duality
 from oja.catalog import load_catalog, row_source, row_target, row_witness
+from oja.cli import main
 from oja.duality import (
     IsoWitness,
     SearchFailure,
@@ -192,6 +193,22 @@ def test_certify_reports_levels():
     cert19 = certify(row_source(row19), _target_algebra(row19))
     assert cert19.level == "algebra" and not cert19.full
     assert sorted(cert19.to_json()) == ["level", "method", "report", "witness"]
+
+
+def test_certify_reads_a_searched_witness_level_from_its_report(monkeypatch, capsys):
+    """A search that hands back rows 19 and 20's algebra-level witnesses when
+    asked for Frobenius ones does not make them Frobenius rows."""
+    search = duality.search_iso
+    obstructed = {row_source(_catalog().row(index)).poly for index in (19, 20)}
+
+    def algebra_level_for_obstructed_rows(source, target, *, require_frobenius=True):
+        return search(source, target,
+                      require_frobenius=require_frobenius and source.poly not in obstructed)
+
+    monkeypatch.setattr(duality, "search_iso", algebra_level_for_obstructed_rows)
+    assert main(["verify", "--all"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "18/20 rows certified at Frobenius level", "algebra level only: 19 20"]
 
 
 def test_solver_guesses_an_unknown_no_equation_names_from_the_bank():
