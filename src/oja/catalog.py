@@ -223,8 +223,8 @@ def _check_shape(data) -> None:
         _check_type(section, data[section], (list,))
         for position, record in enumerate(data[section]):
             _check_type(f"{section}[{position}]", record, (dict,))
-            key, kinds = next(iter(fields.items()))
-            name = (f"{noun} {record[key]}" if type(record.get(key)) in kinds
+            key, key_kinds = next(iter(fields.items()))
+            name = (f"{noun} {record[key]}" if type(record.get(key)) in key_kinds
                     else f"{section}[{position}]")
             for field, kinds in fields.items():
                 if field not in record:

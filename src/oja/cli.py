@@ -407,13 +407,14 @@ def run() -> NoReturn:
     """Entry point of `python -m oja.cli` and the `oja` script: run `main` and
     end the process with its exit code.
 
-    Called from the top level of the process's `__main__` module, nothing runs
-    after it, so it skips interpreter teardown (freeing modules, caches and
-    algebras the OS reclaims anyway): it runs the `atexit` handlers, flushes
-    stdout and stderr and calls `os._exit`.  Anywhere else (`python -m
-    cProfile -m oja.cli` runs this module in a dictionary of its own), and on
-    an argparse exit, an uncaught exception or a flush that raises `OSError`,
-    the process ends through `SystemExit` as usual.
+    When the caller is the top level of the process's `__main__` module,
+    nothing runs after this call, so it skips interpreter teardown (freeing
+    modules, caches and algebras that the OS reclaims anyway): it runs the
+    `atexit` handlers, flushes stdout and stderr and calls `os._exit`.
+    Otherwise, as under `python -m cProfile -m oja.cli` (which runs this module
+    in a namespace of its own and prints its report after the `SystemExit`),
+    and on an argparse exit, an uncaught exception or a flush that raises
+    `OSError`, the process ends through the exception, as a script's does.
     """
     code = main()
     if sys._getframe(1).f_globals is sys.modules["__main__"].__dict__:
