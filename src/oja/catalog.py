@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .duality import GraphNode, IsoWitness
-from .jacobian import add_scaled
+from .linalg import add_scaled
 from .orbifold import orbifold_algebra
 from .poly import ENUMERATION_LIMIT, Poly, parse
 from .scalar import CycScalar, I_UNIT, SQRT2, SQRT3
@@ -234,7 +234,9 @@ def _check_shape(data) -> None:
                 for variant in record["variants"]:
                     _check_type(f"{name}: variant", variant, (str,))
             elif section == "rows" and record["witness"] is not None:
-                images = record["witness"].get("images")
+                if "images" not in record["witness"]:
+                    raise ValueError(f"{name}: witness: missing key 'images'")
+                images = record["witness"]["images"]
                 _check_type(f"{name}: witness images", images, (list,))
                 for image in images:
                     _check_type(f"{name}: witness image", image, (list,))
@@ -264,8 +266,8 @@ class Catalog:
                              for image in r["witness"]["images"]))
             for r in data["rows"])
         self.graph_nodes = tuple(
-            GraphNode(n["label"], parse_invertible(n["f"]),
-                      _group_from_generator(n["generator"], parse_invertible(n["f"]).arity),
+            GraphNode(n["label"], (ip := parse_invertible(n["f"])),
+                      _group_from_generator(n["generator"], ip.arity, f"graph node {n['label']}"),
                       n["cluster"])
             for n in data["graph_nodes"])
         self._by_type = {e.type_name: e for e in self.entries}
@@ -284,10 +286,12 @@ def _transposed(text: str) -> Poly:
     return transpose(parse_invertible(text)).poly
 
 
-def _group_from_generator(generator: str, arity: int) -> SymmetryGroup:
+def _group_from_generator(generator: str, arity: int, record: str) -> SymmetryGroup:
     if not generator:
         return SymmetryGroup.trivial(arity)
     g = GroupElement.parse(generator)
+    if g.arity != arity:
+        raise ValueError(f"{record}: generator ({generator}) has {g.arity} phases, not {arity}")
     if g.order() > ENUMERATION_LIMIT:  # the group is listed element by element
         raise ValueError(f"group generator ({generator}) has order {g.order()}, above "
                          f"the enumeration limit of {ENUMERATION_LIMIT}")
@@ -318,7 +322,7 @@ def row_source(row: CatalogRow) -> InvertiblePoly:
 
 def row_target(row: CatalogRow) -> tuple[InvertiblePoly, SymmetryGroup]:
     ip = parse_invertible(row.f2_transpose)
-    return ip, _group_from_generator(row.generator, ip.arity)
+    return ip, _group_from_generator(row.generator, ip.arity, f"row {row.index}")
 
 
 def _witness_terms(row: CatalogRow, arity: int, target_ip: InvertiblePoly,
@@ -394,6 +398,9 @@ def _validate(catalog: Catalog) -> None:
     if sorted(r.index for r in catalog.rows) != list(range(1, 21)):
         raise ValueError("row indices must be exactly 1..20")
     for row in catalog.rows:
+        for field, type_name in (("f1_type", row.f1_type), ("f2_type", row.f2_type)):
+            if type_name not in catalog._by_type:
+                raise ValueError(f"row {row.index}: {field} {type_name!r} is not an entry type")
         source = row_source(row)
         entry = catalog.entry(row.f1_type)
         if not any(source.poly == parse_invertible(v).poly for v in entry.variants):

@@ -258,8 +258,10 @@ def _verify_lines(args: argparse.Namespace, results: list, full: int) -> list[st
             lines.extend(
                 f"  {check.name}: {'ok' if check.passed else 'FAIL (' + check.detail + ')'}"
                 for check in cert.report.checks)
-    partial = [row.index for row, cert, _ in results if cert is not None and not cert.full]
-    failed = [row.index for row, cert, _ in results if cert is None]
+    levels = [(row.index, cert.level if cert is not None else "failed")
+              for row, cert, _ in results]
+    partial = [i for i, level in levels if level == "algebra"]
+    failed = [i for i, level in levels if level == "failed"]
     if len(results) > 1:
         lines.append(f"{full}/{len(results)} rows certified at Frobenius level")
         if partial:

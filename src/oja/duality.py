@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .jacobian import Fingerprint, fingerprint
-from .linalg import rank
+from .linalg import accumulate, rank
 from .orbifold import OrbifoldAlgebra, orbifold_algebra
 from .poly import Poly
 from .scalar import (CycScalar, HALF_I, I_UNIT, SQRT2, SQRT3, kth_roots,
@@ -153,19 +153,12 @@ def evaluate_in_target(table: _ImageTable, p: Poly) -> dict:
     """φ(p) inside the target, one table entry per monomial of p.
 
     An entry multiplies its scalar coefficient from the right (`b * coeff`),
-    so the entries may be polynomials in unknowns.
+    so the entries may be polynomials in unknowns; `accumulate` sums them.
     """
     out: dict = {}
     for exps, coeff in p.terms.items():
         for k, b in table[exps].items():
-            term = b * coeff
-            prev = out.get(k)
-            if prev is None:
-                out[k] = term
-            elif total := prev + term:
-                out[k] = total
-            else:
-                del out[k]
+            accumulate(out, k, b * coeff)
     return out
 
 
@@ -269,13 +262,7 @@ def _plug(eq: Poly, index: int, value: CycScalar) -> Poly:
             if not coeff:
                 continue
             exps = exps[:index] + (0,) + exps[index + 1:]
-        prev = terms.get(exps)
-        if prev is None:
-            terms[exps] = coeff
-        elif s := prev + coeff:
-            terms[exps] = s
-        else:
-            del terms[exps]
+        accumulate(terms, exps, coeff)
     return Poly._clean(eq.vars, terms)
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product as cartesian
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from .linalg import echelon, rank, solve_linear
+from .linalg import accumulate, add_scaled, echelon, rank, solve_linear
 from .poly import ENUMERATION_LIMIT, Poly, grevlex_key
 from .scalar import CycScalar
 
@@ -72,17 +72,13 @@ def _reduce_terms(terms: Mapping[Monomial, CycScalar],
     while work:
         mono = max(work, key=grevlex_key)
         coeff = work.pop(mono)
-        if coeff.is_zero():
-            continue
         for lm, g in gens:
             if _divides(lm, mono):
                 shift = tuple(m - l for m, l in zip(mono, lm))
+                factor = -coeff
                 for exps, c in g.terms.items():
-                    if exps == lm:
-                        continue
-                    key = _mono_mul(shift, exps)
-                    prev = work.get(key)
-                    work[key] = prev - coeff * c if prev is not None else -(coeff * c)
+                    if exps != lm:
+                        accumulate(work, _mono_mul(shift, exps), factor * c)
                 break
         else:
             out[mono] = coeff
@@ -227,25 +223,6 @@ def has_isolated_singularity(f: Poly) -> bool:
 
 
 # --- the quotient algebra -------------------------------------------------
-
-
-def add_scaled(out: dict[int, CycScalar], c: CycScalar, vector: Mapping[int, CycScalar]) -> None:
-    """out[i] += c · vector[i] for nonzero c, keeping only nonzero entries.
-
-    The one accumulator of sparse coordinate dicts: normal forms, structure
-    constants, algebra products and witness images.  `c` may come from any
-    ring that multiplies the scalars of `vector` from the left.  The table's
-    unit entries are `_ONE` itself and are not multiplied.
-    """
-    for i, s in vector.items():
-        term = c if s is _ONE else c * s
-        prev = out.get(i)
-        if prev is None:
-            out[i] = term
-        elif total := prev + term:
-            out[i] = total
-        else:
-            del out[i]
 
 
 class QuotientAlgebra:

@@ -1,5 +1,7 @@
 """Exact linear algebra over the cyclotomic field and over the integers.
 
+Every sum into a sparse dict {key: nonzero} goes through `accumulate`,
+which deletes an entry that cancels, so no such dict stores a zero.
 Gaussian elimination is generic in the coefficient field: it only needs
 +, -, *, `1 / x` and truthiness, so the same routines serve `CycScalar`
 and `Fraction` entries.  Ranks run on sparse rows ({column: nonzero}):
@@ -18,26 +20,41 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, TypeVar
 
+from .scalar import CycScalar
+
 K = TypeVar("K")
 T = TypeVar("T")
 
+_ONE = CycScalar.one()
+
+
+def accumulate(out: dict[K, T], key: K, term: T) -> None:
+    """out[key] += term for a nonzero term; an entry that cancels is deleted."""
+    prev = out.get(key)
+    if prev is None:
+        out[key] = term
+    elif total := prev + term:
+        out[key] = total
+    else:
+        del out[key]
+
+
+def add_scaled(out: dict[K, T], c, vector: Mapping[K, CycScalar]) -> None:
+    """out[i] += c · vector[i] for nonzero c, by `accumulate`.
+
+    `c` may come from any ring that multiplies the scalars of `vector` from
+    the left.  An entry that is `CycScalar.one()` itself is not multiplied.
+    """
+    for i, s in vector.items():
+        accumulate(out, i, c if s is _ONE else c * s)
+
 
 def _eliminate(row: dict[K, T], pivot: Mapping[K, T], col: K) -> None:
-    """row −= row[col]·pivot, in place, for a pivot that is 1 at `col`.
-
-    Drops `col` and every entry that cancels, so the row stores no zero.
-    """
-    factor = row.pop(col)
+    """row −= row[col]·pivot, in place, for a pivot that is 1 at `col`."""
+    factor = -row.pop(col)
     for k, c in pivot.items():
-        if k == col:
-            continue
-        term = factor * c
-        if k not in row:
-            row[k] = -term
-        elif total := row[k] - term:
-            row[k] = total
-        else:
-            del row[k]
+        if k != col:
+            accumulate(row, k, factor * c)
 
 
 def echelon(rows: Iterable[Mapping[K, T]]) -> dict[K, dict[K, T]]:

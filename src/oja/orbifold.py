@@ -26,9 +26,8 @@ from functools import lru_cache
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
-from .jacobian import (Monomial, QuotientAlgebra, add_scaled, quotient_algebra,
-                       solve_in_quotient)
-from .linalg import rank
+from .jacobian import Monomial, QuotientAlgebra, quotient_algebra, solve_in_quotient
+from .linalg import add_scaled, rank
 from .poly import Poly
 from .scalar import CycScalar
 from .symmetry import GroupElement, InvertiblePoly, SymmetryGroup, is_sl_symmetry

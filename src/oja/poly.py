@@ -16,6 +16,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .linalg import accumulate
 from .scalar import CycScalar
 
 # The most elements oja will list in one finite set: the box of candidate
@@ -95,13 +96,7 @@ class Poly:
         self._check_ring(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            prev = terms.get(exps)
-            if prev is None:
-                terms[exps] = coeff
-            elif s := prev + coeff:
-                terms[exps] = s
-            else:
-                del terms[exps]
+            accumulate(terms, exps, coeff)
         return Poly._clean(self.vars, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -117,15 +112,8 @@ class Poly:
         terms: dict[tuple[int, ...], CycScalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2  # nonzero: a field has no zero divisors
-                prev = terms.get(key)
-                if prev is None:
-                    terms[key] = prod
-                elif s := prev + prod:
-                    terms[key] = s
-                else:
-                    del terms[key]
+                # c1·c2 is nonzero: a field has no zero divisors
+                accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Poly._clean(self.vars, terms)
 
     def scale(self, scalar: CycScalar) -> "Poly":
@@ -372,12 +360,8 @@ def parse(text: str, vars: Sequence[str]) -> Poly:
             sign = text[pos]
             pos += 1
         exps, coeff = read_term()
-        coeff = coeff if sign == "+" else -coeff
-        total = terms[exps] + coeff if exps in terms else coeff
-        if total:  # summed in place, as `Poly.__add__` sums
-            terms[exps] = total
-        else:
-            terms.pop(exps, None)  # cancelled, or a zero coefficient
+        if coeff:  # a zero coefficient adds nothing
+            accumulate(terms, exps, coeff if sign == "+" else -coeff)
         skip()
         if pos == len(text):
             return Poly._clean(vars, terms)

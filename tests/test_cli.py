@@ -308,6 +308,20 @@ def test_verify_accepts_a_catalog_file(tmp_path: Path):
     assert before.stdout == after.stdout
 
 
+def test_verify_all_lists_a_failed_witness_as_not_certified(tmp_path: Path):
+    """A supplied witness that does not verify is level "failed", not "algebra"."""
+    data = json.loads(serialize(load_catalog()))
+    _set_witness_term(1, 1, 0, "2")(data)  # row 2: x2 -> 2*x2
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(data))
+    result = _run("--catalog", str(path), "verify", "--all")
+    lines = _lines(result)
+    assert result.returncode == 1
+    assert lines[1].startswith("row 2: Q10 ~ E14 failed (embedded witness)")
+    assert lines[-3:] == ["17/20 rows certified at Frobenius level",
+                          "algebra level only: 19 20", "not certified: 2"]
+
+
 def _keep_only_version(data: dict) -> None:
     for key in set(data) - {"version"}:
         del data[key]
@@ -334,6 +348,12 @@ def _drop_witness_image(index: int) -> Callable[[dict], None]:
 def _set_generator(section: str, index: int, value) -> Callable[[dict], None]:
     def mutate(data: dict) -> None:
         data[section][index]["generator"] = value
+    return mutate
+
+
+def _set_row(field: str, index: int, value) -> Callable[[dict], None]:
+    def mutate(data: dict) -> None:
+        data["rows"][index][field] = value
     return mutate
 
 
@@ -375,6 +395,21 @@ _BROKEN_CATALOGS = {
     "node-generator-not-a-string": (
         _set_generator("graph_nodes", 1, ["1/2", "0", "1/2"]),
         "error: invalid catalog: graph node B: generator is a list, not a string\n"),
+    "row-generator-wrong-arity": (
+        _set_generator("rows", 1, "1/2,0"),
+        "error: invalid catalog: row 2: generator (1/2,0) has 2 phases, not 3\n"),
+    "node-generator-wrong-arity": (
+        _set_generator("graph_nodes", 1, "1/2,0"),
+        "error: invalid catalog: graph node B: generator (1/2,0) has 2 phases, not 3\n"),
+    "row-f1-type-unknown": (
+        _set_row("f1_type", 1, "E99"),
+        "error: invalid catalog: row 2: f1_type 'E99' is not an entry type\n"),
+    "row-f2-type-unknown": (
+        _set_row("f2_type", 1, "E99"),
+        "error: invalid catalog: row 2: f2_type 'E99' is not an entry type\n"),
+    "witness-without-images": (
+        _set_row("witness", 1, {}),
+        "error: invalid catalog: row 2: witness: missing key 'images'\n"),
     "sector-outside-group": (
         _set_witness_term(1, 2, 2, "0,1/2,1/2"),
         "error: invalid catalog: row 2: witness sector (0,1/2,1/2) is not in the row's "

@@ -3,7 +3,9 @@
 Two properties carry that format.  No element oja builds stores a zero
 coordinate, so equal elements are equal dicts; and `product`, `trace` and
 `pairing` on such dicts agree with a dense reference computed here from the
-algebra's `structure` and `gram` alone.
+algebra's `structure` and `gram` alone.  Every such sum goes through
+`linalg.accumulate` and `linalg.add_scaled`, which are checked against a
+dense reference too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from oja import duality  # noqa: E402
 from oja.catalog import load_catalog, row_source, row_target, row_witness  # noqa: E402
 from oja.duality import certify, evaluate_in_target, source_algebra  # noqa: E402
-from oja.jacobian import add_scaled  # noqa: E402
+from oja.linalg import accumulate, add_scaled  # noqa: E402
 from oja.orbifold import orbifold_algebra  # noqa: E402
 from oja.poly import Poly  # noqa: E402
 from oja.scalar import CycScalar  # noqa: E402
@@ -159,3 +161,50 @@ def test_product_trace_and_pairing_match_the_dense_reference(data):
     assert A.trace(u) == sum((du[a] * gram[a][one] for a in range(n)), _ZERO), name
     assert A.pairing(u, v) == sum((du[a] * dv[b] * gram[a][b]
                                    for a in range(n) for b in range(n)), _ZERO), name
+
+
+# --- accumulate and add_scaled against a dense reference ------------------------
+
+
+_RING = ("u0", "u1")
+_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _scalars,
+                         min_size=1, max_size=3).map(lambda terms: Poly(_RING, terms))
+# ring -> (nonzero terms, vector entries, zero); a CycScalar vector may hold the
+# unit itself, which `add_scaled` adds without multiplying
+_RINGS = {
+    "scalar": (_scalars, st.one_of(st.just(_ONE), _scalars), _ZERO),
+    "fraction": (_fractions, _fractions, Fraction(0)),
+    "poly": (_polys, st.one_of(st.just(_ONE), _scalars), Poly.zero(_RING)),
+}
+
+
+def _steps(ring: str):
+    """One `accumulate` or `add_scaled` call, and whether its negation follows."""
+    terms, entries, _ = _RINGS[ring]
+    keys = st.integers(0, 4)
+    call = st.one_of(st.tuples(st.just("accumulate"), keys, terms),
+                     st.tuples(st.just("add_scaled"), terms,
+                               st.dictionaries(keys, entries, max_size=4)))
+    return st.tuples(call, st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_accumulate_and_add_scaled_match_a_dense_sum_and_store_no_zero(data):
+    ring = data.draw(st.sampled_from(sorted(_RINGS)), label="ring")
+    zero = _RINGS[ring][2]
+    out: dict = {}
+    dense = dict.fromkeys(range(5), zero)
+    for (name, a, b), cancel in data.draw(st.lists(_steps(ring), max_size=12), label="steps"):
+        for sign in ((1, -1) if cancel else (1,)):
+            if name == "accumulate":
+                term = b if sign == 1 else -b
+                accumulate(out, a, term)
+                dense[a] = dense[a] + term
+            else:
+                c = a if sign == 1 else -a
+                add_scaled(out, c, b)
+                for i, s in b.items():
+                    dense[i] = dense[i] + c * s
+        _assert_sparse(out)
+        assert out == {k: v for k, v in dense.items() if v}
