@@ -10,9 +10,8 @@ The catalog is a JSON document with three sections:
 * ``graph_nodes`` — the labelled (polynomial, group) pairs of the isomorphism
   graph, partitioned into clusters.
 
-``load_catalog`` parses and validates a catalog (the bundled one by default);
-``serialize`` writes it back out byte-for-byte.  ``row_source``,
-``row_target`` and ``row_witness`` turn a row into live objects.
+``load_catalog`` reads and validates a catalog (the bundled one by default).
+``row_source``, ``row_target`` and ``row_witness`` turn a row into live objects.
 """
 
 from __future__ import annotations
@@ -249,7 +248,7 @@ def _check_shape(data) -> None:
 
 
 class Catalog:
-    """Parsed catalog: typed views plus the raw document for serialization."""
+    """Parsed catalog: typed views plus the raw JSON document."""
 
     def __init__(self, data: dict):
         _check_shape(data)
@@ -266,7 +265,7 @@ class Catalog:
                              for image in r["witness"]["images"]))
             for r in data["rows"])
         self.graph_nodes = tuple(
-            GraphNode(n["label"], (ip := parse_invertible(n["f"])),
+            GraphNode(n["label"], (ip := _invertible(n["f"], f"graph node {n['label']}: f")),
                       _group_from_generator(n["generator"], ip.arity, f"graph node {n['label']}"),
                       n["cluster"])
             for n in data["graph_nodes"])
@@ -286,15 +285,27 @@ def _transposed(text: str) -> Poly:
     return transpose(parse_invertible(text)).poly
 
 
+def _invertible(text: str, where: str) -> InvertiblePoly:
+    """Read an invertible polynomial; an error starts with `where`, the record
+    and the field the text came from, as in "row 2: f1"."""
+    try:
+        return parse_invertible(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _group_from_generator(generator: str, arity: int, record: str) -> SymmetryGroup:
     if not generator:
         return SymmetryGroup.trivial(arity)
-    g = GroupElement.parse(generator)
-    if g.arity != arity:
-        raise ValueError(f"{record}: generator ({generator}) has {g.arity} phases, not {arity}")
-    if g.order() > ENUMERATION_LIMIT:  # the group is listed element by element
-        raise ValueError(f"group generator ({generator}) has order {g.order()}, above "
-                         f"the enumeration limit of {ENUMERATION_LIMIT}")
+    try:
+        g = GroupElement.parse(generator)
+        if g.arity != arity:
+            raise ValueError(f"generator ({generator}) has {g.arity} phases, not {arity}")
+        if g.order() > ENUMERATION_LIMIT:  # the group is listed element by element
+            raise ValueError(f"group generator ({generator}) has order {g.order()}, above "
+                             f"the enumeration limit of {ENUMERATION_LIMIT}")
+    except ValueError as exc:
+        raise ValueError(f"{record}: {exc}") from None
     return SymmetryGroup.generated_by([g], arity)
 
 
@@ -317,11 +328,11 @@ def _parse_scalar(text: str) -> CycScalar:
 
 
 def row_source(row: CatalogRow) -> InvertiblePoly:
-    return parse_invertible(row.f1)
+    return _invertible(row.f1, f"row {row.index}: f1")
 
 
 def row_target(row: CatalogRow) -> tuple[InvertiblePoly, SymmetryGroup]:
-    ip = parse_invertible(row.f2_transpose)
+    ip = _invertible(row.f2_transpose, f"row {row.index}: f2_transpose")
     return ip, _group_from_generator(row.generator, ip.arity, f"row {row.index}")
 
 
@@ -376,6 +387,9 @@ def _validate(catalog: Catalog) -> None:
     names = [e.type_name for e in catalog.entries]
     if len(set(names)) != len(names):
         raise ValueError("duplicate entry types")
+    for entry in catalog.entries:  # each variant is read before any entry's partner reads it
+        for variant in entry.variants:  # raises if not invertible with isolated singularity
+            _invertible(variant, f"entry {entry.type_name}: variant")
     for entry in catalog.entries:
         if entry.strange_dual not in catalog._by_type:
             raise ValueError(f"{entry.type_name}: unknown dual {entry.strange_dual}")
@@ -385,8 +399,6 @@ def _validate(catalog: Catalog) -> None:
                 f"duality is not an involution at {entry.type_name}")
         if not entry.variants:
             raise ValueError(f"{entry.type_name}: no variants")
-        for variant in entry.variants:
-            parse_invertible(variant)  # raises if not invertible with isolated singularity
         # Some variant must be a transpose of the dual's, up to renaming.
         if not any(
                 same_up_to_variable_permutation(parse_invertible(a).poly, _transposed(b))
@@ -443,8 +455,3 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     catalog = Catalog(data)
     _validate(catalog)
     return catalog
-
-
-def serialize(catalog: Catalog) -> str:
-    """Render a catalog to its canonical JSON text."""
-    return json.dumps(catalog.data, indent=2) + "\n"

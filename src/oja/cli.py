@@ -34,10 +34,6 @@ from .symmetry import (GroupElement, SymmetryGroup, is_sl_symmetry, max_symmetry
                        parse_invertible, sl_subgroup, transpose)
 
 
-class CliError(Exception):
-    """Bad command-line input, reported on stderr with exit code 2."""
-
-
 # Only `orbifold`, `verify` and `graph` need these modules, so a query does not
 # pay for compiling them.  Each is put in sys.modules at once and runs on first
 # attribute access, so a lookup by name after `import oja.cli` (perfbench's
@@ -58,14 +54,14 @@ catalog, duality, orbifold = (sys.modules[name] for name in _LAZY)
 def _explicit_vars(spec: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in spec.split(","))
     if not all(map(is_name, names)) or len(set(names)) != len(names):
-        raise CliError(f"bad variable list {spec!r}")
+        raise ValueError(f"bad variable list {spec!r}")
     return names
 
 
 def _group_element(text: str, arity: int) -> GroupElement:
     g = GroupElement.parse(text)
     if g.arity != arity:
-        raise CliError(f"group element ({text}) has {g.arity} phases, expected {arity}")
+        raise ValueError(f"group element ({text}) has {g.arity} phases, expected {arity}")
     return g
 
 
@@ -73,13 +69,13 @@ def _load_catalog(args: argparse.Namespace) -> catalog.Catalog:
     try:
         return catalog.load_catalog(args.catalog)
     except FileNotFoundError:
-        raise CliError(f"catalog file not found: {args.catalog}") from None
+        raise ValueError(f"catalog file not found: {args.catalog}") from None
     except OSError as exc:
-        raise CliError(f"cannot read catalog file {args.catalog}: {exc.strerror}") from None
+        raise ValueError(f"cannot read catalog file {args.catalog}: {exc.strerror}") from None
     except KeyError as exc:
-        raise CliError(f"invalid catalog: missing key {exc}") from None
+        raise ValueError(f"invalid catalog: missing key {exc}") from None
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise CliError(f"invalid catalog: {exc}") from None
+        raise ValueError(f"invalid catalog: {exc}") from None
 
 
 # --- output helpers ----------------------------------------------------------
@@ -217,11 +213,11 @@ def cmd_orbifold(args: argparse.Namespace) -> int:
     generators = [_group_element(text, ip.arity) for text in args.group]
     bound = math.prod(g.order() for g in generators)  # |<generators>| <= bound
     if bound > ENUMERATION_LIMIT:
-        raise CliError(f"the generators' orders multiply to {bound}, above the "
-                       f"enumeration limit of {ENUMERATION_LIMIT}")
+        raise ValueError(f"the generators' orders multiply to {bound}, above the "
+                         f"enumeration limit of {ENUMERATION_LIMIT}")
     group = SymmetryGroup.generated_by(generators, ip.arity)
     if not all(is_sl_symmetry(ip, g) for g in group):
-        raise CliError(
+        raise ValueError(
             f"<{'; '.join(args.group)}> is not a special-linear symmetry group of {ip.poly}")
     algebra = orbifold.orbifold_algebra(ip, group)
     _emit(args, lambda: {"dimension": algebra.dim, **algebra.to_json()},
@@ -277,7 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             rows = [loaded.row(args.row)]
         except KeyError:
-            raise CliError(f"no catalog row {args.row}") from None
+            raise ValueError(f"no catalog row {args.row}") from None
     else:
         rows = list(loaded.rows)
 
@@ -400,7 +396,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

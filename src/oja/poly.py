@@ -220,11 +220,6 @@ class Poly:
                       for exps, coeff in self._sorted_terms()],
         }
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "Poly":
-        return cls(tuple(data["vars"]),
-                   {tuple(t["exp"]): CycScalar.from_json(t["coeff"]) for t in data["terms"]})
-
 
 def _determinant(matrix: list[list[Poly]], vars: Sequence[str]) -> Poly:
     """Laplace expansion memoized over column subsets (exact, division-free)."""

@@ -24,7 +24,7 @@ reduction).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 ORDER = 24
@@ -150,10 +150,7 @@ class CycScalar:
         return _canonical([a * e + b * d for a, b in zip(self.n, other.n)], d * e)
 
     def __sub__(self, other: "CycScalar") -> "CycScalar":
-        d, e = self.d, other.d
-        if d == e:
-            return _canonical([a - b for a, b in zip(self.n, other.n)], d)
-        return _canonical([a * e - b * d for a, b in zip(self.n, other.n)], d * e)
+        return self + (-other)
 
     def __neg__(self) -> "CycScalar":
         return _canonical([-a for a in self.n], self.d)
@@ -259,10 +256,6 @@ class CycScalar:
     def to_json(self) -> list[str]:
         return [str(a) for a in self.c]
 
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "CycScalar":
-        return cls(Fraction(s) for s in data)
-
 
 _ZERO_ELT = CycScalar([0] * DEGREE)
 _ONE_ELT = CycScalar.from_rational(1)
@@ -310,22 +303,6 @@ def _int_nth_root(n: int, k: int) -> int | None:
     return lo if lo**k == n else None
 
 
-def _squarefree_decomposition(n: int) -> tuple[int, int]:
-    """n = s*s * r with r squarefree, for n > 0."""
-    s, r = 1, 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        s *= d ** (e // 2)
-        if e % 2:
-            r *= d
-        d += 1
-    return s, r * n
-
-
 _SURDS = {1: _ONE_ELT, 2: SQRT2, 3: SQRT3, 6: SQRT6}
 
 
@@ -344,11 +321,16 @@ def _shaped_roots(x: CycScalar, k: int) -> list[CycScalar]:
     if q < 0:
         q, m = -q, (m + ORDER // 2) % ORDER
     if k == 2:
-        # sqrt(num/den) = sqrt(num*den)/den, pulled apart into s * sqrt(r).
-        s, r = _squarefree_decomposition(q.numerator * q.denominator)
-        if r not in _SURDS:
+        # sqrt(num/den) = sqrt(num*den)/den = s * sqrt(r)/den for the one
+        # squarefree r, if it is in _SURDS, that leaves num*den/r a square.
+        n = q.numerator * q.denominator
+        for r, surd in _SURDS.items():
+            s = isqrt(n // r)
+            if s * s * r == n:
+                break
+        else:
             return []
-        root = CycScalar.from_rational(Fraction(s, q.denominator)) * _SURDS[r]
+        root = CycScalar.from_rational(Fraction(s, q.denominator)) * surd
     else:
         num, den = _int_nth_root(q.numerator, k), _int_nth_root(q.denominator, k)
         if num is None or den is None:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import pytest
 
-from oja.catalog import load_catalog, serialize
+from oja.catalog import load_catalog
 
 
 def _run(*argv: str) -> subprocess.CompletedProcess:
@@ -301,7 +301,7 @@ def test_verify_json_row():
 
 def test_verify_accepts_a_catalog_file(tmp_path: Path):
     path = tmp_path / "catalog.json"
-    path.write_text(serialize(load_catalog()))
+    path.write_text(json.dumps(load_catalog().data, indent=2))
     before = _run("--catalog", str(path), "verify", "--row", "2")
     after = _run("verify", "--row", "2", "--catalog", str(path))
     assert before.returncode == after.returncode == 0
@@ -310,7 +310,7 @@ def test_verify_accepts_a_catalog_file(tmp_path: Path):
 
 def test_verify_all_lists_a_failed_witness_as_not_certified(tmp_path: Path):
     """A supplied witness that does not verify is level "failed", not "algebra"."""
-    data = json.loads(serialize(load_catalog()))
+    data = load_catalog().data
     _set_witness_term(1, 1, 0, "2")(data)  # row 2: x2 -> 2*x2
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(data))
@@ -363,10 +363,19 @@ def _set_node(field: str, index: int, value) -> Callable[[dict], None]:
     return mutate
 
 
+def _set_variant(index: int, value: str) -> Callable[[dict], None]:
+    def mutate(data: dict) -> None:
+        data["entries"][index]["variants"][0] = value
+    return mutate
+
+
+_TRUNCATED = "x1^4+x2^3+"  # position 10 ends the text where a term should start
+
 # Each case: a change to the bundled catalog (a string: the whole file's
 # text; None: the catalog path is a directory), and the message expected on
 # stderr: a substring, or the whole line with its newline.  Position 1 holds
-# row 2, whose group is <(1/2,0,1/2)>, and graph node B.
+# row 2, whose group is <(1/2,0,1/2)>, and graph node B; position 0 holds
+# entry E12.
 _BROKEN_CATALOGS = {
     "missing-sections": (_keep_only_version, "error: invalid catalog: missing key 'entries'\n"),
     "document-not-an-object": (
@@ -398,6 +407,26 @@ _BROKEN_CATALOGS = {
     "row-generator-wrong-arity": (
         _set_generator("rows", 1, "1/2,0"),
         "error: invalid catalog: row 2: generator (1/2,0) has 2 phases, not 3\n"),
+    "row-generator-unparsable": (
+        _set_generator("rows", 1, "a,b,c"),
+        "error: invalid catalog: row 2: bad group element 'a,b,c': "),
+    "node-generator-unparsable": (
+        _set_generator("graph_nodes", 1, "a,b,c"),
+        "error: invalid catalog: graph node B: bad group element 'a,b,c': "),
+    "row-f1-unparsable": (
+        _set_row("f1", 1, _TRUNCATED),
+        "error: invalid catalog: row 2: f1: position 10: expected a variable name\n"),
+    "row-f2-transpose-unparsable": (
+        _set_row("f2_transpose", 1, _TRUNCATED),
+        "error: invalid catalog: row 2: f2_transpose: position 10: expected a variable "
+        "name\n"),
+    "node-f-unparsable": (
+        _set_node("f", 1, _TRUNCATED),
+        "error: invalid catalog: graph node B: f: position 10: expected a variable name\n"),
+    "entry-variant-unparsable": (
+        _set_variant(0, _TRUNCATED),
+        "error: invalid catalog: entry E12: variant: position 10: expected a variable "
+        "name\n"),
     "node-generator-wrong-arity": (
         _set_generator("graph_nodes", 1, "1/2,0"),
         "error: invalid catalog: graph node B: generator (1/2,0) has 2 phases, not 3\n"),
@@ -442,7 +471,7 @@ def test_verify_rejects_an_invalid_catalog(tmp_path: Path, case: str):
         if isinstance(mutate, str):
             path.write_text(mutate)
         else:
-            data = json.loads(serialize(load_catalog()))
+            data = load_catalog().data
             mutate(data)
             path.write_text(json.dumps(data))
     result = _run("--catalog", str(path), "verify", "--row", "2")
@@ -453,7 +482,7 @@ def test_verify_rejects_an_invalid_catalog(tmp_path: Path, case: str):
 
 def _assert_graph_rejects(tmp_path: Path, mutate: Callable[[dict], None],
                           *argv: str) -> None:
-    data = json.loads(serialize(load_catalog()))
+    data = load_catalog().data
     mutate(data)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
@@ -624,7 +653,7 @@ def test_huge_catalog_generator_exits_2_before_enumerating(tmp_path: Path, monke
                                                            capsys, section, argv):
     from oja.cli import main
 
-    data = json.loads(serialize(load_catalog()))
+    data = load_catalog().data
     _set_generator(section, 1, "1/999999999999,0,0")(data)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
@@ -632,8 +661,10 @@ def test_huge_catalog_generator_exits_2_before_enumerating(tmp_path: Path, monke
     assert main(["--catalog", str(path), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: invalid catalog: group generator (1/999999999999,0,0) "
-                            "has order 999999999999, above the enumeration limit of 100000\n")
+    record = {"rows": "row 2", "graph_nodes": "graph node B"}[section]
+    assert captured.err == (f"error: invalid catalog: {record}: group generator "
+                            "(1/999999999999,0,0) has order 999999999999, above the "
+                            "enumeration limit of 100000\n")
 
 
 def test_symmetry_generates_the_group_once(monkeypatch, capsys):

@@ -218,8 +218,15 @@ def test_json_round_trip():
     rng = random.Random(5)
     f = _random_poly(XYZ, rng) + Poly.monomial(XYZ, (0, 1, 0), SQRT2)
     blob = f.to_json()
-    assert Poly.from_json(blob) == f
+    assert Poly(tuple(blob["vars"]),
+                {tuple(t["exp"]): CycScalar(Fraction(s) for s in t["coeff"])
+                 for t in blob["terms"]}) == f
     assert blob["vars"] == list(XYZ)
+    g = parse("x^2 - 3/2*y", XYZ) + Poly.monomial(XYZ, (0, 0, 1), SQRT2)
+    assert g.to_json() == {"vars": ["x", "y", "z"], "terms": [  # descending grevlex
+        {"exp": [2, 0, 0], "coeff": ["1"] + ["0"] * 7},
+        {"exp": [0, 1, 0], "coeff": ["-3/2"] + ["0"] * 7},
+        {"exp": [0, 0, 1], "coeff": ["0", "1", "0", "1", "0", "-1", "0", "0"]}]}
 
 
 def test_constructor_rejects_bad_terms():

