@@ -357,7 +357,11 @@ def _witness_terms(row: CatalogRow, arity: int, target_ip: InvertiblePoly,
             except ValueError as exc:
                 raise ValueError(
                     f"row {row.index}: witness monomial {monomial_text!r}: {exc}") from None
-            if (sector := GroupElement.parse(sector_text)) not in group:
+            try:
+                sector = GroupElement.parse(sector_text)
+            except ValueError as exc:
+                raise ValueError(f"row {row.index}: witness sector: {exc}") from None
+            if sector not in group:
                 raise ValueError(
                     f"row {row.index}: witness sector ({sector_text}) is not in the row's group")
             terms.append((scalar, monomial, sector))

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
+from math import gcd
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .jacobian import Fingerprint, fingerprint
@@ -22,8 +23,7 @@ from .orbifold import OrbifoldAlgebra, orbifold_algebra
 from .poly import Poly
 from .scalar import (CycScalar, HALF_I, I_UNIT, SQRT2, SQRT3, kth_roots,
                      square_roots)
-from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup,
-                       matching_permutations)
+from .symmetry import InvertiblePoly, SymmetryGroup
 
 _ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
@@ -278,32 +278,27 @@ def _univariate_profile(eq: Poly, index: int) -> dict[int, CycScalar]:
 
 
 def _univariate_roots(profile: dict[int, CycScalar]) -> list[CycScalar] | None:
-    """Exact roots for the equation shapes the ansatz produces, else None.
+    """Exact roots of Σ c_e·u^e = 0 when it is linear or quadratic in some u^g.
 
-    The profile always holds a positive exponent: it comes from an equation
-    whose only unknown is this one, or from halving such a profile.
+    u = 0 is a root when the least exponent `low` is positive.  The exponents
+    less `low` have gcd g, so the rest is an equation in v = u^g; each of its
+    roots v gives the g-th roots of v.  Any other shape gives None.
     """
-    exponents = sorted(profile)
-    if len(exponents) == 1:
-        return [_ZERO]  # A·u^j = 0
-    if len(exponents) == 2 and exponents[0] == 0:
-        j = exponents[1]
-        return kth_roots(-(profile[0] * profile[j].inverse()), j)
-    if exponents == [0, 1, 2]:
-        a, b, c = profile[2], profile[1], profile[0]
-        disc = b * b - CycScalar.from_rational(4) * a * c
-        half = CycScalar.from_rational(Fraction(1, 2)) * a.inverse()
-        return [(-b + s) * half for s in square_roots(disc)]
-    if exponents == [1, 2]:
-        root = -(profile[1] * profile[2].inverse())
-        return [_ZERO, root]
-    if all(e % 2 == 0 for e in exponents) and exponents[-1] <= 4:
-        inner = {e // 2: c for e, c in profile.items()}
-        outer = _univariate_roots(inner)
-        if outer is None:
-            return None
-        return [r for v in outer for r in square_roots(v)]
-    return None
+    low = min(profile)
+    zero = [_ZERO] if low else []
+    g = gcd(*(e - low for e in profile))
+    if not g:
+        return zero  # A·u^low = 0
+    c = {(e - low) // g: coeff for e, coeff in profile.items()}
+    if max(c) == 1:
+        values = [-(c[0] * c[1].inverse())]
+    elif max(c) == 2:  # the gcd is 1, so c holds the exponents 0, 1 and 2
+        disc = c[1] * c[1] - CycScalar.from_rational(4) * c[2] * c[0]
+        half = CycScalar.from_rational(Fraction(1, 2)) * c[2].inverse()
+        values = [(-c[1] + s) * half for s in square_roots(disc)]
+    else:
+        return None
+    return zero + [r for v in values for r in kth_roots(v, g)]
 
 
 # Solver nodes one `search_iso` call may visit before it gives up.
@@ -581,24 +576,16 @@ class DualityGraph:
         return "\n".join(lines)
 
 
-def _transported_group(group: SymmetryGroup, perm: Sequence[int]) -> SymmetryGroup:
-    members = [GroupElement.from_numerators(
-        tuple(g.num[perm.index(i)] for i in range(g.arity)), g.den) for g in group]
-    return SymmetryGroup(members, tuple(members))
+def _renaming_key(ip: InvertiblePoly, group: SymmetryGroup) -> tuple:
+    """The least image of (f, G) under the renamings of the variables.
 
-
-def _same_node(ip_a: InvertiblePoly, group_a: SymmetryGroup,
-               ip_b: InvertiblePoly, group_b: SymmetryGroup) -> bool:
-    """Equal up to a variable renaming that also transports the group.
-
-    A renaming permutes the canonical weights and keeps the degree and the
-    group order, so pairs that differ in these need no permutation search.
+    Two pairs have equal keys exactly when a renaming carries one onto the
+    other, because each key is the least element of its own orbit.
     """
-    if ((ip_a.degree, sorted(ip_a.weights), group_a.order)
-            != (ip_b.degree, sorted(ip_b.weights), group_b.order)):
-        return False
-    return any(_transported_group(group_a, perm) == group_b
-               for perm in matching_permutations(ip_a.poly, ip_b.poly))
+    terms = [(exps, (c.d, c.n)) for exps, c in ip.poly.terms.items()]
+    return min((tuple(sorted((tuple(exps[i] for i in perm), c) for exps, c in terms)),
+                tuple(sorted((tuple(g.num[i] for i in perm), g.den) for g in group)))
+               for perm in permutations(range(ip.arity)))
 
 
 def _describe_pair(ip: InvertiblePoly, group: SymmetryGroup) -> str:
@@ -632,7 +619,8 @@ def duality_graph(catalog) -> DualityGraph:
     # so equal pairs can arrive as unequal InvertiblePoly objects.  Every later
     # lookup, and the union-find, runs on the interned ints.
     ids: dict[tuple[Poly, SymmetryGroup], int] = {}
-    pairs: list[tuple[InvertiblePoly, SymmetryGroup, str]] = []  # indexed by id
+    names: list[str] = []  # indexed by id
+    renamings: dict[tuple, list[int]] = {}  # renaming key -> ids, in registration order
     parent: list[int] = []  # the union-find over ids; a root is its own parent
     certifications: list[str] = []
 
@@ -643,17 +631,18 @@ def duality_graph(catalog) -> DualityGraph:
         return x
 
     def register(ip: InvertiblePoly, group: SymmetryGroup, name: str) -> int:
-        """Intern a pair; a new pair is checked against all known ones for renamings."""
+        """Intern a pair; a new pair is linked to each known one with its renaming key."""
         key = (ip.poly, group)
         if key in ids:
             return ids[key]
-        new = ids[key] = len(pairs)
+        new = ids[key] = len(names)
         parent.append(new)
-        for other, (oip, ogroup, oname) in enumerate(pairs):
-            if _same_node(ip, group, oip, ogroup):
-                parent[find(new)] = find(other)
-                certifications.append(f"variable renaming: {name} ~ {oname}")
-        pairs.append((ip, group, name))
+        renamed = renamings.setdefault(_renaming_key(ip, group), [])
+        for other in renamed:
+            parent[find(new)] = find(other)
+            certifications.append(f"variable renaming: {name} ~ {names[other]}")
+        renamed.append(new)
+        names.append(name)
         return new
 
     key_of = {node.label: register(node.ip, node.group, node.label)
@@ -687,14 +676,13 @@ def duality_graph(catalog) -> DualityGraph:
             pending.remove(row)
             target = orbifold_algebra(target_ip, target_group)
             cert = certify(source, target, row_witness(row))
-            name_a, name_b = pairs[a][2], pairs[b][2]
             if cert.full:
                 parent[find(a)] = find(b)
                 certifications.append(
-                    f"row {row.index}: {name_a} ~ {name_b} by {cert.method}")
+                    f"row {row.index}: {names[a]} ~ {names[b]} by {cert.method}")
             else:
                 certifications.append(
-                    f"row {row.index}: {name_a} ~ {name_b} not certified "
+                    f"row {row.index}: {names[a]} ~ {names[b]} not certified "
                     f"({cert.level}-level result only); not linked")
 
     if needy_roots():

@@ -8,9 +8,9 @@ the roles of rows and columns while keeping coefficients.
 Diagonal symmetries are recorded as phase vectors: g = (q_1, ..., q_N) with
 q_i in Q/Z acts by x_i -> e[q_i] x_i.  The full group G_f is generated by the
 columns of E^{-1} taken mod 1 — equivalently all phase vectors with E q
-integral — and |G_f| = |det E|, which the constructor cross-checks against
-the Smith normal form of E.  The SL subgroup keeps the elements of integral
-age (= phase sum).
+integral.  `max_symmetry_group` cross-checks |G_f| = |det E| and its exponent
+(largest element order) = the largest Smith invariant factor of E.  The SL
+subgroup keeps the elements of integral age (= phase sum).
 """
 
 from __future__ import annotations
@@ -272,12 +272,12 @@ def max_symmetry_group(ip: InvertiblePoly) -> SymmetryGroup:
                          f"{ENUMERATION_LIMIT}")
     gens = [GroupElement(tuple(inv[i][j] for i in range(n))) for j in range(n)]
     group = SymmetryGroup.generated_by(gens, n)
-    snf_order = 1
-    for dk in smith_diagonal([list(r) for r in ip.exponents]):
-        snf_order *= dk
-    if group.order != int(expected) or group.order != snf_order:
+    exponent = max(g.order() for g in group)
+    largest = smith_diagonal([list(r) for r in ip.exponents])[-1]
+    if group.order != int(expected) or exponent != largest:
         raise AssertionError(
-            f"group order {group.order} disagrees with |det E| = {expected} / SNF {snf_order}")
+            f"group order {group.order} and exponent {exponent} disagree with "
+            f"|det E| = {expected} and the largest SNF invariant factor {largest}")
     for g in group:
         if not all(g.fixes_monomial(row) for row in ip.exponents):
             raise AssertionError(f"generated element {g} is not a symmetry")

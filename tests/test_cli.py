@@ -443,6 +443,10 @@ _BROKEN_CATALOGS = {
         _set_witness_term(1, 2, 2, "0,1/2,1/2"),
         "error: invalid catalog: row 2: witness sector (0,1/2,1/2) is not in the row's "
         "group\n"),
+    "sector-unparsable": (
+        _set_witness_term(1, 0, 2, "a,b"),
+        "error: invalid catalog: row 2: witness sector: bad group element 'a,b': "
+        "Invalid literal for Fraction: 'a'\n"),
     "monomial-unknown-variable": (
         _set_witness_term(1, 0, 1, "x9^2"),
         "error: invalid catalog: row 2: witness monomial 'x9^2': position 0: unknown "

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -23,8 +25,8 @@ from oja.jacobian import fingerprint
 from oja.linalg import solve_linear
 from oja.orbifold import orbifold_algebra
 from oja.poly import Poly
-from oja.scalar import CycScalar
-from oja.symmetry import GroupElement
+from oja.scalar import CycScalar, kth_roots, square_roots
+from oja.symmetry import GroupElement, SymmetryGroup, build_invertible, matching_permutations
 
 _ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
@@ -222,6 +224,80 @@ def test_solver_guesses_an_unknown_no_equation_names_from_the_bank():
     assert budget.left == 100 - 2 - len(duality._BANK)
 
 
+def _reference_univariate_roots(profile: dict[int, CycScalar]) -> list[CycScalar] | None:
+    """The five-branch root finder that `_univariate_roots` replaced."""
+    exponents = sorted(profile)
+    if len(exponents) == 1:
+        return [_ZERO]
+    if len(exponents) == 2 and exponents[0] == 0:
+        j = exponents[1]
+        return kth_roots(-(profile[0] * profile[j].inverse()), j)
+    if exponents == [0, 1, 2]:
+        a, b, c = profile[2], profile[1], profile[0]
+        disc = b * b - CycScalar.from_rational(4) * a * c
+        half = CycScalar.from_rational(Fraction(1, 2)) * a.inverse()
+        return [(-b + s) * half for s in square_roots(disc)]
+    if exponents == [1, 2]:
+        return [_ZERO, -(profile[1] * profile[2].inverse())]
+    if all(e % 2 == 0 for e in exponents) and exponents[-1] <= 4:
+        outer = _reference_univariate_roots({e // 2: c for e, c in profile.items()})
+        return None if outer is None else [r for v in outer for r in square_roots(v)]
+    return None
+
+
+# Exponent sets the reference solves, then sets only the substitution rule solves.
+_OLD_SHAPES = [(1,), (3,), *((0, j) for j in range(1, 7)), (0, 1, 2), (1, 2), (2, 4), (0, 2, 4)]
+_NEW_SHAPES = [(1, 3), (0, 3, 6), (0, 4, 8)]
+
+
+def _random_scalar(rng: random.Random) -> CycScalar:
+    """A nonzero q·z^m, the shape whose roots the field search finds."""
+    q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    return CycScalar.from_rational(q) * CycScalar.zeta(rng.randrange(24))
+
+
+def _profiles(exponents: tuple[int, ...], rng: random.Random):
+    """(profile, a root u of it or None): random nonzero coefficients, then
+    lead·u^low·(v - w^g)·(v - t·w^g) in v = u^g (one factor when linear in v),
+    which has the root u = w and both of whose roots in v are q·z^m."""
+    yield {e: _random_scalar(rng) for e in exponents}, None
+    low, rest = exponents[0], [e - exponents[0] for e in exponents[1:]]
+    if rest:
+        w, lead = _random_scalar(rng), _random_scalar(rng)
+        v = w ** rest[0]
+        if len(rest) == 1:
+            coeffs = [-(lead * v), lead]
+        else:
+            t = CycScalar.from_rational(rng.choice([2, 3, -2, Fraction(1, 2)]))
+            coeffs = [lead * v * v * t, -(lead * (v + v * t)), lead]
+        yield {low + k * rest[0]: c for k, c in enumerate(coeffs)}, w
+
+
+def _value(profile: dict[int, CycScalar], u: CycScalar) -> CycScalar:
+    total = _ZERO
+    for e, c in profile.items():
+        total = total + c * u ** e
+    return total
+
+
+@pytest.mark.parametrize("exponents", _OLD_SHAPES + _NEW_SHAPES, ids=str)
+def test_univariate_roots_match_the_branch_reference_and_solve_the_equation(exponents):
+    rng = random.Random(str(exponents))
+    for _ in range(6):
+        for profile, chosen in _profiles(exponents, rng):
+            assert sorted(profile) == list(exponents)
+            roots = duality._univariate_roots(profile)
+            if exponents in _OLD_SHAPES:
+                assert roots == _reference_univariate_roots(profile)
+            assert roots is not None and all(not _value(profile, r) for r in roots)
+            assert chosen is None or chosen in roots
+
+
+def test_univariate_roots_refuse_shapes_beyond_quadratic_in_a_power():
+    for exponents in [(0, 1, 3), (0, 1, 2, 3), (2, 3, 5), (0, 2, 6)]:
+        assert duality._univariate_roots({e: _ONE for e in exponents}) is None
+
+
 # --- inverse maps ------------------------------------------------------
 
 def test_inverse_of_frobenius_witness_preserves_pairing():
@@ -279,6 +355,51 @@ def test_graph_certifications_name_rows_and_renamings():
     assert "row 3: V ~ U by embedded witness" in lines
     assert "row 16: I ~ H by ansatz search" in lines
     assert any(line.startswith("variable renaming:") for line in lines)
+
+
+def _reference_same_node(ip_a, group_a, ip_b, group_b) -> bool:
+    """The pairwise renaming test that `_renaming_key` replaced: degree, sorted
+    weights and group order first, then a polynomial renaming that also
+    carries group_a onto group_b."""
+    if ((ip_a.degree, sorted(ip_a.weights), group_a.order)
+            != (ip_b.degree, sorted(ip_b.weights), group_b.order)):
+        return False
+    for perm in matching_permutations(ip_a.poly, ip_b.poly):
+        members = [GroupElement.from_numerators(
+            tuple(g.num[perm.index(i)] for i in range(g.arity)), g.den) for g in group_a]
+        if SymmetryGroup(members) == group_b:
+            return True
+    return False
+
+
+def _renamed(ip, group, perm):
+    """(f, G) with variable i renamed to variable perm[i]."""
+    def move(exps):
+        out = [0] * len(perm)
+        for i, e in enumerate(exps):
+            out[perm[i]] = e
+        return tuple(out)
+    poly = Poly(ip.vars, {move(exps): c for exps, c in ip.poly.terms.items()})
+    return build_invertible(poly), SymmetryGroup(
+        [GroupElement.from_numerators(move(g.num), g.den) for g in group])
+
+
+def test_renaming_key_agrees_with_the_pairwise_reference():
+    """Every pair the bundled graph registers (nodes and row endpoints), and a
+    renamed copy of each: equal keys exactly when the reference finds a renaming."""
+    catalog = _catalog()
+    pairs = [(node.ip, node.group) for node in catalog.graph_nodes]
+    for row in catalog.rows:
+        source = row_source(row)
+        pairs += [(source, SymmetryGroup.trivial(source.arity)), row_target(row)]
+    pairs += [_renamed(ip, group, (2, 0, 1)) for ip, group in pairs]
+    keys = [duality._renaming_key(ip, group) for ip, group in pairs]
+    renamings = 0
+    for (a, key_a), (b, key_b) in combinations(zip(pairs, keys), 2):
+        same = _reference_same_node(*a, *b)
+        assert (key_a == key_b) == same
+        renamings += same and a[0].poly != b[0].poly
+    assert renamings > len(pairs) // 2
 
 
 def test_graph_fingerprint_comparisons():

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from oja import symmetry
 from oja.catalog import load_catalog, row_target
-from oja.linalg import det_rational
+from oja.linalg import det_rational, smith_diagonal
 from oja.poly import Poly, parse
 from oja.symmetry import (
     GroupElement,
@@ -186,6 +187,17 @@ def test_max_symmetry_group_arity_one():
     ip = build_invertible(parse("x^2", ("x",)))
     group = max_symmetry_group(ip)
     assert {g.phases for g in group} == {(Fraction(0),), (Fraction(1, 2),)}
+
+
+def test_max_symmetry_group_checks_its_exponent_against_the_smith_form(monkeypatch):
+    """x^4+y^3+z^3 has SNF [1, 3, 12]: |G_f| = 36 and exponent 12.  A
+    diagonal with the same product but another largest factor must fail."""
+    ip = _ip("x^4+y^3+z^3")
+    assert smith_diagonal(ip.exponents) == [1, 3, 12]
+    assert max(g.order() for g in max_symmetry_group(ip)) == 12
+    monkeypatch.setattr(symmetry, "smith_diagonal", lambda matrix: [1, 1, 36])
+    with pytest.raises(AssertionError, match="exponent 12 disagree"):
+        max_symmetry_group(ip)
 
 
 def test_every_group_element_fixes_the_polynomial():
