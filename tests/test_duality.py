@@ -399,7 +399,8 @@ def test_renaming_key_agrees_with_the_pairwise_reference():
         same = _reference_same_node(*a, *b)
         assert (key_a == key_b) == same
         renamings += same and a[0].poly != b[0].poly
-    assert renamings > len(pairs) // 2
+    # Each renamed copy differs from its original and is a renaming of it.
+    assert renamings >= len(pairs) // 2
 
 
 def test_graph_fingerprint_comparisons():
