@@ -214,6 +214,7 @@ def _check_shape(data) -> None:
     _check_type("catalog document", data, (dict,))
     if "version" not in data:
         raise ValueError("missing key 'version'")
+    _check_type("version", data["version"], (int,))
     if data["version"] != 1:  # another version may be shaped otherwise
         raise ValueError(f"unsupported catalog version {data['version']!r}")
     for section, noun, fields in _SHAPE:

@@ -96,35 +96,6 @@ def _mono_str(vars: Sequence[str], exponents: Sequence[int]) -> str:
     return str(Poly.monomial(tuple(vars), tuple(exponents)))
 
 
-def _display_generators(group: SymmetryGroup) -> list[GroupElement]:
-    """A small deterministic generating set for printing.
-
-    Stored generators are used when there are any; they generate the group.
-    Otherwise a cyclic group is shown through its largest maximal-order
-    element, and the general case falls back to a greedy closure sweep over
-    the canonical element order.
-    """
-    if group.order == 1:
-        return []
-    gens = [g for g in group.generators if not g.is_identity()]
-    if gens:
-        return gens
-    cyclic = [g for g in group if g.order() == group.order]
-    if cyclic:
-        return [max(cyclic, key=lambda g: g.num)]  # one denominator: the group order
-    arity = group.elements[0].arity
-    chosen: list[GroupElement] = []
-    span = SymmetryGroup.trivial(arity)
-    for g in group:
-        if g in span:
-            continue
-        chosen.append(g)
-        span = SymmetryGroup.generated_by(chosen, arity)
-        if span == group:
-            break
-    return chosen
-
-
 # --- subcommands -------------------------------------------------------------
 
 
@@ -144,7 +115,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     group = max_symmetry_group(parse_invertible(args.poly))
     if args.sl:
         group = sl_subgroup(group)
-    gens = [str(g) for g in _display_generators(group)]
+    gens = [str(g) for g in group.generators]
     _emit(args, lambda: {"order": group.order, "generators": gens,
                          "elements": [str(g) for g in group]},
           lambda: [f"order {group.order}", *(f"generator ({g})" for g in gens)])

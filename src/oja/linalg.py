@@ -11,7 +11,7 @@ the solves read (`solve_linear`, exponent-matrix inverses).  Each pivot
 takes one reciprocal, and the pivot row is multiplied by it.  Determinants
 and weight systems stay in the integers: `bareiss` gives det A and
 det A·A⁻¹b by fraction-free elimination.  The integer Smith normal form is
-used to cross-check symmetry group orders.
+used to cross-check the exponent of a symmetry group.
 """
 
 from __future__ import annotations
@@ -183,56 +183,34 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Nonnegative invariant factors d_1 | d_2 | ... padded with zeros up to
-    min(m, n).
+    min(m, n).  Step t pivots on a smallest nonzero entry of the block
+    a[t:, t:] and reduces column t and row t by it.  A nonzero remainder,
+    or an entry of the lower-right block the pivot does not divide (its row
+    is first added to row t), starts the step again on a smaller pivot.
     """
     a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    t = 0
-    while t < min(m, n):
-        # locate a smallest-magnitude nonzero entry to pivot on
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        dirty = True
-        while dirty:
-            dirty = False
+    m, n = len(a), len(a[0]) if a else 0
+    for t in range(min(m, n)):
+        while True:
+            nonzero = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n) if a[i][j]]
+            if not nonzero:
+                break  # the block is zero, and with it the rest of the diagonal
+            _, i0, j0 = min(nonzero)
+            a[t], a[i0] = a[i0], a[t]
+            for row in a:
+                row[t], row[j0] = row[j0], row[t]
+            p = a[t][t]
             for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
             for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-        # enforce divisibility of the remaining block by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
+                q = a[t][j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1:]):
+                continue
+            offender = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None)
+            if offender is None:
                 break
-        if offender is not None:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            continue
-        t += 1
-    diag = [abs(a[i][i]) for i in range(min(m, n))]
-    return diag
+    return [abs(a[i][i]) for i in range(min(m, n))]

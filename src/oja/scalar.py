@@ -101,6 +101,9 @@ class CycScalar:
     __slots__ = ("n", "d")
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
+        coeffs = list(coeffs)
+        if any(isinstance(x, float) for x in coeffs):
+            raise TypeError(f"a float is no exact coordinate: {coeffs!r}")
         c = [Fraction(x) for x in coeffs]
         if len(c) != DEGREE:
             raise ValueError(f"expected {DEGREE} coordinates, got {len(c)}")
@@ -118,6 +121,8 @@ class CycScalar:
 
     @classmethod
     def from_rational(cls, q) -> "CycScalar":
+        if isinstance(q, float):
+            raise TypeError(f"a float is no exact rational: {q!r}")
         q = Fraction(q)
         return _canonical((q.numerator,) + (0,) * (DEGREE - 1), q.denominator)
 

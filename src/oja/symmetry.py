@@ -120,8 +120,9 @@ class GroupElement:
 class SymmetryGroup:
     """A finite group of diagonal symmetries, iterated in a canonical order.
 
-    `generators`, when not empty, generate the group; it may be empty even
-    for a nontrivial group.
+    `generators`, when not empty, generate the group.  They may be empty for
+    a nontrivial group built from its elements, never for one that
+    `generated_by` or `sl_subgroup` returns.
     """
 
     def __init__(self, elements: Iterable[GroupElement], generators: Sequence[GroupElement] = ()):
@@ -292,14 +293,27 @@ def is_sl_symmetry(ip: InvertiblePoly, g: GroupElement) -> bool:
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
     """Elements of integral age (the SL(N) condition for diagonal matrices).
 
-    The group's generators that lie in the subgroup are kept only when they
-    still generate it.
+    The subgroup carries generators that generate it (none when trivial):
+    the group's generators in it when they suffice; else the element of
+    full order with the largest phases for a cyclic subgroup; else the
+    members a closure sweep over the canonical order adds.
     """
     members = [g for g in group if g.fixes_monomial((1,) * g.arity)]
+    arity = group.elements[0].arity
     generated = SymmetryGroup.generated_by(
-        [g for g in group.generators if g in members], group.elements[0].arity)
+        [g for g in group.generators if g in members], arity)
     # `generated` lies inside the subgroup, so equal orders mean equal groups.
-    return generated if generated.order == len(members) else SymmetryGroup(members)
+    if generated.order == len(members):
+        return generated
+    cyclic = [g for g in members if g.order() == len(members)]
+    if cyclic:
+        return SymmetryGroup(members, [max(cyclic, key=lambda g: g.num)])
+    # Once the span is the whole subgroup, no later member lies outside it.
+    span = SymmetryGroup.trivial(arity)
+    for g in members:
+        if g not in span:
+            span = SymmetryGroup.generated_by((*span.generators, g), arity)
+    return span
 
 
 def matching_permutations(f: Poly, g: Poly) -> list[tuple[int, ...]]:

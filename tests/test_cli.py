@@ -98,8 +98,8 @@ def test_symmetry_sl_can_be_trivial():
 
 
 def test_symmetry_sl_of_a_non_cyclic_group_shows_greedy_generators():
-    """The SL subgroup keeps no generators and no element has order 16, so the
-    generators shown are the greedy closure sweep's."""
+    """None of G_f's generators lies in the SL subgroup and no element has
+    order 16, so the subgroup carries the greedy closure sweep's generators."""
     result = _run("symmetry", "x1^4+x2^4+x3^4", "--sl")
     assert result.returncode == 0
     assert _lines(result) == ["order 16", "generator (0,1/4,3/4)", "generator (1/4,0,3/4)"]
@@ -380,6 +380,10 @@ _BROKEN_CATALOGS = {
     "missing-sections": (_keep_only_version, "error: invalid catalog: missing key 'entries'\n"),
     "document-not-an-object": (
         "[]", "error: invalid catalog: catalog document is a list, not an object\n"),
+    "version-a-float": (lambda data: data.update(version=1.0),
+                        "error: invalid catalog: version is a number, not an integer\n"),
+    "version-a-bool": (lambda data: data.update(version=True),
+                       "error: invalid catalog: version is true or false, not an integer\n"),
     "term-not-a-list": (
         _set_witness_image(1, 0, [5]),
         "error: invalid catalog: row 2: witness term 5 is not three strings (scalar, "

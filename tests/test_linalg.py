@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -78,6 +81,7 @@ def test_smith_diagonal_known_cases():
     assert smith_diagonal([[2, 0], [0, 2]]) == [2, 2]
     assert smith_diagonal([[8, 0, 0], [0, 3, 0], [0, 0, 2]]) == [1, 2, 24]
     assert smith_diagonal([[1, 0], [0, 0]]) == [1, 0]
+    assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]  # needs the divisibility step
 
 
 def test_smith_diagonal_product_is_abs_det():
@@ -94,6 +98,90 @@ def test_smith_diagonal_product_is_abs_det():
         nonzero = [d for d in diag if d]
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
+
+
+def _leibniz_det(rows: list[list[int]]) -> int:
+    """Determinant by expansion over permutations, each signed by its inversions."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def _reference_smith_diagonal(matrix: list[list[int]]) -> list[int]:
+    """d_k = D_k / D_{k-1}, where D_k is the gcd of the k×k minors and D_0 = 1.
+
+    Once some D_k is 0, every larger minor is 0 too, and the rest are zeros.
+    """
+    m, n = len(matrix), len(matrix[0])
+    diag, previous = [], 1
+    for k in range(1, min(m, n) + 1):
+        divisor = 0
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                divisor = math.gcd(divisor, _leibniz_det([[matrix[i][j] for j in cols]
+                                                          for i in rows]))
+                if divisor == 1:
+                    break
+            if divisor == 1:
+                break
+        if divisor == 0:
+            return diag + [0] * (min(m, n) - k + 1)
+        diag.append(divisor // previous)
+        previous = divisor
+    return diag
+
+
+def _random_smith_case(rng: random.Random, case: int) -> list[list[int]]:
+    """An m×n matrix, 1 <= m, n <= 4, entries in [-12, 12]: dense; mostly zero,
+    where shapes such as diag(2, 3) need the divisibility step; or with its
+    last row 0 or ±1 times its first, so singular when square."""
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+    sparse = case % 3 == 1
+    rows = [[rng.randint(-12, 12) if not sparse or rng.random() < 0.4 else 0
+             for _ in range(n)] for _ in range(m)]
+    if case % 3 == 2 and m >= 2:
+        c = rng.choice((-1, 0, 1))
+        rows[-1] = [c * x for x in rows[0]]
+    return rows
+
+
+def test_smith_diagonal_matches_the_determinantal_divisor_reference():
+    rng = random.Random(26)
+    shapes = set()
+    for case in range(600):
+        matrix = _random_smith_case(rng, case)
+        assert smith_diagonal(matrix) == _reference_smith_diagonal(matrix), matrix
+        shapes.add((len(matrix), len(matrix[0])))
+    assert len(shapes) == 16
+
+
+def _within_ten_seconds(function, *args):
+    """function(*args), or TimeoutError once 10 s have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{function.__name__} ran for more than 10 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        return function(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_smith_diagonal_of_a_dense_six_by_six_matrix_returns_in_time():
+    matrix = [[-2, 9, 8, -5, 2, 6], [9, -7, -9, 6, -1, 8], [-2, -3, 6, 8, 8, 6],
+              [3, -5, -2, -5, 7, 3], [-9, -7, -4, 9, -8, 0], [-9, -1, 6, 3, 4, 3]]
+    assert _within_ten_seconds(smith_diagonal, matrix) == [1, 1, 1, 1, 1, 220183]
+
+
+def test_smith_diagonal_of_a_dense_eight_by_eight_matrix_returns_in_time():
+    rng = random.Random(1)
+    matrix = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)]
+    expected = _reference_smith_diagonal(matrix)
+    assert _within_ten_seconds(smith_diagonal, matrix) == expected
 
 
 def test_rref_pivots():

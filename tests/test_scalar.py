@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import oja
 from oja.scalar import (
     DEGREE,
     HALF_I,
@@ -126,6 +129,45 @@ def test_rational_predicates():
         SQRT2.rational_value()
     assert CycScalar.zero().is_zero()
     assert not SQRT2.is_zero()
+
+
+def test_floats_are_refused():
+    """A float's binary expansion is no exact input: 0.1 would become
+    3602879701896397/36028797018963968."""
+    with pytest.raises(TypeError):
+        CycScalar.from_rational(0.5)
+    with pytest.raises(TypeError):
+        CycScalar(iter([0] * (DEGREE - 1) + [0.1]))
+    assert CycScalar([Fraction(1, 2)] + [0] * (DEGREE - 1)) == CycScalar.from_rational("1/2")
+
+
+# `math` functions that return an integer on integers.
+_INTEGER_MATH = {"gcd", "lcm", "prod", "isqrt", "comb", "perm", "factorial"}
+
+
+def test_no_floating_point_in_the_package():
+    """No float or complex literal, no `float(...)` call, and from `math` only
+    the functions of _INTEGER_MATH, anywhere in the package's source."""
+    found, math_names = [], set()
+    for path in sorted(Path(oja.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{where}: literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{where}: float() call")
+            elif isinstance(node, ast.Import):
+                found += [f"{where}: import math as {a.asname}" for a in node.names
+                          if a.name == "math" and a.asname]
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                math_names.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math"):
+                math_names.add(node.attr)
+    found += [f"math.{name}" for name in sorted(math_names - _INTEGER_MATH)]
+    assert not found
+    assert "gcd" in math_names  # the walk sees the package's uses of `math`
 
 
 def test_inverse_of_zero_raises():

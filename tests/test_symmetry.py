@@ -17,6 +17,7 @@ from oja.symmetry import (
     build_invertible,
     is_sl_symmetry,
     max_symmetry_group,
+    parse_invertible,
     same_up_to_variable_permutation,
     sl_subgroup,
     transpose,
@@ -236,6 +237,19 @@ def test_sl_predicate_accepts_exactly_the_sl_subgroup(text):
         sl = set(sl_subgroup(group))
         for g in group:
             assert is_sl_symmetry(candidate, g) == (g in sl), (str(candidate.poly), str(g))
+
+
+def test_sl_subgroup_carries_generators_that_generate_it():
+    """Trivial, kept, cyclic and closure-sweep subgroups alike: the stored
+    generators generate the subgroup, and none is the identity."""
+    ips = [build_invertible(parse(text, ("x1", "x2", "x3"))) for text in _VARIANTS]
+    ips += [node.ip for node in load_catalog().graph_nodes]
+    ips += [parse_invertible(text)
+            for text in ("x1^3+x2^3+x3^3", "x1^4+x2^4+x3^4", "x1^2+x2^2+x3^2+x4^2")]
+    for ip in ips:
+        sl = sl_subgroup(max_symmetry_group(ip))
+        assert SymmetryGroup.generated_by(sl.generators, ip.arity) == sl, str(ip.poly)
+        assert not any(g.is_identity() for g in sl.generators), str(ip.poly)
 
 
 def test_sl_predicate_rejects_phase_vectors_outside_the_symmetry_group():
