@@ -308,10 +308,10 @@ def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
     cyclic = [g for g in members if g.order() == len(members)]
     if cyclic:
         return SymmetryGroup(members, [max(cyclic, key=lambda g: g.num)])
-    # Once the span is the whole subgroup, no later member lies outside it.
+    # The sweep always reaches the subgroup, and then adds nothing more.
     span = SymmetryGroup.trivial(arity)
     for g in members:
-        if g not in span:
+        if span.order < len(members) and g not in span:
             span = SymmetryGroup.generated_by((*span.generators, g), arity)
     return span
 

@@ -118,15 +118,14 @@ def _reference_smith_diagonal(matrix: list[list[int]]) -> list[int]:
     m, n = len(matrix), len(matrix[0])
     diag, previous = [], 1
     for k in range(1, min(m, n) + 1):
+        minors = (_leibniz_det([[matrix[i][j] for j in cols] for i in rows])
+                  for rows in itertools.combinations(range(m), k)
+                  for cols in itertools.combinations(range(n), k))
         divisor = 0
-        for rows in itertools.combinations(range(m), k):
-            for cols in itertools.combinations(range(n), k):
-                divisor = math.gcd(divisor, _leibniz_det([[matrix[i][j] for j in cols]
-                                                          for i in rows]))
-                if divisor == 1:
-                    break
+        for minor in minors:
+            divisor = math.gcd(divisor, minor)
             if divisor == 1:
-                break
+                break  # no gcd is smaller
         if divisor == 0:
             return diag + [0] * (min(m, n) - k + 1)
         diag.append(divisor // previous)
