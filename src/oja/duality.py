@@ -305,22 +305,19 @@ def _univariate_roots(profile: dict[int, CycScalar]) -> list[CycScalar] | None:
 MAX_NODES = 60000
 
 
-class _Budget:
-    def __init__(self, nodes: int):
-        self.left = nodes
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
 def _solve_system(eqs: list[Poly], n_unknowns: int,
-                  budget: _Budget) -> Iterator[dict[int, CycScalar]]:
-    """DFS over exact solving steps, yielding complete assignments."""
+                  max_nodes: int) -> Iterator[dict[int, CycScalar]]:
+    """DFS over exact solving steps, yielding complete assignments.
+
+    Raises `SearchFailure` on visiting node `max_nodes` + 1.
+    """
+    nodes = 0
 
     def recurse(eqs: list[Poly], assignment: dict[int, CycScalar]) -> Iterator[dict[int, CycScalar]]:
-        if not budget.spend():
-            return
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise SearchFailure(f"search stopped after {max_nodes} nodes without a witness")
         pending = []
         for eq in eqs:
             if not eq.terms:
@@ -419,8 +416,7 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
                 pairing, gram = target.pairing(phi[i], phi[j], zero), src.gram[i].get(j)
                 add_equation(pairing - Poly.constant(ring, gram) if gram else pairing)
 
-    budget = _Budget(MAX_NODES)
-    for assignment in _solve_system(list(equations), len(layout), budget):
+    for assignment in _solve_system(list(equations), len(layout), MAX_NODES):
         images: list[dict[int, CycScalar]] = [{} for _ in range(source.arity)]
         for t, (i, k) in enumerate(layout):
             if assignment[t]:  # a zero from the bank or a root is not stored
@@ -431,8 +427,6 @@ def search_iso(source: InvertiblePoly, target: OrbifoldAlgebra, *,
         if require_frobenius and not w.frobenius_report.passed:
             continue
         return w
-    if budget.left < 0:
-        raise SearchFailure(f"search stopped after {MAX_NODES} nodes without a witness")
     raise SearchFailure("ansatz search space exhausted without a witness")
 
 
@@ -505,16 +499,10 @@ class GraphNode(NamedTuple):
     cluster: int
 
 
-class GraphEdge(NamedTuple):
-    a: str
-    b: str
-    certificate: str
-
-
 class DualityGraph:
     """Isomorphism graph over (polynomial, group) pairs, one clique per cluster."""
 
-    def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[GraphEdge],
+    def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[tuple[str, str]],
                  components: Sequence[tuple[str, ...]],
                  certifications: Sequence[str],
                  fingerprints: Mapping[str, Fingerprint]):
@@ -553,8 +541,8 @@ class DualityGraph:
                 "dimension": self.fingerprints[n.label].dim,
                 "fingerprint": self.fingerprints[n.label].to_json(),
             } for n in self.nodes],
-            "edges": [{"a": e.a, "b": e.b, "certificate": e.certificate}
-                      for e in self.edges],
+            "edges": [{"a": a, "b": b, "certificate": "closure of certified isomorphisms"}
+                      for a, b in self.edges],
             "components": [list(c) for c in self.components],
             "component_sizes": self.component_sizes(),
             "certifications": list(self.certifications),
@@ -570,8 +558,8 @@ class DualityGraph:
         lines = ["graph duality {"]
         for n in self.nodes:
             lines.append(f'  "{n.label}" [label="{n.label}: {_describe_pair(n.ip, n.group)}"];')
-        for e in self.edges:
-            lines.append(f'  "{e.a}" -- "{e.b}";')
+        for a, b in self.edges:
+            lines.append(f'  "{a}" -- "{b}";')
         lines.append("}")
         return "\n".join(lines)
 
@@ -693,8 +681,7 @@ def duality_graph(catalog) -> DualityGraph:
 
     components = tuple(tuple(n.label for n in clusters[cid])
                        for cid in sorted(clusters))
-    edges = [GraphEdge(a.label, b.label, "closure of certified isomorphisms")
-             for cid in sorted(clusters)
+    edges = [(a.label, b.label) for cid in sorted(clusters)
              for a, b in combinations(clusters[cid], 2)]
 
     # Nodes that share a (polynomial, group) pair share one fingerprint.

@@ -92,8 +92,6 @@ def _reduce_poly(p: Poly, gens: Sequence[tuple[Monomial, Poly]]) -> Poly:
 class GroebnerBasis:
     """A reduced, monic Groebner basis in grevlex order."""
 
-    order = "grevlex"
-
     def __init__(self, generators: tuple[Poly, ...]):
         self.generators = generators
         self._reducers = tuple((leading_monomial(g), g) for g in generators)
@@ -102,10 +100,10 @@ class GroebnerBasis:
         return type(other) is GroebnerBasis and self.generators == other.generators
 
     def __hash__(self) -> int:
-        return hash((self.generators, self.order))
+        return hash(self.generators)
 
     def __repr__(self) -> str:
-        return f"GroebnerBasis(generators={self.generators!r}, order={self.order!r})"
+        return f"GroebnerBasis(generators={self.generators!r})"
 
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
@@ -377,29 +375,15 @@ def trace_functional(algebra: QuotientAlgebra,
 
 
 def solve_in_quotient(algebra: QuotientAlgebra, a: Poly, b: Poly,
-                      degree: int | None = None,
-                      invariant_under: Sequence[tuple[Sequence[int], int]] | None = None,
-                      ) -> tuple[Poly, bool]:
-    """Find H with [a·H] = [b] in the quotient, constrained as requested.
+                      candidates: Sequence[Monomial]) -> tuple[Poly, bool]:
+    """Find H with [a·H] = [b] in the quotient, H spanned by the given standard monomials.
 
-    H is sought among standard monomials m, optionally of one weighted degree
-    and with Σᵢ num[i]·m[i] divisible by den for every character (num, den)
-    in `invariant_under`.  For a weighted homogeneous G-invariant f the Groebner
-    basis consists of homogeneous G-eigenvectors, so these monomials span
-    every admissible class.  Returns a solution in normal form and whether its class is unique:
+    Returns a solution in normal form and whether its class is unique:
     whether multiplication by [a] is injective on the candidate span.
     """
     a_nf = algebra.normal_form(a)
     if a_nf.is_zero():
         raise ValueError("cannot solve against the zero class")
-
-    def admissible(m: Monomial) -> bool:
-        if degree is not None and algebra.weighted_degree(m) != degree:
-            return False
-        return not invariant_under or all(
-            sum(a * e for a, e in zip(num, m)) % den == 0 for num, den in invariant_under)
-
-    candidates = [m for m in algebra.basis if admissible(m)]
     if not candidates:
         raise ValueError("no admissible candidate monomials")
 

@@ -111,10 +111,11 @@ def compute_H(ip: InvertiblePoly, group: SymmetryGroup, g: GroupElement, h: Grou
     a = lifted_hess.scale(CycScalar.from_rational(Fraction(1, cap_algebra.mu)))
     b = target.hess_nf.scale(CycScalar.from_rational(Fraction(1, target.mu)))
     degree = sum(ip.degree - 2 * ip.weights[i] for i in gh_fixed if i not in set(cap))
-    characters = [(tuple(q.num[i] for i in gh_fixed), q.den)
-                  for q in group if not q.is_identity()]
-    solution, unique = solve_in_quotient(target, a, b, degree=degree,
-                                         invariant_under=characters)
+    # The Groebner basis of a weighted homogeneous G-invariant f consists of
+    # homogeneous G-eigenvectors, so these monomials span every admissible class.
+    candidates = [m for m in target.basis if target.weighted_degree(m) == degree
+                  and all(q.fixes_monomial(target_sector.lift(m, ip.arity)) for q in group)]
+    solution, unique = solve_in_quotient(target, a, b, candidates)
     if not unique:
         raise ValueError(f"H_({g}),({h}) is not determined uniquely")
     return solution

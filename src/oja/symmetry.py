@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
+from .jacobian import has_isolated_singularity
 from .linalg import bareiss, det_rational, invert_rational, smith_diagonal
 from .poly import ENUMERATION_LIMIT, Poly, grevlex_key, infer_vars, parse
 from .scalar import CycScalar
@@ -166,8 +167,12 @@ class SymmetryGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset[GroupElement]:
+        return frozenset(self.elements)  # a group that is never tested builds no set
+
     def __contains__(self, g: GroupElement) -> bool:
-        return g in set(self.elements)
+        return g in self._members
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymmetryGroup) and self.elements == other.elements
@@ -216,8 +221,6 @@ def _assemble(vars: Sequence[str], rows: Sequence[tuple[int, ...]],
     if len(poly.terms) != n:
         raise ValueError("duplicate monomials")
     if check_nondegenerate:
-        from .jacobian import has_isolated_singularity  # deferred to avoid a cycle
-
         transposed = [tuple(rows[j][i] for j in range(n)) for i in range(n)]
         for candidate, label in ((poly, "polynomial"),
                                  (Poly(vars, dict(zip(transposed, coeffs))), "transpose")):

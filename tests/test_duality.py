@@ -216,12 +216,13 @@ def test_certify_reads_a_searched_witness_level_from_its_report(monkeypatch, cap
 def test_solver_guesses_an_unknown_no_equation_names_from_the_bank():
     """u1 appears in no equation: after u0 = 1 it takes every bank value in order."""
     ring = ("u0", "u1")
-    budget = duality._Budget(100)
-    solutions = list(duality._solve_system([Poly.variable(ring, 0) - Poly.constant(ring, _ONE)],
-                                           len(ring), budget))
-    assert solutions == [{0: _ONE, 1: value} for value in duality._BANK]
+    eqs = [Poly.variable(ring, 0) - Poly.constant(ring, _ONE)]
     # One node for u0's linear root, one with nothing pending, one per guess.
-    assert budget.left == 100 - 2 - len(duality._BANK)
+    nodes = 2 + len(duality._BANK)
+    solutions = list(duality._solve_system(eqs, len(ring), nodes))
+    assert solutions == [{0: _ONE, 1: value} for value in duality._BANK]
+    with pytest.raises(duality.SearchFailure, match=f"after {nodes - 1} nodes"):
+        list(duality._solve_system(eqs, len(ring), nodes - 1))
 
 
 def _reference_univariate_roots(profile: dict[int, CycScalar]) -> list[CycScalar] | None:
@@ -328,7 +329,7 @@ def test_graph_component_sizes():
 def test_graph_edge_count():
     graph = _graph()
     assert len(graph.edges) == 24
-    seen = {(e.a, e.b) for e in graph.edges}
+    seen = set(graph.edges)
     assert len(seen) == 24
 
 
@@ -345,8 +346,8 @@ def test_graph_edges_stay_inside_components():
     graph = _graph()
     component_of = {label: i for i, comp in enumerate(graph.components)
                     for label in comp}
-    for edge in graph.edges:
-        assert component_of[edge.a] == component_of[edge.b]
+    for a, b in graph.edges:
+        assert component_of[a] == component_of[b]
 
 
 def test_graph_certifications_name_rows_and_renamings():

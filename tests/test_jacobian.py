@@ -304,11 +304,18 @@ def test_trace_pairing_is_nondegenerate():
 # --- solving in the quotient -------------------------------------------------
 
 
+def _candidates(A, degree, characters=()):
+    """Standard monomials of one weighted degree with Σᵢ num[i]·m[i] ≡ 0 (mod den)
+    for every character (num, den)."""
+    return [m for m in A.basis if A.weighted_degree(m) == degree
+            and all(sum(a * e for a, e in zip(num, m)) % den == 0 for num, den in characters)]
+
+
 def test_solve_recovers_twisted_sector_product_scalar():
     A = _algebra("x^8+y^3+z^2")
     a = _p("3*y")            # [hess(y^3)] / mu of the x2-sector
     b = _p("48*x^6*y")       # [hess(f)] / mu of f
-    h, unique = solve_in_quotient(A, a, b, degree=18)
+    h, unique = solve_in_quotient(A, a, b, _candidates(A, 18))
     assert h == _p("16*x^6")
     assert unique
 
@@ -316,14 +323,14 @@ def test_solve_recovers_twisted_sector_product_scalar():
 def test_solve_identity_returns_normal_form():
     A = _algebra("x^4+y^3+x*z^2")
     one = Poly.constant(XYZ, CycScalar.one())
-    h, unique = solve_in_quotient(A, one, _p("y^3+x^3*y"))
+    h, unique = solve_in_quotient(A, one, _p("y^3+x^3*y"), A.basis)
     assert h == A.normal_form(_p("y^3+x^3*y"))
     assert unique
 
 
 def test_solve_three_cyclic_sector():
     A = _algebra("x^4+y^3+z^3")
-    h, unique = solve_in_quotient(A, _p("4*x^2"), _p("36*x^2*y*z"), degree=8)
+    h, unique = solve_in_quotient(A, _p("4*x^2"), _p("36*x^2*y*z"), _candidates(A, 8))
     assert h == _p("9*y*z")
     assert unique
 
@@ -332,7 +339,7 @@ def test_solve_with_degree_and_invariance():
     A = _algebra("x^4+y^3+z^3")
     characters = [((0, 2, 1), 3)]  # the phases (0, 2/3, 1/3)
     h, unique = solve_in_quotient(A, _p("4*x^2"), _p("36*x^2*y*z"),
-                                  degree=8, invariant_under=characters)
+                                  _candidates(A, 8, characters))
     assert h == _p("9*y*z")
     assert unique
 
@@ -340,12 +347,13 @@ def test_solve_with_degree_and_invariance():
 def test_solve_reports_no_solution():
     A = _algebra("x^8+y^3+z^2")
     with pytest.raises(ValueError):
-        solve_in_quotient(A, Poly.monomial(XYZ, A.socle), Poly.constant(XYZ, CycScalar.one()))
+        solve_in_quotient(A, Poly.monomial(XYZ, A.socle), Poly.constant(XYZ, CycScalar.one()),
+                          A.basis)
 
 
 def test_solve_flags_non_unique_classes():
     A = _algebra("x^8+y^3+z^2")
-    h, unique = solve_in_quotient(A, Poly.monomial(XYZ, A.socle), Poly.zero(XYZ))
+    h, unique = solve_in_quotient(A, Poly.monomial(XYZ, A.socle), Poly.zero(XYZ), A.basis)
     assert h.is_zero()
     assert not unique
 

@@ -8,6 +8,7 @@ from itertools import product as cartesian
 
 import pytest
 
+from oja import orbifold
 from oja.catalog import load_catalog, row_source, row_target
 from oja.jacobian import fingerprint, quotient_algebra, trace_functional
 from oja.linalg import rank, solve_linear
@@ -527,3 +528,51 @@ def test_source_and_target_series_agree(row):
     source = row_source(row)
     assert _graded_series(source, SymmetryGroup.trivial(source.arity)) == \
         _graded_series(*row_target(row))
+
+
+def _old_H_candidates(ip, group, g, h, sectors):
+    """The candidate rule `solve_in_quotient` applied before `compute_H` chose:
+    standard monomials of H's weighted degree that satisfy each non-identity
+    character (num restricted to Fix(gh), den)."""
+    target = sectors[g * h]
+    cap = set(g.fixed_indices()) & set(h.fixed_indices())
+    degree = sum(ip.degree - 2 * ip.weights[i] for i in target.fixed if i not in cap)
+    characters = [(tuple(q.num[i] for i in target.fixed), q.den)
+                  for q in group if not q.is_identity()]
+    by_degree = [m for m in target.algebra.basis if target.algebra.weighted_degree(m) == degree]
+    return by_degree, [m for m in by_degree if all(
+        sum(a * e for a, e in zip(num, m)) % den == 0 for num, den in characters)]
+
+
+def test_H_candidates_match_the_character_rule(monkeypatch):
+    """`compute_H` passes `solve_in_quotient` the monomials the deleted
+    character rule admitted, on every catalog row target and graph node."""
+    cat = load_catalog()
+    pairs = {}
+    for ip, group in [row_target(row) for row in cat.rows] + [
+            (node.ip, node.group) for node in cat.graph_nodes]:
+        pairs.setdefault((ip.poly, group), (ip, group))
+    assert len(pairs) == 21
+
+    calls, solves = [], []
+    real_H, real_solve = orbifold.compute_H, orbifold.solve_in_quotient
+
+    def recording_H(ip, group, g, h, sectors):
+        calls.append((ip, group, g, h, sectors))
+        return real_H(ip, group, g, h, sectors)
+
+    def recording_solve(algebra, a, b, candidates):
+        solves.append((calls[-1], list(candidates)))
+        return real_solve(algebra, a, b, candidates)
+
+    monkeypatch.setattr(orbifold, "compute_H", recording_H)
+    monkeypatch.setattr(orbifold, "solve_in_quotient", recording_solve)
+    for ip, group in pairs.values():
+        orbifold_algebra.__wrapped__(ip, group)  # past the cache, so every H is solved
+    assert len(solves) == 8
+    pruned = 0
+    for context, candidates in solves:
+        by_degree, invariant = _old_H_candidates(*context)
+        assert candidates == invariant
+        pruned += by_degree != invariant
+    assert pruned == 2

@@ -184,6 +184,22 @@ def test_max_symmetry_group_orders():
     assert max_symmetry_group(_ip("x^4+y^3+x*z^2")).order == 24
 
 
+def test_membership_hashes_each_element_once(monkeypatch):
+    """A group hashes its elements into a member set once, not on every test."""
+    group = max_symmetry_group(_ip("x^8+y^3+z^2"))
+    queries = [*group.elements[::10], *(GroupElement.parse(f"1/{k},0,0") for k in (3, 5, 7, 9, 11))]
+    hashes = []
+    real_hash = GroupElement.__hash__
+
+    def counting_hash(self):
+        hashes.append(self)
+        return real_hash(self)
+
+    monkeypatch.setattr(GroupElement, "__hash__", counting_hash)
+    assert [g in group for g in queries] == [True] * 5 + [False] * 5
+    assert len(hashes) <= group.order + len(queries)
+
+
 def test_max_symmetry_group_arity_one():
     ip = build_invertible(parse("x^2", ("x",)))
     group = max_symmetry_group(ip)
