@@ -254,7 +254,6 @@ class Catalog:
     def __init__(self, data: dict):
         _check_shape(data)
         self.data = data
-        self.version = data["version"]
         self.entries = tuple(
             CatalogEntry(e["type"], e["dual"], tuple(e["variants"]))
             for e in data["entries"])
@@ -424,7 +423,7 @@ def _validate(catalog: Catalog) -> None:
             raise ValueError(
                 f"row {row.index}: f1 is not a listed {row.f1_type} variant")
         target_ip, group = row_target(row)
-        if not all(is_sl_symmetry(target_ip, g) for g in group):
+        if not all(is_sl_symmetry(target_ip, g) for g in group.generators):
             raise ValueError(
                 f"row {row.index}: group is not a special-linear symmetry")
         if row.reduced != (row.witness is not None):
@@ -446,7 +445,7 @@ def _validate(catalog: Catalog) -> None:
     if len(labels) != 23:
         raise ValueError(f"expected 23 graph nodes, found {len(labels)}")
     for node in catalog.graph_nodes:
-        if not all(is_sl_symmetry(node.ip, g) for g in node.group):
+        if not all(is_sl_symmetry(node.ip, g) for g in node.group.generators):
             raise ValueError(
                 f"graph node {node.label}: group is not a special-linear symmetry")
 

@@ -27,7 +27,7 @@ import os
 import sys
 from typing import Callable, NoReturn, Sequence
 
-from .jacobian import QuotientAlgebra, milnor, quotient_algebra
+from .jacobian import QuotientAlgebra, milnor, quotient_algebra, trace_functional
 from .poly import ENUMERATION_LIMIT, Poly, infer_vars, is_name, parse
 from .scalar import CycScalar
 from .symmetry import (GroupElement, SymmetryGroup, is_sl_symmetry, max_symmetry_group,
@@ -149,7 +149,7 @@ def _jacobian_lines(args: argparse.Namespace, algebra: QuotientAlgebra,
 def cmd_jacobian(args: argparse.Namespace) -> int:
     ip = parse_invertible(args.poly)
     algebra = quotient_algebra(ip.poly, ip.weights, ip.degree)
-    trace = CycScalar.from_rational(algebra.mu) * algebra.trace_scale
+    trace = trace_functional(algebra, algebra.mu)(Poly.monomial(algebra.vars, algebra.socle))
     _emit(args, lambda: {
         "polynomial": str(ip.poly),
         "dimension": algebra.mu,
@@ -186,10 +186,11 @@ def cmd_orbifold(args: argparse.Namespace) -> int:
     if bound > ENUMERATION_LIMIT:
         raise ValueError(f"the generators' orders multiply to {bound}, above the "
                          f"enumeration limit of {ENUMERATION_LIMIT}")
-    group = SymmetryGroup.generated_by(generators, ip.arity)
-    if not all(is_sl_symmetry(ip, g) for g in group):
+    # Both SL conditions are characters, so the generators decide them for the group.
+    if not all(is_sl_symmetry(ip, g) for g in generators):
         raise ValueError(
             f"<{'; '.join(args.group)}> is not a special-linear symmetry group of {ip.poly}")
+    group = SymmetryGroup.generated_by(generators, ip.arity)
     algebra = orbifold.orbifold_algebra(ip, group)
     _emit(args, lambda: {"dimension": algebra.dim, **algebra.to_json()},
           lambda: _orbifold_lines(args, algebra))

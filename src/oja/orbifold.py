@@ -40,8 +40,7 @@ class Sector(NamedTuple):
     """One summand Jac(f^g)·v_g of the twisted algebra."""
 
     fixed: tuple[int, ...]
-    f_g: Poly
-    algebra: QuotientAlgebra
+    algebra: QuotientAlgebra  # Jac(f^g); its `f` is f^g
     parity: int
 
     def lift(self, m: Monomial, arity: int) -> Monomial:
@@ -77,10 +76,9 @@ def build_sectors(ip: InvertiblePoly, group: SymmetryGroup) -> dict[GroupElement
     sectors = {}
     for g in group:
         fixed = g.fixed_indices()
-        f_g = ip.poly.restrict(fixed)
         weights = tuple(ip.weights[i] for i in fixed)
-        algebra = quotient_algebra(f_g, weights, ip.degree)
-        sectors[g] = Sector(fixed, f_g, algebra, (n - len(fixed)) % 2)
+        algebra = quotient_algebra(ip.poly.restrict(fixed), weights, ip.degree)
+        sectors[g] = Sector(fixed, algebra, (n - len(fixed)) % 2)
     return sectors
 
 
@@ -99,14 +97,14 @@ def compute_H(ip: InvertiblePoly, group: SymmetryGroup, g: GroupElement, h: Grou
     target_sector = sectors[g * h]
     target = target_sector.algebra
     if g.is_identity() or h.is_identity():
-        return Poly.constant(target_sector.f_g.vars, _ONE)
+        return Poly.constant(target.vars, _ONE)
 
     cap = tuple(i for i in g.fixed_indices() if i in set(h.fixed_indices()))
     f_cap = ip.poly.restrict(cap)
     cap_algebra = quotient_algebra(f_cap, tuple(ip.weights[i] for i in cap), ip.degree)
     gh_fixed = target_sector.fixed
     positions = [gh_fixed.index(i) for i in cap]  # Fix(g)∩Fix(h) ⊆ Fix(gh)
-    lifted_hess = f_cap.hessian().embed(target_sector.f_g.vars, positions)
+    lifted_hess = f_cap.hessian().embed(target.vars, positions)
 
     a = lifted_hess.scale(CycScalar.from_rational(Fraction(1, cap_algebra.mu)))
     b = target.hess_nf.scale(CycScalar.from_rational(Fraction(1, target.mu)))
@@ -153,9 +151,9 @@ class OrbifoldAlgebra:
         identity = GroupElement.identity(ip.arity)
         id_algebra = self.sectors[identity].algebra
         self.identity_index = self._pos[(identity, (0,) * ip.arity)]
-        self.scale = group.order * id_algebra.mu
         self._socle = self._pos[(identity, id_algebra.socle)]
-        self._trace_factor = CycScalar.from_rational(self.scale) * id_algebra.trace_scale
+        scale = group.order * id_algebra.mu  # λ([hess f]) = |G|·μ_f
+        self._trace_factor = CycScalar.from_rational(scale) * id_algebra.trace_scale
 
         # deg [x^m]v_g = Σ_{i∈Fix g} qᵢmᵢ + Σ_{i∉Fix g} (1/2 − qᵢ) with qᵢ = wᵢ/d,
         # as one fraction over 2d; the age shift is summed once per sector.

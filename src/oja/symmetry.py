@@ -187,7 +187,6 @@ class SymmetryGroup:
 class InvertiblePoly(NamedTuple):
     poly: Poly
     exponents: tuple[tuple[int, ...], ...]
-    coeffs: tuple[CycScalar, ...]
     weights: tuple[int, ...]
     degree: int
 
@@ -213,25 +212,22 @@ def _weight_system(rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], in
     return weights, d
 
 
+def _transposed(rows: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    return list(zip(*rows))
+
+
 def _assemble(vars: Sequence[str], rows: Sequence[tuple[int, ...]],
-              coeffs: Sequence[CycScalar], check_nondegenerate: bool) -> InvertiblePoly:
-    n = len(vars)
+              coeffs: Sequence[CycScalar]) -> InvertiblePoly:
     weights, d = _weight_system(rows)
     poly = Poly(vars, dict(zip(rows, coeffs)))
-    if len(poly.terms) != n:
+    if len(poly.terms) != len(vars):
         raise ValueError("duplicate monomials")
-    if check_nondegenerate:
-        transposed = [tuple(rows[j][i] for j in range(n)) for i in range(n)]
-        for candidate, label in ((poly, "polynomial"),
-                                 (Poly(vars, dict(zip(transposed, coeffs))), "transpose")):
-            if not has_isolated_singularity(candidate):
-                raise ValueError(f"degenerate critical point: {label} {candidate} "
-                                 "has an infinite-dimensional Jacobian algebra")
-    return InvertiblePoly(poly, tuple(rows), tuple(coeffs), weights, d)
+    return InvertiblePoly(poly, tuple(rows), weights, d)
 
 
 def build_invertible(f: Poly) -> InvertiblePoly:
-    """Validate f as invertible and compute its canonical weight system.
+    """Validate f as invertible, with isolated singularities for f and its
+    transpose, and compute its canonical weight system.
 
     Monomial rows are ordered by descending grevlex, which fixes the pairing
     of monomials to variables that the transpose uses.
@@ -242,7 +238,13 @@ def build_invertible(f: Poly) -> InvertiblePoly:
         raise ValueError(
             f"invertible polynomial needs exactly {n} monomials in {n} variables, got {len(rows)}")
     coeffs = [f.terms[e] for e in rows]
-    return _assemble(f.vars, rows, coeffs, check_nondegenerate=True)
+    ip = _assemble(f.vars, rows, coeffs)
+    for candidate, label in ((ip.poly, "polynomial"),
+                             (Poly(f.vars, dict(zip(_transposed(rows), coeffs))), "transpose")):
+        if not has_isolated_singularity(candidate):
+            raise ValueError(f"degenerate critical point: {label} {candidate} "
+                             "has an infinite-dimensional Jacobian algebra")
+    return ip
 
 
 @lru_cache(maxsize=None)
@@ -260,9 +262,8 @@ def transpose(ip: InvertiblePoly) -> InvertiblePoly:
     descending grevlex, not by the variable each monomial is built on, so
     `x1^2 + x2^3` comes out as `x1^3 + x2^2`.
     """
-    n = ip.arity
-    rows = [tuple(ip.exponents[j][i] for j in range(n)) for i in range(n)]
-    return _assemble(ip.vars, rows, ip.coeffs, check_nondegenerate=False)
+    return _assemble(ip.vars, _transposed(ip.exponents),
+                     [ip.poly.terms[e] for e in ip.exponents])
 
 
 def max_symmetry_group(ip: InvertiblePoly) -> SymmetryGroup:
@@ -282,9 +283,10 @@ def max_symmetry_group(ip: InvertiblePoly) -> SymmetryGroup:
         raise AssertionError(
             f"group order {group.order} and exponent {exponent} disagree with "
             f"|det E| = {expected} and the largest SNF invariant factor {largest}")
-    for g in group:
+    # Fixing x^{E_i} is a character of G, so the generators decide it for the group.
+    for g in gens:
         if not all(g.fixes_monomial(row) for row in ip.exponents):
-            raise AssertionError(f"generated element {g} is not a symmetry")
+            raise AssertionError(f"generator {g} is not a symmetry")
     return group
 
 

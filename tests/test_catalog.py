@@ -27,7 +27,7 @@ def _catalog():
 
 def test_catalog_counts():
     cat = _catalog()
-    assert cat.version == 1
+    assert cat.data["version"] == 1
     assert len(cat.entries) == 14
     assert len(cat.rows) == 20
     assert sum(1 for r in cat.rows if r.reduced) == 7

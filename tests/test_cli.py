@@ -235,6 +235,22 @@ def test_orbifold_rejects_a_non_sl_group():
     assert "special-linear" in result.stderr
 
 
+def test_orbifold_checks_the_generators_before_generating_the_group(monkeypatch, capsys):
+    """Both SL conditions are characters, so the parsed generators decide them."""
+    from oja.cli import main
+    from oja.symmetry import SymmetryGroup
+
+    def refuse(cls, generators, arity):
+        raise AssertionError("the group was generated before its generators were checked")
+
+    monkeypatch.setattr(SymmetryGroup, "generated_by", classmethod(refuse))
+    assert main(["orbifold", "x1^2+x2^2", "--group", "1/2,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: <1/2,0> is not a special-linear symmetry group "
+                            "of x1^2 + x2^2\n")
+
+
 def test_orbifold_rejects_wrong_arity_generators():
     result = _run("orbifold", "x1^8+x2^3+x3^2", "--group", "1/2,0")
     assert result.returncode == 2

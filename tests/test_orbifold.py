@@ -61,7 +61,7 @@ def test_sectors_of_the_order_two_example():
     g = _generator(group)
     assert sectors[GroupElement.identity(3)].algebra.mu == 14
     assert sectors[g].fixed == (1,)
-    assert sectors[g].f_g == parse("y^3", ("y",))
+    assert sectors[g].algebra.f == parse("y^3", ("y",))
     assert sectors[g].algebra.mu == 2
     assert sectors[g].parity == 0
 

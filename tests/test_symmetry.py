@@ -224,6 +224,22 @@ def test_every_group_element_fixes_the_polynomial():
             assert sum(e * p for e, p in zip(row, g.phases)).denominator == 1
 
 
+def test_max_symmetry_group_checks_its_generators_not_its_elements(monkeypatch):
+    """Fixing x^{E_i} is a character of G_f, so the columns of E⁻¹ decide it
+    for the group: 4 generators × 4 monomials, not 16⁴ elements × 4."""
+    ip = parse_invertible("x1^16+x2^16+x3^16+x4^16")
+    calls = []
+    original = GroupElement.fixes_monomial
+
+    def counting(self, m):
+        calls.append(m)
+        return original(self, m)
+
+    monkeypatch.setattr(GroupElement, "fixes_monomial", counting)
+    assert max_symmetry_group(ip).order == 16 ** 4
+    assert len(calls) <= 16
+
+
 def test_sl_subgroup_of_fermat_e14():
     group = max_symmetry_group(_ip("x^8+y^3+z^2"))
     sl = sl_subgroup(group)
@@ -300,6 +316,20 @@ def test_sl_predicate_matches_the_fraction_definition_on_catalog_groups():
             assert is_sl_symmetry(ip, g) == _is_sl_by_phases(ip, g), (str(ip.poly), str(g))
             checked += 1
     assert len(pairs) == 20 + 23 + 21 and checked == 616
+
+
+def test_a_generated_group_is_special_linear_iff_its_generators_are():
+    """Both SL conditions are characters of G_f, so for every cyclic subgroup
+    <h> of every variant's G_f the generators decide what all elements do."""
+    verdicts = set()
+    for text in _VARIANTS:
+        ip = build_invertible(parse(text, ("x1", "x2", "x3")))
+        for h in max_symmetry_group(ip):
+            group = SymmetryGroup.generated_by([h], ip.arity)
+            by_generators = all(is_sl_symmetry(ip, g) for g in group.generators)
+            assert by_generators == all(is_sl_symmetry(ip, g) for g in group), (text, str(h))
+            verdicts.add(by_generators)
+    assert len(_VARIANTS) == 21 and verdicts == {True, False}
 
 
 def test_age_sum_rule():

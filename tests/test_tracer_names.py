@@ -16,8 +16,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
-# Spanned names that only the tests call.
-TEST_ONLY = {"jacobian.trace_functional"}
 
 
 def _tracer():
@@ -66,6 +64,5 @@ def _package_calls() -> set[str]:
 def test_every_traced_name_keeps_a_package_caller():
     calls = _package_calls()
     uncalled = [f"{layer}.{name}" for layer, names in _tracer().SPANNED.items()
-                for name in names if f"{layer}.{name}" not in TEST_ONLY
-                and name not in calls and f"{layer}.{name}" not in calls]
+                for name in names if name not in calls and f"{layer}.{name}" not in calls]
     assert not uncalled
