@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .duality import GraphNode, IsoWitness
 from .linalg import add_scaled
-from .orbifold import orbifold_algebra
+from .orbifold import check_group, orbifold_algebra
 from .poly import ENUMERATION_LIMIT, Poly, parse
 from .scalar import CycScalar, I_UNIT, SQRT2, SQRT3
 from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup, is_sl_symmetry,
@@ -306,7 +306,7 @@ def _group_from_generator(generator: str, arity: int, record: str) -> SymmetryGr
                              f"the enumeration limit of {ENUMERATION_LIMIT}")
     except ValueError as exc:
         raise ValueError(f"{record}: {exc}") from None
-    return SymmetryGroup.generated_by([g], arity)
+    return SymmetryGroup([g], arity)
 
 
 _SYMBOLIC_SCALARS = {"i": I_UNIT, "sqrt2": SQRT2, "sqrt3": SQRT3}
@@ -380,9 +380,22 @@ def row_witness(row: CatalogRow) -> IsoWitness | None:
     for terms in _witness_terms(row, source.arity, target_ip, group):
         vector: dict[int, CycScalar] = {}
         for scalar, monomial, sector in terms:
-            add_scaled(vector, scalar, algebra.element(monomial, sector))
+            try:
+                add_scaled(vector, scalar, algebra.element(monomial, sector))
+            except ValueError as exc:
+                raise ValueError(f"row {row.index}: witness {exc}") from None
         images.append(vector)
     return IsoWitness(source, algebra, tuple(images))
+
+
+def _check_scope(ip: InvertiblePoly, group: SymmetryGroup, record: str) -> None:
+    """Check that the orbifold construction applies; an error starts with `record`."""
+    if not all(is_sl_symmetry(ip, g) for g in group.generators):
+        raise ValueError(f"{record}: group is not a special-linear symmetry")
+    try:
+        check_group(ip, group)
+    except ValueError as exc:
+        raise ValueError(f"{record}: {exc}") from None
 
 
 def _validate(catalog: Catalog) -> None:
@@ -423,9 +436,7 @@ def _validate(catalog: Catalog) -> None:
             raise ValueError(
                 f"row {row.index}: f1 is not a listed {row.f1_type} variant")
         target_ip, group = row_target(row)
-        if not all(is_sl_symmetry(target_ip, g) for g in group.generators):
-            raise ValueError(
-                f"row {row.index}: group is not a special-linear symmetry")
+        _check_scope(target_ip, group, f"row {row.index}")
         if row.reduced != (row.witness is not None):
             raise ValueError(
                 f"row {row.index}: reduced rows carry a witness, others do not")
@@ -445,9 +456,7 @@ def _validate(catalog: Catalog) -> None:
     if len(labels) != 23:
         raise ValueError(f"expected 23 graph nodes, found {len(labels)}")
     for node in catalog.graph_nodes:
-        if not all(is_sl_symmetry(node.ip, g) for g in node.group.generators):
-            raise ValueError(
-                f"graph node {node.label}: group is not a special-linear symmetry")
+        _check_scope(node.ip, node.group, f"graph node {node.label}")
 
 
 def load_catalog(path: str | Path | None = None) -> Catalog:

@@ -74,7 +74,7 @@ def _load_catalog(args: argparse.Namespace) -> catalog.Catalog:
         raise ValueError(f"cannot read catalog file {args.catalog}: {exc.strerror}") from None
     except KeyError as exc:
         raise ValueError(f"invalid catalog: missing key {exc}") from None
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, RecursionError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid catalog: {exc}") from None
 
 
@@ -190,7 +190,7 @@ def cmd_orbifold(args: argparse.Namespace) -> int:
     if not all(is_sl_symmetry(ip, g) for g in generators):
         raise ValueError(
             f"<{'; '.join(args.group)}> is not a special-linear symmetry group of {ip.poly}")
-    group = SymmetryGroup.generated_by(generators, ip.arity)
+    group = SymmetryGroup(generators, ip.arity)
     algebra = orbifold.orbifold_algebra(ip, group)
     _emit(args, lambda: {"dimension": algebra.dim, **algebra.to_json()},
           lambda: _orbifold_lines(args, algebra))
@@ -269,7 +269,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     loaded = _load_catalog(args)
     try:
         graph = duality.duality_graph(loaded)
-    except ValueError as exc:  # SearchFailure is a ValueError
+    except duality.SearchFailure as exc:  # any other ValueError is bad input
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     _emit(args, graph.to_json, lambda: [graph.to_dot()] if args.dot else [

@@ -30,7 +30,7 @@ _ONE = CycScalar.one()
 
 
 class SearchFailure(ValueError):
-    """Raised when the ansatz search space is exhausted without a witness."""
+    """Raised when the ansatz search finds no witness or graph edges stay uncertified."""
 
 
 # --- witnesses and reports ---------------------------------------------------
@@ -577,7 +577,7 @@ def _renaming_key(ip: InvertiblePoly, group: SymmetryGroup) -> tuple:
 
 
 def _describe_pair(ip: InvertiblePoly, group: SymmetryGroup) -> str:
-    """`(f, <generators>)`, or `(f, {id})` for the trivial group."""
+    """`(f, <every non-identity element>)`, or `(f, {id})` for the trivial group."""
     gens = [str(g) for g in group if not g.is_identity()]
     label = f"<{'; '.join(gens)}>" if gens else "{id}"
     return f"({ip.poly}, {label})"
@@ -592,7 +592,7 @@ def duality_graph(catalog) -> DualityGraph:
     renamings and verified catalog rows (embedded witness or ansatz search);
     rows are only verified while some in-cluster edge still lacks a
     certificate.  Edges are drawn exclusively inside clusters — two clusters
-    containing equal pairs stay separate components.  Raises ValueError if
+    containing equal pairs stay separate components.  Raises SearchFailure if
     any drawn edge cannot be certified.
     """
     from .catalog import row_source, row_target, row_witness  # local to avoid a cycle
@@ -674,7 +674,7 @@ def duality_graph(catalog) -> DualityGraph:
                     f"({cert.level}-level result only); not linked")
 
     if needy_roots():
-        raise ValueError("uncertified edges remain: " + "; ".join(
+        raise SearchFailure("uncertified edges remain: " + "; ".join(
             f"{a.label} -- {b.label}" for members in clusters.values()
             for a, b in combinations(members, 2)
             if find(key_of[a.label]) != find(key_of[b.label])))

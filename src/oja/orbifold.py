@@ -54,14 +54,16 @@ def fix_union_holds(g: GroupElement, h: GroupElement) -> bool:
     return len({*g.fixed_indices(), *h.fixed_indices(), *(g * h).fixed_indices()}) == g.arity
 
 
-def _check_group(ip: InvertiblePoly, group: SymmetryGroup) -> None:
+def check_group(ip: InvertiblePoly, group: SymmetryGroup) -> None:
+    """Raise ValueError unless the construction applies: |G| ≤ 3, G ⊆ SL ∩ G_f."""
     if group.order not in (1, 2, 3):
         raise ValueError(
             f"unsupported group of order {group.order}: only the trivial group "
             "and cyclic groups of order 2 or 3 are in scope")
-    for g in group:
-        if g.arity != ip.arity:
-            raise ValueError("group arity does not match the polynomial")
+    if group.arity != ip.arity:
+        raise ValueError("group arity does not match the polynomial")
+    # Both SL conditions are characters, so the generators decide them for the group.
+    for g in group.generators:
         if is_sl_symmetry(ip, g):
             continue
         if not all(map(g.fixes_monomial, ip.exponents)):
@@ -71,7 +73,7 @@ def _check_group(ip: InvertiblePoly, group: SymmetryGroup) -> None:
 
 def build_sectors(ip: InvertiblePoly, group: SymmetryGroup) -> dict[GroupElement, Sector]:
     """One sector per group element, each with its own quotient algebra."""
-    _check_group(ip, group)
+    check_group(ip, group)
     n = ip.arity
     sectors = {}
     for g in group:
@@ -110,9 +112,11 @@ def compute_H(ip: InvertiblePoly, group: SymmetryGroup, g: GroupElement, h: Grou
     b = target.hess_nf.scale(CycScalar.from_rational(Fraction(1, target.mu)))
     degree = sum(ip.degree - 2 * ip.weights[i] for i in gh_fixed if i not in set(cap))
     # The Groebner basis of a weighted homogeneous G-invariant f consists of
-    # homogeneous G-eigenvectors, so these monomials span every admissible class.
+    # homogeneous G-eigenvectors, so these monomials span every admissible class;
+    # fixing a monomial is a character, so the generators decide invariance.
     candidates = [m for m in target.basis if target.weighted_degree(m) == degree
-                  and all(q.fixes_monomial(target_sector.lift(m, ip.arity)) for q in group)]
+                  and all(q.fixes_monomial(target_sector.lift(m, ip.arity))
+                          for q in group.generators)]
     solution, unique = solve_in_quotient(target, a, b, candidates)
     if not unique:
         raise ValueError(f"H_({g}),({h}) is not determined uniquely")
@@ -328,7 +332,8 @@ def invariant_subalgebra(twisted: TwistedAlgebra) -> OrbifoldAlgebra:
     for g, sector in twisted.sectors.items():
         index[g], kept[g] = [None] * sector.algebra.mu, []
         for a, x in enumerate(twisted.lifted[g]):
-            if all(q.fixes_monomial(x) for q in twisted.group):  # [x^m]v_g fixed by every q
+            # Fixing x^m is a character, so G fixes [x^m]v_g iff its generators do.
+            if all(q.fixes_monomial(x) for q in twisted.group.generators):
                 index[g][a] = len(basis)
                 kept[g].append((len(basis), x))
                 basis.append((g, sector.algebra.basis[a]))

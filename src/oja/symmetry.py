@@ -119,46 +119,30 @@ class GroupElement:
 
 
 class SymmetryGroup:
-    """A finite group of diagonal symmetries, iterated in a canonical order.
+    """The group of diagonal symmetries that `generators` generate, on `arity`
+    variables, iterated in a canonical order (by phases, identity first).
 
-    `generators`, when not empty, generate the group.  They may be empty for
-    a nontrivial group built from its elements, never for one that
-    `generated_by` or `sl_subgroup` returns.
+    The closure is taken at construction, so every group holds the identity
+    and is closed under composition, and its stored generators (identities
+    dropped) generate it: a character of the group is decided on them.
     """
 
-    def __init__(self, elements: Iterable[GroupElement], generators: Sequence[GroupElement] = ()):
-        elts = set(elements)
-        scale = math.lcm(*(g.den for g in elts))  # the key orders by phases, on integers
-        elts = sorted(elts, key=lambda g: tuple(a * (scale // g.den) for a in g.num))
-        if not elts:
-            raise ValueError("a group needs at least the identity")
-        arity = elts[0].arity
-        if any(g.arity != arity for g in elts):
-            raise ValueError("mixed arities in group")
-        if not elts[0].is_identity():
-            raise ValueError("identity missing")
-        self.elements = tuple(elts)
-        self.generators = tuple(generators)
+    def __init__(self, generators: Iterable[GroupElement], arity: int):
+        gens = tuple(g for g in generators if not g.is_identity())
+        elements: set[GroupElement] = set()
+        frontier = {GroupElement.identity(arity)}
+        while frontier:  # breadth first: each new element times each generator
+            elements |= frontier
+            frontier = {e.compose(g) for e in frontier for g in gens} - elements
+        scale = math.lcm(*(g.den for g in elements))  # the key orders by phases, on integers
+        self.elements = tuple(sorted(
+            elements, key=lambda g: tuple(a * (scale // g.den) for a in g.num)))
+        self.generators = gens
+        self.arity = arity
 
     @classmethod
     def trivial(cls, arity: int) -> "SymmetryGroup":
-        return cls([GroupElement.identity(arity)])
-
-    @classmethod
-    def generated_by(cls, generators: Iterable[GroupElement], arity: int) -> "SymmetryGroup":
-        gens = [g for g in generators if not g.is_identity()]
-        elements = {GroupElement.identity(arity)}
-        frontier = [GroupElement.identity(arity)]
-        while frontier:
-            fresh = []
-            for e in frontier:
-                for g in gens:
-                    h = e.compose(g)
-                    if h not in elements:
-                        elements.add(h)
-                        fresh.append(h)
-            frontier = fresh
-        return cls(elements, tuple(gens))
+        return cls((), arity)
 
     @property
     def order(self) -> int:
@@ -276,7 +260,7 @@ def max_symmetry_group(ip: InvertiblePoly) -> SymmetryGroup:
         raise ValueError(f"|det E| = {expected} exceeds the enumeration limit of "
                          f"{ENUMERATION_LIMIT}")
     gens = [GroupElement(tuple(inv[i][j] for i in range(n))) for j in range(n)]
-    group = SymmetryGroup.generated_by(gens, n)
+    group = SymmetryGroup(gens, n)
     exponent = max(g.order() for g in group)
     largest = smith_diagonal([list(r) for r in ip.exponents])[-1]
     if group.order != int(expected) or exponent != largest:
@@ -304,20 +288,19 @@ def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
     members a closure sweep over the canonical order adds.
     """
     members = [g for g in group if g.fixes_monomial((1,) * g.arity)]
-    arity = group.elements[0].arity
-    generated = SymmetryGroup.generated_by(
-        [g for g in group.generators if g in members], arity)
+    arity = group.arity
+    generated = SymmetryGroup([g for g in group.generators if g in members], arity)
     # `generated` lies inside the subgroup, so equal orders mean equal groups.
     if generated.order == len(members):
         return generated
     cyclic = [g for g in members if g.order() == len(members)]
     if cyclic:
-        return SymmetryGroup(members, [max(cyclic, key=lambda g: g.num)])
+        return SymmetryGroup([max(cyclic, key=lambda g: g.num)], arity)
     # The sweep always reaches the subgroup, and then adds nothing more.
     span = SymmetryGroup.trivial(arity)
     for g in members:
         if span.order < len(members) and g not in span:
-            span = SymmetryGroup.generated_by((*span.generators, g), arity)
+            span = SymmetryGroup((*span.generators, g), arity)
     return span
 
 

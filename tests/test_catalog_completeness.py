@@ -131,7 +131,7 @@ def test_the_rows_are_every_instance_that_is_not_an_identity():
         row_target = parse_invertible(row.f2_transpose)
         assert _key(row_target.exponents) == _key(parse_invertible(target).exponents), row.index
         generators = [GroupElement.parse(row.generator)] if row.generator else []
-        group = SymmetryGroup.generated_by(generators, ARITY)
+        group = SymmetryGroup(generators, ARITY)
         assert group == _sl(row.f2_transpose), row.index  # all of G_{f2ᵀ} ∩ SL
 
 

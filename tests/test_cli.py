@@ -240,10 +240,10 @@ def test_orbifold_checks_the_generators_before_generating_the_group(monkeypatch,
     from oja.cli import main
     from oja.symmetry import SymmetryGroup
 
-    def refuse(cls, generators, arity):
+    def refuse(self, generators, arity):
         raise AssertionError("the group was generated before its generators were checked")
 
-    monkeypatch.setattr(SymmetryGroup, "generated_by", classmethod(refuse))
+    monkeypatch.setattr(SymmetryGroup, "__init__", refuse)
     assert main(["orbifold", "x1^2+x2^2", "--group", "1/2,0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -386,12 +386,15 @@ def _set_variant(index: int, value: str) -> Callable[[dict], None]:
 
 
 _TRUNCATED = "x1^4+x2^3+"  # position 10 ends the text where a term should start
+# With x1^4+x2^4+x3^2, generator 1/4,3/4,0 is an SL symmetry of order 4: out of scope
+_OUT_OF_SCOPE = ("unsupported group of order 4: only the trivial group and cyclic groups "
+                 "of order 2 or 3 are in scope\n")
 
 # Each case: a change to the bundled catalog (a string: the whole file's
 # text; None: the catalog path is a directory), and the message expected on
-# stderr: a substring, or the whole line with its newline.  Position 1 holds
-# row 2, whose group is <(1/2,0,1/2)>, and graph node B; position 0 holds
-# entry E12.
+# stderr under `verify --row 2` and `graph` alike: a substring, or the whole
+# line with its newline.  Position 1 holds row 2, whose group is
+# <(1/2,0,1/2)>, and graph node B; position 0 holds entry E12.
 _BROKEN_CATALOGS = {
     "missing-sections": (_keep_only_version, "error: invalid catalog: missing key 'entries'\n"),
     "document-not-an-object": (
@@ -483,25 +486,77 @@ _BROKEN_CATALOGS = {
         "error: invalid catalog: graph_nodes[1]: label is null, not a string\n"),
     "node-label-int": (_set_node("label", 1, 7), "invalid catalog"),
     "directory": (None, "cannot read catalog file"),
+    "nested-arrays": (
+        "[" * 100_000 + "]" * 100_000,
+        "error: invalid catalog: maximum recursion depth exceeded while decoding a JSON "
+        "array from a unicode string\n"),
+    "row-group-out-of-scope": (
+        lambda data: data["rows"][1].update(f2_transpose="x1^4+x2^4+x3^2",
+                                            generator="1/4,3/4,0"),
+        "error: invalid catalog: row 2: " + _OUT_OF_SCOPE),
+    "node-group-out-of-scope": (
+        lambda data: data["graph_nodes"][1].update(f="x1^4+x2^4+x3^2", generator="1/4,3/4,0"),
+        "error: invalid catalog: graph node B: " + _OUT_OF_SCOPE),
+    # Parsed and placed in the row's group, the term fails only when the
+    # witness is built on the invariant basis, after the catalog has loaded.
+    "witness-monomial-not-invariant": (
+        _set_witness_term(1, 0, 1, "x1"),
+        "error: row 2: witness [x1]v_(0,0,0) is not supported on this basis "
+        "(non-invariant component)\n"),
 }
+
+
+def _broken_catalog(tmp_path: Path, case: str) -> Path:
+    """Write the broken catalog of `case`; return its path."""
+    mutate = _BROKEN_CATALOGS[case][0]
+    if mutate is None:
+        return tmp_path
+    path = tmp_path / "broken.json"
+    if isinstance(mutate, str):
+        path.write_text(mutate)
+    else:
+        data = load_catalog().data
+        mutate(data)
+        path.write_text(json.dumps(data))
+    return path
 
 
 @pytest.mark.parametrize("case", sorted(_BROKEN_CATALOGS))
 def test_verify_rejects_an_invalid_catalog(tmp_path: Path, case: str):
-    mutate, message = _BROKEN_CATALOGS[case]
-    path = tmp_path
-    if mutate is not None:
-        path = tmp_path / "broken.json"
-        if isinstance(mutate, str):
-            path.write_text(mutate)
-        else:
-            data = load_catalog().data
-            mutate(data)
-            path.write_text(json.dumps(data))
+    path = _broken_catalog(tmp_path, case)
     result = _run("--catalog", str(path), "verify", "--row", "2")
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert message in result.stderr
+    assert _BROKEN_CATALOGS[case][1] in result.stderr
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_CATALOGS))
+def test_graph_rejects_an_invalid_catalog(tmp_path: Path, capsys, case: str):
+    """In-process, so an uncaught exception fails the test as a traceback would."""
+    from oja.cli import main
+
+    path = _broken_catalog(tmp_path, case)
+    assert main(["--catalog", str(path), "graph"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _BROKEN_CATALOGS[case][1] in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_graph_exits_1_when_a_cluster_edge_stays_uncertified(tmp_path: Path, capsys):
+    """Node X (an E14 pair) moved into cluster 1 beside Q10 pairs: no row can
+    link it, so the graph fails verification rather than the input."""
+    from oja.cli import main
+
+    data = load_catalog().data
+    data["graph_nodes"][-1]["cluster"] = 1
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(data))
+    assert main(["--catalog", str(path), "graph"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("verification failed: uncertified edges remain: "
+                            "A -- X; B -- X; C -- X\n")
 
 
 def _assert_graph_rejects(tmp_path: Path, mutate: Callable[[dict], None],
@@ -653,20 +708,20 @@ def test_huge_inputs_exit_2_before_enumerating(argv, message, capsys):
     assert "Traceback" not in captured.err
 
 
-def _guard_generated_by(monkeypatch, calls: list) -> None:
+def _guard_group_construction(monkeypatch, calls: list) -> None:
     """Record every group generation; fail fast on a generator of huge order."""
     from oja.symmetry import SymmetryGroup
 
-    original = SymmetryGroup.generated_by.__func__
+    original = SymmetryGroup.__init__
 
-    def guarded(cls, generators, arity):
+    def guarded(self, generators, arity):
         generators = list(generators)
         calls.append(generators)
         if any(g.order() > 10**6 for g in generators):
             raise AssertionError(f"enumerating a group of order {generators[0].order()}")
-        return original(cls, generators, arity)
+        original(self, generators, arity)
 
-    monkeypatch.setattr(SymmetryGroup, "generated_by", classmethod(guarded))
+    monkeypatch.setattr(SymmetryGroup, "__init__", guarded)
 
 
 @pytest.mark.parametrize("section, argv", [
@@ -681,7 +736,7 @@ def test_huge_catalog_generator_exits_2_before_enumerating(tmp_path: Path, monke
     _set_generator(section, 1, "1/999999999999,0,0")(data)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
-    _guard_generated_by(monkeypatch, [])
+    _guard_group_construction(monkeypatch, [])
     assert main(["--catalog", str(path), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -695,7 +750,7 @@ def test_symmetry_generates_the_group_once(monkeypatch, capsys):
     from oja.cli import main
 
     calls: list = []
-    _guard_generated_by(monkeypatch, calls)
+    _guard_group_construction(monkeypatch, calls)
     assert main(["symmetry", "x1^7+x2^3+x3^2"]) == 0
     assert capsys.readouterr().out == ("order 42\ngenerator (1/7,0,0)\n"
                                        "generator (0,1/3,0)\ngenerator (0,0,1/2)\n")

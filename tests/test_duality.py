@@ -368,7 +368,7 @@ def _reference_same_node(ip_a, group_a, ip_b, group_b) -> bool:
     for perm in matching_permutations(ip_a.poly, ip_b.poly):
         members = [GroupElement.from_numerators(
             tuple(g.num[perm.index(i)] for i in range(g.arity)), g.den) for g in group_a]
-        if SymmetryGroup(members) == group_b:
+        if SymmetryGroup(members, group_a.arity) == group_b:
             return True
     return False
 
@@ -382,7 +382,7 @@ def _renamed(ip, group, perm):
         return tuple(out)
     poly = Poly(ip.vars, {move(exps): c for exps, c in ip.poly.terms.items()})
     return build_invertible(poly), SymmetryGroup(
-        [GroupElement.from_numerators(move(g.num), g.den) for g in group])
+        [GroupElement.from_numerators(move(g.num), g.den) for g in group], group.arity)
 
 
 def test_renaming_key_agrees_with_the_pairwise_reference():

@@ -28,7 +28,7 @@ def _setup(text: str, generator: str | None):
     if generator is None:
         group = SymmetryGroup.trivial(3)
     else:
-        group = SymmetryGroup.generated_by([GroupElement.parse(generator)], 3)
+        group = SymmetryGroup([GroupElement.parse(generator)], 3)
     return ip, group
 
 
@@ -84,14 +84,14 @@ def test_group_scope_rejections():
     ip, _ = _setup("x^4+y^3+z^3", None)
     quartic = build_invertible(parse("x^4+y^4+z^2", XYZ))
     with pytest.raises(ValueError, match="order 4"):
-        build_sectors(quartic, SymmetryGroup.generated_by(
+        build_sectors(quartic, SymmetryGroup(
             [GroupElement.parse("1/4,1/4,1/2")], 3))
     e14 = build_invertible(parse("x^8+y^3+z^2", XYZ))
     with pytest.raises(ValueError, match="SL"):
-        build_sectors(e14, SymmetryGroup.generated_by(
+        build_sectors(e14, SymmetryGroup(
             [GroupElement.parse("1/2,0,0")], 3))
     with pytest.raises(ValueError, match="preserve"):
-        build_sectors(e14, SymmetryGroup.generated_by(
+        build_sectors(e14, SymmetryGroup(
             [GroupElement.parse("1/3,0,2/3")], 3))
 
 
@@ -101,7 +101,7 @@ def test_unit_guard_rejects_free_cyclic_action():
     # the construction refuses rather than returning a non-unital product.
     # The full reference build shows the products the guard refuses.
     ip = build_invertible(parse("x^3+y^3+z^3", XYZ))
-    group = SymmetryGroup.generated_by([GroupElement.parse("1/3,1/3,1/3")], 3)
+    group = SymmetryGroup([GroupElement.parse("1/3,1/3,1/3")], 3)
     with pytest.raises(ValueError) as info:
         twisted_algebra(ip, group)
     assert str(info.value) == ("v_id is not a two-sided unit for this group configuration; "

@@ -280,7 +280,7 @@ def test_sl_subgroup_carries_generators_that_generate_it():
             for text in ("x1^3+x2^3+x3^3", "x1^4+x2^4+x3^4", "x1^2+x2^2+x3^2+x4^2")]
     for ip in ips:
         sl = sl_subgroup(max_symmetry_group(ip))
-        assert SymmetryGroup.generated_by(sl.generators, ip.arity) == sl, str(ip.poly)
+        assert SymmetryGroup(sl.generators, ip.arity) == sl, str(ip.poly)
         assert not any(g.is_identity() for g in sl.generators), str(ip.poly)
 
 
@@ -325,7 +325,7 @@ def test_a_generated_group_is_special_linear_iff_its_generators_are():
     for text in _VARIANTS:
         ip = build_invertible(parse(text, ("x1", "x2", "x3")))
         for h in max_symmetry_group(ip):
-            group = SymmetryGroup.generated_by([h], ip.arity)
+            group = SymmetryGroup([h], ip.arity)
             by_generators = all(is_sl_symmetry(ip, g) for g in group.generators)
             assert by_generators == all(is_sl_symmetry(ip, g) for g in group), (text, str(h))
             verdicts.add(by_generators)
@@ -345,7 +345,7 @@ def test_age_sum_rule():
 
 def test_generated_subgroup_and_membership():
     g = GroupElement.parse("1/2,0,1/2")
-    group = SymmetryGroup.generated_by([g], 3)
+    group = SymmetryGroup([g], 3)
     assert group.order == 2
     assert g in group
     assert set(group) <= set(max_symmetry_group(_ip("x^8+y^3+z^2")))
@@ -354,8 +354,35 @@ def test_generated_subgroup_and_membership():
     assert set(trivial) <= set(group)
 
 
+def test_every_group_oja_builds_is_the_closure_of_its_generators():
+    """G_f and its SL subgroup for each variant and node polynomial, and every
+    row and node group of the catalog: closed under composition, and equal to
+    the group its stored generators generate."""
+    catalog = load_catalog()
+    ips = [parse_invertible(text) for text in _VARIANTS]
+    ips += [node.ip for node in catalog.graph_nodes]
+    groups = [(ip, group) for ip in ips
+              for group in (max_symmetry_group(ip), sl_subgroup(max_symmetry_group(ip)))]
+    groups += [row_target(row) for row in catalog.rows]
+    groups += [(node.ip, node.group) for node in catalog.graph_nodes]
+    assert len(groups) == 2 * (21 + 23) + 20 + 23
+    for ip, group in groups:
+        assert group.arity == ip.arity, str(ip.poly)
+        assert {g * h for g in group for h in group} == set(group), str(ip.poly)
+        assert SymmetryGroup(group.generators, group.arity) == group, str(ip.poly)
+
+
+def test_a_group_holds_the_powers_of_its_generators():
+    """Listing an element without its square still builds the whole cyclic group."""
+    g = GroupElement.parse("1/3,2/3,0")
+    group = SymmetryGroup([GroupElement.identity(3), g], 3)
+    assert group.order == 3
+    assert g * g in group
+    assert group.generators == (g,)
+
+
 def test_group_iteration_is_deterministic_identity_first():
-    group = SymmetryGroup.generated_by([GroupElement.parse("0,2/3,1/3")], 3)
+    group = SymmetryGroup([GroupElement.parse("0,2/3,1/3")], 3)
     elems = list(group)
     assert elems[0].is_identity()
     assert [g.phases for g in elems] == sorted(g.phases for g in elems)

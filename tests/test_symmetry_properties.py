@@ -76,6 +76,6 @@ def test_groups_list_their_elements_by_phases(generators):
                  for e in frontier for g in gens} - elements
         elements |= fresh
         frontier = list(fresh)
-    group = SymmetryGroup.generated_by(gens, 2)
+    group = SymmetryGroup(gens, 2)
     assert [g.phases for g in group] == sorted(g.phases for g in elements)
-    assert SymmetryGroup(reversed(group.elements)) == group
+    assert SymmetryGroup(reversed(group.elements), 2) == group
