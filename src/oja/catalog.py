@@ -25,9 +25,9 @@ from typing import NamedTuple
 from .duality import GraphNode, IsoWitness
 from .linalg import add_scaled
 from .orbifold import check_group, orbifold_algebra
-from .poly import ENUMERATION_LIMIT, Poly, parse
+from .poly import Poly, parse
 from .scalar import CycScalar, I_UNIT, SQRT2, SQRT3
-from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup, is_sl_symmetry,
+from .symmetry import (GroupElement, InvertiblePoly, SymmetryGroup, parse_group,
                        parse_invertible, same_up_to_variable_permutation, transpose)
 
 # type, strange dual, polynomial variants
@@ -266,7 +266,7 @@ class Catalog:
             for r in data["rows"])
         self.graph_nodes = tuple(
             GraphNode(n["label"], (ip := _invertible(n["f"], f"graph node {n['label']}: f")),
-                      _group_from_generator(n["generator"], ip.arity, f"graph node {n['label']}"),
+                      _group_from_generator(n["generator"], ip, f"graph node {n['label']}"),
                       n["cluster"])
             for n in data["graph_nodes"])
         self._by_type = {e.type_name: e for e in self.entries}
@@ -294,19 +294,15 @@ def _invertible(text: str, where: str) -> InvertiblePoly:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _group_from_generator(generator: str, arity: int, record: str) -> SymmetryGroup:
-    if not generator:
-        return SymmetryGroup.trivial(arity)
+def _group_from_generator(generator: str, ip: InvertiblePoly, record: str) -> SymmetryGroup:
+    """Read a record's group (no generator: the trivial one) and check that the
+    orbifold construction applies; an error starts with `record`."""
     try:
-        g = GroupElement.parse(generator)
-        if g.arity != arity:
-            raise ValueError(f"generator ({generator}) has {g.arity} phases, not {arity}")
-        if g.order() > ENUMERATION_LIMIT:  # the group is listed element by element
-            raise ValueError(f"group generator ({generator}) has order {g.order()}, above "
-                             f"the enumeration limit of {ENUMERATION_LIMIT}")
+        group = parse_group([generator] if generator else [], ip)
+        check_group(ip, group)
     except ValueError as exc:
         raise ValueError(f"{record}: {exc}") from None
-    return SymmetryGroup([g], arity)
+    return group
 
 
 _SYMBOLIC_SCALARS = {"i": I_UNIT, "sqrt2": SQRT2, "sqrt3": SQRT3}
@@ -333,7 +329,7 @@ def row_source(row: CatalogRow) -> InvertiblePoly:
 
 def row_target(row: CatalogRow) -> tuple[InvertiblePoly, SymmetryGroup]:
     ip = _invertible(row.f2_transpose, f"row {row.index}: f2_transpose")
-    return ip, _group_from_generator(row.generator, ip.arity, f"row {row.index}")
+    return ip, _group_from_generator(row.generator, ip, f"row {row.index}")
 
 
 def _witness_terms(row: CatalogRow, arity: int, target_ip: InvertiblePoly,
@@ -388,16 +384,6 @@ def row_witness(row: CatalogRow) -> IsoWitness | None:
     return IsoWitness(source, algebra, tuple(images))
 
 
-def _check_scope(ip: InvertiblePoly, group: SymmetryGroup, record: str) -> None:
-    """Check that the orbifold construction applies; an error starts with `record`."""
-    if not all(is_sl_symmetry(ip, g) for g in group.generators):
-        raise ValueError(f"{record}: group is not a special-linear symmetry")
-    try:
-        check_group(ip, group)
-    except ValueError as exc:
-        raise ValueError(f"{record}: {exc}") from None
-
-
 def _validate(catalog: Catalog) -> None:
     if len(catalog.entries) != 14:
         raise ValueError(f"expected 14 entries, found {len(catalog.entries)}")
@@ -436,7 +422,6 @@ def _validate(catalog: Catalog) -> None:
             raise ValueError(
                 f"row {row.index}: f1 is not a listed {row.f1_type} variant")
         target_ip, group = row_target(row)
-        _check_scope(target_ip, group, f"row {row.index}")
         if row.reduced != (row.witness is not None):
             raise ValueError(
                 f"row {row.index}: reduced rows carry a witness, others do not")
@@ -455,8 +440,6 @@ def _validate(catalog: Catalog) -> None:
         raise ValueError("duplicate graph node labels")
     if len(labels) != 23:
         raise ValueError(f"expected 23 graph nodes, found {len(labels)}")
-    for node in catalog.graph_nodes:
-        _check_scope(node.ip, node.group, f"graph node {node.label}")
 
 
 def load_catalog(path: str | Path | None = None) -> Catalog:

@@ -22,16 +22,15 @@ import argparse
 import atexit
 import importlib.util
 import json
-import math
 import os
 import sys
 from typing import Callable, NoReturn, Sequence
 
 from .jacobian import QuotientAlgebra, milnor, quotient_algebra, trace_functional
-from .poly import ENUMERATION_LIMIT, Poly, infer_vars, is_name, parse
+from .poly import Poly, infer_vars, is_name, parse
 from .scalar import CycScalar
-from .symmetry import (GroupElement, SymmetryGroup, is_sl_symmetry, max_symmetry_group,
-                       parse_invertible, sl_subgroup, transpose)
+from .symmetry import (max_symmetry_group, parse_group, parse_invertible, sl_subgroup,
+                       transpose)
 
 
 # Only `orbifold`, `verify` and `graph` need these modules, so a query does not
@@ -56,13 +55,6 @@ def _explicit_vars(spec: str) -> tuple[str, ...]:
     if not all(map(is_name, names)) or len(set(names)) != len(names):
         raise ValueError(f"bad variable list {spec!r}")
     return names
-
-
-def _group_element(text: str, arity: int) -> GroupElement:
-    g = GroupElement.parse(text)
-    if g.arity != arity:
-        raise ValueError(f"group element ({text}) has {g.arity} phases, expected {arity}")
-    return g
 
 
 def _load_catalog(args: argparse.Namespace) -> catalog.Catalog:
@@ -181,17 +173,7 @@ def _orbifold_lines(args: argparse.Namespace,
 
 def cmd_orbifold(args: argparse.Namespace) -> int:
     ip = parse_invertible(args.poly)
-    generators = [_group_element(text, ip.arity) for text in args.group]
-    bound = math.prod(g.order() for g in generators)  # |<generators>| <= bound
-    if bound > ENUMERATION_LIMIT:
-        raise ValueError(f"the generators' orders multiply to {bound}, above the "
-                         f"enumeration limit of {ENUMERATION_LIMIT}")
-    # Both SL conditions are characters, so the generators decide them for the group.
-    if not all(is_sl_symmetry(ip, g) for g in generators):
-        raise ValueError(
-            f"<{'; '.join(args.group)}> is not a special-linear symmetry group of {ip.poly}")
-    group = SymmetryGroup(generators, ip.arity)
-    algebra = orbifold.orbifold_algebra(ip, group)
+    algebra = orbifold.orbifold_algebra(ip, parse_group(args.group, ip))
     _emit(args, lambda: {"dimension": algebra.dim, **algebra.to_json()},
           lambda: _orbifold_lines(args, algebra))
     return 0

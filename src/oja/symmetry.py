@@ -279,6 +279,28 @@ def is_sl_symmetry(ip: InvertiblePoly, g: GroupElement) -> bool:
     return g.fixes_monomial((1,) * g.arity) and all(map(g.fixes_monomial, ip.exponents))
 
 
+def parse_group(texts: Sequence[str], ip: InvertiblePoly) -> SymmetryGroup:
+    """The group that the phase lists in `texts` generate: the one reader of
+    group text.  Each generator's arity, then the product of their orders (the
+    group is listed element by element), then SL membership are checked before
+    the group is generated."""
+    generators = []
+    for text in texts:
+        g = GroupElement.parse(text)
+        if g.arity != ip.arity:
+            raise ValueError(f"group element ({text}) has {g.arity} phases, expected {ip.arity}")
+        generators.append(g)
+    bound = math.prod(g.order() for g in generators)  # |<generators>| <= bound
+    if bound > ENUMERATION_LIMIT:
+        raise ValueError(f"the generators' orders multiply to {bound}, above the "
+                         f"enumeration limit of {ENUMERATION_LIMIT}")
+    # Both SL conditions are characters, so the generators decide them for the group.
+    if not all(is_sl_symmetry(ip, g) for g in generators):
+        raise ValueError(
+            f"<{'; '.join(texts)}> is not a special-linear symmetry group of {ip.poly}")
+    return SymmetryGroup(generators, ip.arity)
+
+
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
     """Elements of integral age (the SL(N) condition for diagonal matrices).
 

@@ -389,6 +389,8 @@ _TRUNCATED = "x1^4+x2^3+"  # position 10 ends the text where a term should start
 # With x1^4+x2^4+x3^2, generator 1/4,3/4,0 is an SL symmetry of order 4: out of scope
 _OUT_OF_SCOPE = ("unsupported group of order 4: only the trivial group and cyclic groups "
                  "of order 2 or 3 are in scope\n")
+# Row 2's target and graph node B are both x1^8+x2^3+x3^2, where 1/2,0,0 has age 1/2
+_NOT_SL = "<1/2,0,0> is not a special-linear symmetry group of x1^8 + x2^3 + x3^2\n"
 
 # Each case: a change to the bundled catalog (a string: the whole file's
 # text; None: the catalog path is a directory), and the message expected on
@@ -429,7 +431,7 @@ _BROKEN_CATALOGS = {
         "error: invalid catalog: graph node B: generator is a list, not a string\n"),
     "row-generator-wrong-arity": (
         _set_generator("rows", 1, "1/2,0"),
-        "error: invalid catalog: row 2: generator (1/2,0) has 2 phases, not 3\n"),
+        "error: invalid catalog: row 2: group element (1/2,0) has 2 phases, expected 3\n"),
     "row-generator-unparsable": (
         _set_generator("rows", 1, "a,b,c"),
         "error: invalid catalog: row 2: bad group element 'a,b,c': "),
@@ -452,7 +454,8 @@ _BROKEN_CATALOGS = {
         "name\n"),
     "node-generator-wrong-arity": (
         _set_generator("graph_nodes", 1, "1/2,0"),
-        "error: invalid catalog: graph node B: generator (1/2,0) has 2 phases, not 3\n"),
+        "error: invalid catalog: graph node B: group element (1/2,0) has 2 phases, "
+        "expected 3\n"),
     "row-f1-type-unknown": (
         _set_row("f1_type", 1, "E99"),
         "error: invalid catalog: row 2: f1_type 'E99' is not an entry type\n"),
@@ -490,6 +493,12 @@ _BROKEN_CATALOGS = {
         "[" * 100_000 + "]" * 100_000,
         "error: invalid catalog: maximum recursion depth exceeded while decoding a JSON "
         "array from a unicode string\n"),
+    "row-group-not-sl": (
+        _set_generator("rows", 1, "1/2,0,0"),
+        "error: invalid catalog: row 2: " + _NOT_SL),
+    "node-group-not-sl": (
+        _set_generator("graph_nodes", 1, "1/2,0,0"),
+        "error: invalid catalog: graph node B: " + _NOT_SL),
     "row-group-out-of-scope": (
         lambda data: data["rows"][1].update(f2_transpose="x1^4+x2^4+x3^2",
                                             generator="1/4,3/4,0"),
@@ -521,26 +530,69 @@ def _broken_catalog(tmp_path: Path, case: str) -> Path:
     return path
 
 
-@pytest.mark.parametrize("case", sorted(_BROKEN_CATALOGS))
-def test_verify_rejects_an_invalid_catalog(tmp_path: Path, case: str):
-    path = _broken_catalog(tmp_path, case)
-    result = _run("--catalog", str(path), "verify", "--row", "2")
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    assert _BROKEN_CATALOGS[case][1] in result.stderr
-
-
-@pytest.mark.parametrize("case", sorted(_BROKEN_CATALOGS))
-def test_graph_rejects_an_invalid_catalog(tmp_path: Path, capsys, case: str):
+def _assert_rejects(tmp_path: Path, capsys, case: str, *argv: str) -> None:
     """In-process, so an uncaught exception fails the test as a traceback would."""
     from oja.cli import main
 
     path = _broken_catalog(tmp_path, case)
-    assert main(["--catalog", str(path), "graph"]) == 2
+    assert main(["--catalog", str(path), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert _BROKEN_CATALOGS[case][1] in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_CATALOGS))
+def test_verify_rejects_an_invalid_catalog(tmp_path: Path, capsys, case: str):
+    _assert_rejects(tmp_path, capsys, case, "verify", "--row", "2")
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_CATALOGS))
+def test_graph_rejects_an_invalid_catalog(tmp_path: Path, capsys, case: str):
+    _assert_rejects(tmp_path, capsys, case, "graph")
+
+
+def test_an_invalid_catalog_exits_2_without_a_traceback_in_a_process(tmp_path: Path):
+    """The nested arrays exhaust the JSON reader's recursion in a fresh
+    process's stack too, not only under the test runner's deeper one."""
+    path = _broken_catalog(tmp_path, "nested-arrays")
+    result = _run("--catalog", str(path), "verify", "--row", "2")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr == _BROKEN_CATALOGS["nested-arrays"][1]
+
+
+# One text for one bad generator: `orbifold --group` and the catalog read it
+# through the same reader.  Row 2's target and graph node B are x1^8+x2^3+x3^2.
+_BAD_GENERATORS = {
+    "wrong-arity": "1/2,0",
+    "above-the-limit": "1/999999999999,0,0",
+    "not-sl": "1/2,0,0",
+    "unparsable": "a,b,c",
+}
+
+
+@pytest.mark.parametrize("generator", _BAD_GENERATORS.values(), ids=_BAD_GENERATORS)
+def test_a_bad_generator_reads_the_same_on_the_command_line_and_in_a_catalog(
+        tmp_path: Path, monkeypatch, capsys, generator: str):
+    from oja.cli import main
+
+    _guard_group_construction(monkeypatch, [])
+    assert main(["orbifold", "x1^8+x2^3+x3^2", "--group", generator]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    message = captured.err.removeprefix("error: ")
+    for section, record, argv in (("rows", "row 2", ["verify", "--row", "2"]),
+                                  ("graph_nodes", "graph node B", ["graph"])):
+        data = load_catalog().data
+        _set_generator(section, 1, generator)(data)
+        path = tmp_path / f"{section}.json"
+        path.write_text(json.dumps(data))
+        assert main(["--catalog", str(path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid catalog: {record}: {message}"
 
 
 def test_graph_exits_1_when_a_cluster_edge_stays_uncertified(tmp_path: Path, capsys):
@@ -559,31 +611,10 @@ def test_graph_exits_1_when_a_cluster_edge_stays_uncertified(tmp_path: Path, cap
                             "A -- X; B -- X; C -- X\n")
 
 
-def _assert_graph_rejects(tmp_path: Path, mutate: Callable[[dict], None],
-                          *argv: str) -> None:
-    data = load_catalog().data
-    mutate(data)
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(data))
-    result = _run("--catalog", str(path), *argv)
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    assert "invalid catalog" in result.stderr
-
-
-def test_graph_rejects_a_witness_monomial_in_unknown_variables(tmp_path: Path):
-    _assert_graph_rejects(tmp_path, _set_witness_term(1, 0, 1, "x9^2"), "graph")
-
-
-@pytest.mark.parametrize("value", ["1", [1], True], ids=["string", "list", "bool"])
-def test_graph_rejects_a_non_integer_cluster(tmp_path: Path, value):
-    _assert_graph_rejects(tmp_path, _set_node("cluster", 1, value), "graph")
-
-
-@pytest.mark.parametrize("argv", [("graph",), ("--json", "graph")], ids=["text", "json"])
-@pytest.mark.parametrize("value", [None, 7], ids=["null", "int"])
-def test_graph_rejects_a_non_string_label(tmp_path: Path, value, argv):
-    _assert_graph_rejects(tmp_path, _set_node("label", 1, value), *argv)
+@pytest.mark.parametrize("case", ["node-label-null", "node-label-int"],
+                         ids=["null-json", "int-json"])
+def test_graph_rejects_a_non_string_label(tmp_path: Path, capsys, case: str):
+    _assert_rejects(tmp_path, capsys, case, "--json", "graph")
 
 
 def test_verify_rejects_a_missing_catalog_file():
@@ -741,9 +772,9 @@ def test_huge_catalog_generator_exits_2_before_enumerating(tmp_path: Path, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     record = {"rows": "row 2", "graph_nodes": "graph node B"}[section]
-    assert captured.err == (f"error: invalid catalog: {record}: group generator "
-                            "(1/999999999999,0,0) has order 999999999999, above the "
-                            "enumeration limit of 100000\n")
+    assert captured.err == (f"error: invalid catalog: {record}: the generators' orders "
+                            "multiply to 999999999999, above the enumeration limit of "
+                            "100000\n")
 
 
 def test_symmetry_generates_the_group_once(monkeypatch, capsys):
