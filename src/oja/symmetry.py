@@ -279,11 +279,11 @@ def is_sl_symmetry(ip: InvertiblePoly, g: GroupElement) -> bool:
     return g.fixes_monomial((1,) * g.arity) and all(map(g.fixes_monomial, ip.exponents))
 
 
-def parse_group(texts: Sequence[str], ip: InvertiblePoly) -> SymmetryGroup:
-    """The group that the phase lists in `texts` generate: the one reader of
-    group text.  Each generator's arity, then the product of their orders (the
-    group is listed element by element), then SL membership are checked before
-    the group is generated."""
+def admissible_generators(texts: Sequence[str], ip: InvertiblePoly) -> list[GroupElement]:
+    """The phase lists in `texts`, read in order, once they generate a group
+    that the orbifold construction admits: the one statement of that policy.
+    Each generator's arity, then the product of their orders (the group is
+    listed element by element), then membership in SL ∩ G_f are checked."""
     generators = []
     for text in texts:
         g = GroupElement.parse(text)
@@ -298,7 +298,12 @@ def parse_group(texts: Sequence[str], ip: InvertiblePoly) -> SymmetryGroup:
     if not all(is_sl_symmetry(ip, g) for g in generators):
         raise ValueError(
             f"<{'; '.join(texts)}> is not a special-linear symmetry group of {ip.poly}")
-    return SymmetryGroup(generators, ip.arity)
+    return generators
+
+
+def parse_group(texts: Sequence[str], ip: InvertiblePoly) -> SymmetryGroup:
+    """The group that the phase lists in `texts` generate: the one reader of group text."""
+    return SymmetryGroup(admissible_generators(texts, ip), ip.arity)
 
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:

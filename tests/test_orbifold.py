@@ -16,7 +16,8 @@ from oja.orbifold import (OrbifoldAlgebra, build_sectors, compute_H, fix_union_h
                           invariant_subalgebra, orbifold_algebra, twisted_algebra)
 from oja.poly import Poly, grevlex_key, parse
 from oja.scalar import CycScalar
-from oja.symmetry import GroupElement, SymmetryGroup, build_invertible
+from oja.symmetry import (GroupElement, SymmetryGroup, build_invertible, parse_group,
+                          parse_invertible)
 from test_linalg import sparse
 from test_orbifold_reference import FullTwisted, full_twisted
 
@@ -87,12 +88,36 @@ def test_group_scope_rejections():
         build_sectors(quartic, SymmetryGroup(
             [GroupElement.parse("1/4,1/4,1/2")], 3))
     e14 = build_invertible(parse("x^8+y^3+z^2", XYZ))
-    with pytest.raises(ValueError, match="SL"):
-        build_sectors(e14, SymmetryGroup(
-            [GroupElement.parse("1/2,0,0")], 3))
-    with pytest.raises(ValueError, match="preserve"):
-        build_sectors(e14, SymmetryGroup(
-            [GroupElement.parse("1/3,0,2/3")], 3))
+    for text in ("1/2,0,0", "1/3,0,2/3"):  # in G_f but not SL; outside G_f
+        with pytest.raises(ValueError) as info:
+            build_sectors(e14, SymmetryGroup([GroupElement.parse(text)], 3))
+        assert str(info.value) == f"<{text}> is not a special-linear symmetry group of {e14.poly}"
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def test_a_hand_built_group_is_refused_in_the_words_of_group_text():
+    """`orbifold_algebra` reaches the group policy through `check_group`, so a
+    group that never passed `parse_group` is refused as its text would be."""
+    ip = parse_invertible("x1^8+x2^3+x3^2")
+    outside = SymmetryGroup([GroupElement((Fraction(1, 2), 0, 0))], 3)
+    assert _refusal(lambda: orbifold_algebra(ip, outside)) \
+        == _refusal(lambda: parse_group(["1/2,0,0"], ip)) \
+        == "<1/2,0,0> is not a special-linear symmetry group of x1^8 + x2^3 + x3^2"
+    narrow = SymmetryGroup([GroupElement.parse("1/2,1/2")], 2)
+    assert _refusal(lambda: orbifold_algebra(ip, narrow)) \
+        == _refusal(lambda: parse_group(["1/2,1/2"], ip)) \
+        == "group element (1/2,1/2) has 2 phases, expected 3"
+    assert _refusal(lambda: orbifold_algebra(ip, SymmetryGroup.trivial(2))) \
+        == "group element (0,0) has 2 phases, expected 3"
+    order_four = SymmetryGroup([GroupElement.parse("1/4,0,1/4")], 3)
+    assert _refusal(lambda: orbifold_algebra(ip, order_four)) == (
+        "unsupported group of order 4: only the trivial group "
+        "and cyclic groups of order 2 or 3 are in scope")
 
 
 def test_unit_guard_rejects_free_cyclic_action():
