@@ -92,7 +92,7 @@ def _mono_str(vars: Sequence[str], exponents: Sequence[int]) -> str:
 
 
 def cmd_transpose(args: argparse.Namespace) -> int:
-    vars = _explicit_vars(args.vars) if args.vars else None
+    vars = _explicit_vars(args.vars) if args.vars is not None else None
     tp = transpose(parse_invertible(args.poly, vars))
     _emit(args, lambda: {
         "polynomial": str(tp.poly),

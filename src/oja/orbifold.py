@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
@@ -127,9 +128,9 @@ class OrbifoldAlgebra:
     """The orbifold Jacobian algebra Jac(f,G), with structure constants.
 
     Elements are sparse coordinate dicts over `basis`: G-invariant pairs (group
-    element, sector-local standard monomial).  The structure tensor, Gram
-    rows (checked nondegenerate) and weighted degrees are all materialized
-    at construction; instances are immutable.  The trace reads one
+    element, sector-local standard monomial).  The structure tensor (checked
+    associative), Gram rows (checked nondegenerate) and weighted degrees are
+    all materialized at construction; instances are immutable.  The trace reads one
     coordinate: the socle of the identity sector.
     """
 
@@ -168,6 +169,20 @@ class OrbifoldAlgebra:
                 self.gram[i][j] = row[self._socle] * self._trace_factor
         if rank(self.gram) != self.dim:
             raise ValueError("Frobenius pairing is degenerate; construction is inconsistent")
+
+        # The identity sector is a quotient ring and restricting to Fix g is a ring
+        # map, so only a triple with two twisted factors can break associativity;
+        # those are checked in sorted order.
+        twisted = [i for i, (g, _) in enumerate(self.basis) if not g.is_identity()]
+        every = range(self.dim) if twisted else ()
+        for i, j in product(every, repeat=2):
+            pair = (i in twisted) + (j in twisted)
+            for k in every if pair == 2 else twisted if pair else ():
+                if (self.product(self.basis_product(i, j), {k: _ONE})
+                        != self.product({i: _ONE}, self.basis_product(j, k))):
+                    a, b, c = map(self.label, (i, j, k))
+                    raise ValueError(f"({a} * {b}) * {c} differs from {a} * ({b} * {c}); "
+                                     "the product formula does not apply")
 
     # -- basics --
 

@@ -316,6 +316,16 @@ def _shaped_roots(x: CycScalar, k: int) -> list[CycScalar]:
 
     The sign of q folds into z^m (-1 = z^12), and c = s * z^t with s**k = |q|
     and t*k = m (mod 24).  Only a square root s may carry sqrt 2, 3 or 6.
+
+    The list is complete.  Let c**k = q * z^m with q > 0.  For odd k,
+    |c|**2 = c * conj(c) lies in K and is the real q**(2/k); K is abelian, so
+    Q(q**(2/k)) is normal, which for odd k forces q**(2/k), and then
+    s = q**(1/k), to be rational.  So c/s is a root of unity of K: some z^t.
+    For k = 2, no q * z^m with m odd is a square: sigma: z -> z^13 = -z fixes
+    Q, and y**2 = q * z^m would give sigma(y) = +-i*y, so sigma(sigma(y)) = -y,
+    yet sigma is an involution.  For even m, (c * z^(-m/2))**2 = q puts sqrt q
+    in K, and K's quadratic subfields are Q(sqrt d) for d in -1, +-2, +-3,
+    +-6; the real ones, d = 2, 3, 6, are the surds tried below.
     """
     if x.is_zero():
         return [x]

@@ -50,7 +50,8 @@ def test_transpose_accepts_alias_variable_names():
     assert inferred.stdout == explicit.stdout == "x*y^3 + x^3 + z^2\n"
 
 
-@pytest.mark.parametrize("poly, spec", [("2^2+b^3", "2,b"), ("x1^2+x2^3", "x1,x2,q+r")])
+@pytest.mark.parametrize("poly, spec", [("2^2+b^3", "2,b"), ("x1^2+x2^3", "x1,x2,q+r"),
+                                        ("x1^2+x2^3", "")])
 def test_transpose_rejects_variable_names_the_parser_cannot_read(poly: str, spec: str):
     result = _run("transpose", poly, "--vars", spec)
     assert result.returncode == 2
