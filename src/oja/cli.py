@@ -13,7 +13,8 @@ graph       Assemble and certify the catalog's isomorphism graph.
 The global flags ``--json`` (machine-readable output) and ``--catalog PATH``
 (alternate catalog file) are accepted before or after the subcommand.
 
-Exit codes: 0 on success, 1 on a verification failure, 2 on bad input.
+Exit codes: 0 on success, 1 on a verification failure, 2 on bad input, 120 on
+an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -75,13 +76,12 @@ def _load_catalog(args: argparse.Namespace) -> catalog.Catalog:
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict],
           lines: Callable[[], list[str]]) -> None:
-    """Print the JSON payload under --json, else the text lines; only the
-    printed form is built."""
-    if args.json:
-        print(json.dumps(payload(), indent=2, sort_keys=True))
-    else:
-        for line in lines():
-            print(line)
+    """Write the JSON payload under --json, else the text lines, in one write
+    and flush: the one writer of stdout.  Only the printed form is built."""
+    text = (json.dumps(payload(), indent=2, sort_keys=True) + "\n" if args.json
+            else "".join(f"{line}\n" for line in lines()))
+    sys.stdout.write(text)
+    sys.stdout.flush()
 
 
 def _mono_str(vars: Sequence[str], exponents: Sequence[int]) -> str:
@@ -344,15 +344,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.func is None:
-        parser.print_help(sys.stderr)
-        return 2
     try:
+        args = parser.parse_args(argv)
+        if args.func is None:
+            parser.print_help(sys.stderr)
+            return 2
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # only writing the output can raise it here
+        print(f"error: cannot write the output: {exc.strerror}", file=sys.stderr)
+        return 120
 
 
 def run() -> NoReturn:
@@ -362,22 +365,17 @@ def run() -> NoReturn:
     When the caller is the top level of the process's `__main__` module,
     nothing runs after this call, so it skips interpreter teardown (freeing
     modules, caches and algebras that the OS reclaims anyway): it runs the
-    `atexit` handlers, flushes stdout and stderr and calls `os._exit`.
-    Otherwise, as under `python -m cProfile -m oja.cli` (which runs this module
-    in a namespace of its own and prints its report after the `SystemExit`),
-    and on an argparse exit, an uncaught exception or a flush that raises
-    `OSError`, the process ends through the exception, as a script's does.
+    `atexit` handlers, flushes stderr (`_emit` flushed stdout) and calls
+    `os._exit`.  Otherwise, as under `python -m cProfile -m oja.cli` (which
+    runs this module in a namespace of its own and prints its report after the
+    `SystemExit`), and on an argparse exit or an uncaught exception, the
+    process ends through the exception, as a script's does.
     """
     code = main()
     if sys._getframe(1).f_globals is sys.modules["__main__"].__dict__:
         atexit._run_exitfuncs()
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except OSError:
-            pass  # the normal shutdown flushes again and reports the error
-        else:
-            os._exit(code)
+        sys.stderr.flush()
+        os._exit(code)
     raise SystemExit(code)
 
 

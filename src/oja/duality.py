@@ -437,9 +437,9 @@ class RowCertificate(NamedTuple):
     """Outcome of certifying one catalog row.
 
     `level` is read from the witness's reports: "frobenius" when a
-    pairing-preserving isomorphism was verified, "algebra" when only an
-    algebra isomorphism could be established, and "failed" when a supplied
-    witness did not verify, or a searched one not even as an algebra map.
+    pairing-preserving isomorphism was verified, "algebra" when the search
+    found only an algebra isomorphism, and "failed" when a supplied witness
+    did not verify (a searched witness has passed its checks).
     """
 
     level: str
@@ -474,17 +474,13 @@ def certify(source: InvertiblePoly, target: OrbifoldAlgebra,
         report = verify_witness(witness)
         level = "frobenius" if report.passed else "failed"
         return RowCertificate(level, "embedded witness", witness, report)
+    # search_iso returns only a witness whose reports at the level asked for passed.
     try:
         found = search_iso(source, target)
     except SearchFailure:
         found = search_iso(source, target, require_frobenius=False)
-    else:
-        report = verify_witness(found)
-        if report.passed:
-            return RowCertificate("frobenius", "ansatz search", found, report)
-    report = found.algebra_report
-    return RowCertificate("algebra" if report.passed else "failed", "ansatz search",
-                          found, report)
+        return RowCertificate("algebra", "ansatz search", found, found.algebra_report)
+    return RowCertificate("frobenius", "ansatz search", found, verify_witness(found))
 
 
 # --- the isomorphism graph ---------------------------------------------------

@@ -282,15 +282,15 @@ def is_sl_symmetry(ip: InvertiblePoly, g: GroupElement) -> bool:
 def admissible_generators(texts: Sequence[str], ip: InvertiblePoly) -> list[GroupElement]:
     """The phase lists in `texts`, read in order, once they generate a group
     that the orbifold construction admits: the one statement of that policy.
-    Each generator's arity, then the product of their orders (the group is
-    listed element by element), then membership in SL ∩ G_f are checked."""
+    Each generator's arity, then the product of the distinct ones' orders (the
+    group is listed element by element), then membership in SL ∩ G_f are checked."""
     generators = []
     for text in texts:
         g = GroupElement.parse(text)
         if g.arity != ip.arity:
             raise ValueError(f"group element ({text}) has {g.arity} phases, expected {ip.arity}")
         generators.append(g)
-    bound = math.prod(g.order() for g in generators)  # |<generators>| <= bound
+    bound = math.prod(g.order() for g in set(generators))  # |<generators>| <= bound
     if bound > ENUMERATION_LIMIT:
         raise ValueError(f"the generators' orders multiply to {bound}, above the "
                          f"enumeration limit of {ENUMERATION_LIMIT}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -729,7 +731,10 @@ _BOX = "power box of 999999999998 monomials exceeds the enumeration limit of 100
     (["symmetry", _HUGE], "|det E| = 1999999999998 exceeds the enumeration limit of 100000"),
     (["orbifold", "x1^3+x2^3", "--group", "1/999999999999,0"],
      "the generators' orders multiply to 999999999999, above the enumeration limit of 100000"),
-], ids=["milnor", "jacobian", "orbifold", "symmetry", "orbifold-generator"])
+    (["orbifold", "x1^3+x2^3", *["--group", "1/999999999999,0"] * 2],
+     "the generators' orders multiply to 999999999999, above the enumeration limit of 100000"),
+], ids=["milnor", "jacobian", "orbifold", "symmetry", "orbifold-generator",
+        "orbifold-generator-twice"])
 def test_huge_inputs_exit_2_before_enumerating(argv, message, capsys):
     from oja.cli import main
 
@@ -738,6 +743,19 @@ def test_huge_inputs_exit_2_before_enumerating(argv, message, capsys):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.err
+
+
+def test_a_repeated_generator_counts_once_against_the_limit(capsys):
+    """17 copies of an order-2 generator multiply to 2^17 > 100,000, but the
+    group they generate has order 2."""
+    from oja.cli import main
+
+    poly, g = "x1^8+x2^3+x3^2", ["--group", "1/2,0,1/2"]
+    assert main(["orbifold", poly, *g]) == 0
+    once = capsys.readouterr()
+    assert once.out.startswith("dimension 10\n")
+    assert main(["orbifold", poly, *g * 17]) == 0
+    assert capsys.readouterr() == once
 
 
 def _guard_group_construction(monkeypatch, calls: list) -> None:
@@ -974,19 +992,66 @@ def test_no_command_prints_the_help_and_exits_2():
     assert result.stderr.startswith("usage: oja [-h] [--json] [--catalog PATH] command ...\n")
 
 
-def test_a_write_error_at_exit_is_reported_by_the_normal_shutdown():
-    """`milnor`'s two bytes wait in the buffer until exit; the pipe's reader is
-    gone, so the flush fails and Python's shutdown reports it (exit 120)."""
+# Commands whose output cannot be written: two bytes, a 2 KB JSON document and
+# one larger than the buffer, so that the write itself fails, not the flush.
+_UNWRITTEN = {
+    "milnor": ["milnor", "x1^3+x2^2"],
+    "verify-row": ["--json", "verify", "--row", "3"],
+    "larger-than-the-buffer": ["--json", "symmetry", "x1^32+x2^32"],
+}
+
+
+def test_the_large_output_is_larger_than_the_buffer(capsys):
+    from oja.cli import main
+
+    assert main(_UNWRITTEN["larger-than-the-buffer"]) == 0
+    assert len(capsys.readouterr().out) > 2 * io.DEFAULT_BUFFER_SIZE
+
+
+@contextmanager
+def _closed_pipe():
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = _run_buffered(["-m", "oja.cli", "milnor", "x1^3+x2^2"],
-                               stdout=write_end, stderr=subprocess.PIPE, text=True)
+        yield write_end
     finally:
         os.close(write_end)
-    assert result.returncode == 120
-    assert result.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
-    assert result.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@contextmanager
+def _full_disk():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "wb") as stdout:
+        yield stdout
+
+
+@pytest.mark.parametrize("command", _UNWRITTEN)
+@pytest.mark.parametrize("sink, reason", [(_closed_pipe, "Broken pipe"),
+                                          (_full_disk, "No space left on device")],
+                         ids=["closed-pipe", "dev-full"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_write_error_exits_120_with_one_line(command, sink, reason, unbuffered):
+    """A closed pipe or a full disk ends in one `error:` line and exit 120,
+    whether stdout is block-buffered or written through (`-u`, which is
+    PYTHONUNBUFFERED=1)."""
+    argv = ["-u"] * unbuffered + ["-m", "oja.cli", *_UNWRITTEN[command]]
+    with sink() as stdout:
+        result = _run_buffered(argv, stdout=stdout, stderr=subprocess.PIPE, text=True)
+    assert (result.returncode, result.stderr) == (
+        120, f"error: cannot write the output: {reason}\n")
+
+
+def test_main_returns_120_when_stdout_refuses_the_write(monkeypatch, capsys):
+    from oja.cli import main
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text: str) -> int:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["milnor", "x1^3+x2^2"]) == 120
+    assert capsys.readouterr().err == "error: cannot write the output: Broken pipe\n"
 
 
 def test_a_profiled_run_still_prints_its_report():

@@ -11,7 +11,9 @@ from oja import duality
 from oja.catalog import load_catalog, row_source, row_target, row_witness
 from oja.cli import main
 from oja.duality import (
+    Check,
     IsoWitness,
+    Report,
     SearchFailure,
     certify,
     duality_graph,
@@ -197,20 +199,16 @@ def test_certify_reports_levels():
     assert sorted(cert19.to_json()) == ["level", "method", "report", "witness"]
 
 
-def test_certify_reads_a_searched_witness_level_from_its_report(monkeypatch, capsys):
-    """A search that hands back rows 19 and 20's algebra-level witnesses when
-    asked for Frobenius ones does not make them Frobenius rows."""
-    search = duality.search_iso
-    obstructed = {row_source(_catalog().row(index)).poly for index in (19, 20)}
-
-    def algebra_level_for_obstructed_rows(source, target, *, require_frobenius=True):
-        return search(source, target,
-                      require_frobenius=require_frobenius and source.poly not in obstructed)
-
-    monkeypatch.setattr(duality, "search_iso", algebra_level_for_obstructed_rows)
-    assert main(["verify", "--all"]) == 1
-    assert capsys.readouterr().out.splitlines()[-2:] == [
-        "18/20 rows certified at Frobenius level", "algebra level only: 19 20"]
+def test_a_witness_failing_its_pairing_check_is_never_a_frobenius_row(monkeypatch, capsys):
+    """`certify` takes a searched witness's level from the search, which returns
+    only witnesses whose checks passed: with every pairing check failing, row 2
+    is certified at algebra level."""
+    failed = Report(False, (Check("pairings", False, "refused"),))
+    monkeypatch.setattr(duality, "verify_frobenius_iso", lambda w: failed)
+    assert main(["verify", "--row", "2", "--search"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "row 2: Q10 ~ E14 algebra (ansatz search)"
+    assert "  pairings: FAIL (refused)" not in lines
 
 
 def test_solver_guesses_an_unknown_no_equation_names_from_the_bank():

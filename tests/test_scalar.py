@@ -170,6 +170,26 @@ def test_no_floating_point_in_the_package():
     assert "gcd" in math_names  # the walk sees the package's uses of `math`
 
 
+def test_stdout_has_one_writer():
+    """The package writes stdout in one place, `cli._emit`: one
+    `sys.stdout.write` call, and every `print` goes to `file=sys.stderr`."""
+    writes, prints = [], []
+    for path in sorted(Path(oja.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                if ast.unparse(node.func) == "sys.stdout.write":
+                    writes.append(where)
+                elif isinstance(node.func, ast.Name) and node.func.id == "print" and not any(
+                        k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                        for k in node.keywords):
+                    prints.append(f"{where}:{node.lineno}")
+    assert writes == ["cli._emit"]
+    assert prints == []
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         CycScalar.zero().inverse()
