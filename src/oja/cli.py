@@ -74,14 +74,18 @@ def _load_catalog(args: argparse.Namespace) -> catalog.Catalog:
 # --- output helpers ----------------------------------------------------------
 
 
-def _emit(args: argparse.Namespace, payload: Callable[[], dict],
-          lines: Callable[[], list[str]]) -> None:
-    """Write the JSON payload under --json, else the text lines, in one write
-    and flush: the one writer of stdout.  Only the printed form is built."""
-    text = (json.dumps(payload(), indent=2, sort_keys=True) + "\n" if args.json
-            else "".join(f"{line}\n" for line in lines()))
+def _write(text: str) -> None:
+    """The one writer of stdout: one write and one flush, inside `main`'s `try`."""
     sys.stdout.write(text)
     sys.stdout.flush()
+
+
+def _emit(args: argparse.Namespace, payload: Callable[[], dict],
+          lines: Callable[[], list[str]]) -> None:
+    """Write the JSON payload under --json, else the text lines; only the
+    printed form is built."""
+    _write(json.dumps(payload(), indent=2, sort_keys=True) + "\n" if args.json
+           else "".join(f"{line}\n" for line in lines()))
 
 
 def _mono_str(vars: Sequence[str], exponents: Sequence[int]) -> str:
@@ -266,8 +270,18 @@ def cmd_graph(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """`--help` writes through `_write`: argparse's own writer drops an OSError.
+    Every subparser is built with the parent's class, so it inherits this."""
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        _write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oja",
         description="Exact orbifold Jacobian algebras over Q(zeta_24).")
     parser.add_argument("--json", action="store_true",
@@ -365,7 +379,7 @@ def run() -> NoReturn:
     When the caller is the top level of the process's `__main__` module,
     nothing runs after this call, so it skips interpreter teardown (freeing
     modules, caches and algebras that the OS reclaims anyway): it runs the
-    `atexit` handlers, flushes stderr (`_emit` flushed stdout) and calls
+    `atexit` handlers, flushes stderr (`_write` flushed stdout) and calls
     `os._exit`.  Otherwise, as under `python -m cProfile -m oja.cli` (which
     runs this module in a namespace of its own and prints its report after the
     `SystemExit`), and on an argparse exit or an uncaught exception, the

@@ -39,20 +39,12 @@ class SearchFailure(ValueError):
 class IsoWitness:
     """A candidate isomorphism Jac(f₁) → target, one image per variable.
 
-    Each image is a sparse coordinate dict of the target with no zero stored,
-    so equal witnesses have equal images.
+    Each image is a sparse coordinate dict of the target with no zero stored.
     """
 
     def __init__(self, source: InvertiblePoly, target: OrbifoldAlgebra,
                  images: tuple[dict[int, CycScalar], ...]):
         self.source, self.target, self.images = source, target, images
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is IsoWitness and (self.source, self.target, self.images) == (
-            other.source, other.target, other.images)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target))
 
     def __repr__(self) -> str:
         return f"IsoWitness(source={self.source!r}, target={self.target!r}, images={self.images!r})"
@@ -107,8 +99,11 @@ class Check(NamedTuple):
 
 
 class Report(NamedTuple):
-    passed: bool
     checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
@@ -183,7 +178,7 @@ def verify_algebra_iso(w: IsoWitness) -> Report:
 
     checks.append(Check("dimension", src.dim == target.dim,
                         f"source {src.dim}, target {target.dim}"))
-    return Report(all(c.passed for c in checks), tuple(checks))
+    return Report(tuple(checks))
 
 
 def _is_algebra_map(w: IsoWitness) -> bool:
@@ -205,7 +200,7 @@ def verify_frobenius_iso(w: IsoWitness) -> Report:
     phi = w.image_matrix
     if _is_algebra_map(w) and all(target.trace(phi[k]) == src.trace({k: _ONE})
                                   for k in range(src.dim)):
-        return Report(True, (Check("pairings", True, ""),))
+        return Report((Check("pairings", True, ""),))
     mismatches = []
     for i in range(src.dim):
         for j in range(i, src.dim):
@@ -214,18 +209,15 @@ def verify_frobenius_iso(w: IsoWitness) -> Report:
             if got != expected:
                 mismatches.append(
                     f"eta({src.label(i)}, {src.label(j)}): {got} != {expected}")
-    passed = not mismatches
     detail = "; ".join(mismatches[:4])
     if len(mismatches) > 4:
         detail += f"; ... {len(mismatches)} pairs differ"
-    return Report(passed, (Check("pairings", passed, detail),))
+    return Report((Check("pairings", not mismatches, detail),))
 
 
 def verify_witness(w: IsoWitness) -> Report:
     """Both verifications combined into a single report."""
-    algebra, frobenius = w.algebra_report, w.frobenius_report
-    return Report(algebra.passed and frobenius.passed,
-                  algebra.checks + frobenius.checks)
+    return Report(w.algebra_report.checks + w.frobenius_report.checks)
 
 
 # --- ansatz search -----------------------------------------------------------

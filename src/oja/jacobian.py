@@ -425,15 +425,6 @@ class Fingerprint(NamedTuple):
         return {"dim": self.dim, "powers": list(self.powers), "socle_dim": self.socle_dim}
 
 
-def _check_grading(algebra: OrbifoldAlgebra) -> None:
-    """ValueError unless every structure constant (i, j) -> k has deg k = deg i + deg j."""
-    den = math.lcm(*(d.denominator for d in algebra.degrees))
-    deg = [d.numerator * (den // d.denominator) for d in algebra.degrees]  # integer sums below
-    if not all(deg[k] == deg[i] + deg[j]
-               for (i, j), row in algebra.structure.items() for k in row):
-        raise ValueError(f"{algebra!r}: a structure constant breaks the weighted grading")
-
-
 def fingerprint(algebra: OrbifoldAlgebra) -> Fingerprint:
     """Fingerprint of an orbifold algebra; Jac(f) is `duality.source_algebra`.
 
@@ -442,7 +433,6 @@ def fingerprint(algebra: OrbifoldAlgebra) -> Fingerprint:
     minimal generating set of m.  So mᵏ = V·mᵏ⁻¹ (Nakayama): each power is
     multiplied by V alone, and the socle ann(m) is ann(V).
     """
-    _check_grading(algebra)
     n, one = algebra.dim, algebra.identity_index
     radical = [i for i in range(n) if i != one]
     # Graded commutativity: e_j·e_i = ±e_i·e_j, so the pairs i <= j span m².

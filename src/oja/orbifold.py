@@ -129,9 +129,9 @@ class OrbifoldAlgebra:
 
     Elements are sparse coordinate dicts over `basis`: G-invariant pairs (group
     element, sector-local standard monomial).  The structure tensor (checked
-    associative), Gram rows (checked nondegenerate) and weighted degrees are
-    all materialized at construction; instances are immutable.  The trace reads one
-    coordinate: the socle of the identity sector.
+    graded and associative), Gram rows (checked nondegenerate) and weighted
+    degrees are all materialized at construction; instances are immutable.  The
+    trace reads one coordinate: the socle of the identity sector.
     """
 
     def __init__(self, ip: InvertiblePoly, group: SymmetryGroup,
@@ -154,13 +154,15 @@ class OrbifoldAlgebra:
         self._trace_factor = CycScalar.from_rational(scale) * id_algebra.trace_scale
 
         # deg [x^m]v_g = Σ_{i∈Fix g} qᵢmᵢ + Σ_{i∉Fix g} (1/2 − qᵢ) with qᵢ = wᵢ/d,
-        # as one fraction over 2d; the age shift is summed once per sector.
+        # as an integer over 2d; the age shift is summed once per sector.
         w, d = ip.weights, ip.degree
         shift = {g: sum(d - 2 * w[i] for i in range(ip.arity) if i not in s.fixed)
                  for g, s in self.sectors.items()}
-        self.degrees = tuple(
-            Fraction(2 * sum(w[i] * e for i, e in zip(self.sectors[g].fixed, m)) + shift[g], 2 * d)
-            for g, m in self.basis)
+        deg = [2 * sum(w[i] * e for i, e in zip(self.sectors[g].fixed, m)) + shift[g]
+               for g, m in self.basis]
+        if any(deg[k] != deg[i] + deg[j] for (i, j), row in self.structure.items() for k in row):
+            raise ValueError(f"{self!r}: a structure constant breaks the weighted grading")
+        self.degrees = tuple(Fraction(n, 2 * d) for n in deg)
 
         # gram[i] = {j: η(e_i, e_j)}, sparse like every element.
         self.gram: list[dict[int, CycScalar]] = [{} for _ in self.basis]
@@ -173,16 +175,14 @@ class OrbifoldAlgebra:
         # The identity sector is a quotient ring and restricting to Fix g is a ring
         # map, so only a triple with two twisted factors can break associativity;
         # those are checked in sorted order.
-        twisted = [i for i, (g, _) in enumerate(self.basis) if not g.is_identity()]
-        every = range(self.dim) if twisted else ()
-        for i, j in product(every, repeat=2):
-            pair = (i in twisted) + (j in twisted)
-            for k in every if pair == 2 else twisted if pair else ():
-                if (self.product(self.basis_product(i, j), {k: _ONE})
-                        != self.product({i: _ONE}, self.basis_product(j, k))):
-                    a, b, c = map(self.label, (i, j, k))
-                    raise ValueError(f"({a} * {b}) * {c} differs from {a} * ({b} * {c}); "
-                                     "the product formula does not apply")
+        twisted = [not g.is_identity() for g, _ in self.basis]
+        for i, j, k in product(range(self.dim), repeat=3) if any(twisted) else ():
+            if twisted[i] + twisted[j] + twisted[k] >= 2 and (
+                    self.product(self.basis_product(i, j), {k: _ONE})
+                    != self.product({i: _ONE}, self.basis_product(j, k))):
+                a, b, c = map(self.label, (i, j, k))
+                raise ValueError(f"({a} * {b}) * {c} differs from {a} * ({b} * {c}); "
+                                 "the product formula does not apply")
 
     # -- basics --
 
@@ -273,15 +273,13 @@ class OrbifoldAlgebra:
 class TwistedAlgebra(NamedTuple):
     """Jac'(f,G) as a product rule, with no structure tensor.
 
-    `lifted[g]` holds sector g's standard monomials at ambient positions.  The
-    product of sectors g and h vanishes unless `correction[g, h]` holds
+    The product of sectors g and h vanishes unless `correction[g, h]` holds
     prefactor(g)·H_{g,h}, as (exponents on Fix(gh), coefficient) pairs.
     """
 
     ip: InvertiblePoly
     group: SymmetryGroup
     sectors: dict[GroupElement, Sector]
-    lifted: dict[GroupElement, tuple[Monomial, ...]]
     correction: dict[tuple[GroupElement, GroupElement], tuple[tuple[Monomial, CycScalar], ...]]
 
     def products(self, g: GroupElement, h: GroupElement, rows: Sequence[tuple[int, Monomial]],
@@ -318,8 +316,7 @@ class TwistedAlgebra(NamedTuple):
 def twisted_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> TwistedAlgebra:
     """Jac'(f,G) as a product rule, of which v_id must be the two-sided unit."""
     sectors = build_sectors(ip, group)
-    n = ip.arity
-    prefactor = {g: _prefactor(n, g) for g in group}
+    prefactor = {g: _prefactor(ip.arity, g) for g in group}
     correction = {(g, h): tuple((e, prefactor[g] * c)
                                 for e, c in compute_H(ip, group, g, h, sectors).terms.items())
                   for g in group for h in group if fix_union_holds(g, h)}
@@ -328,8 +325,7 @@ def twisted_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> TwistedAlgebra:
     if any(c != _ONE for c in prefactor.values()):
         raise ValueError("v_id is not a two-sided unit for this group configuration; "
                          "the product formula does not apply")
-    lifted = {g: tuple(s.lift(m, n) for m in s.algebra.basis) for g, s in sectors.items()}
-    return TwistedAlgebra(ip, group, sectors, lifted, correction)
+    return TwistedAlgebra(ip, group, sectors, correction)
 
 
 def invariant_subalgebra(twisted: TwistedAlgebra) -> OrbifoldAlgebra:
@@ -339,12 +335,13 @@ def invariant_subalgebra(twisted: TwistedAlgebra) -> OrbifoldAlgebra:
     kept = {}
     for g, sector in twisted.sectors.items():
         index[g], kept[g] = [None] * sector.algebra.mu, []
-        for a, x in enumerate(twisted.lifted[g]):
+        for a, m in enumerate(sector.algebra.basis):
+            x = sector.lift(m, twisted.ip.arity)
             # Fixing x^m is a character, so G fixes [x^m]v_g iff its generators do.
             if all(q.fixes_monomial(x) for q in twisted.group.generators):
                 index[g][a] = len(basis)
                 kept[g].append((len(basis), x))
-                basis.append((g, sector.algebra.basis[a]))
+                basis.append((g, m))
     structure = {}
     for g, h in twisted.correction:
         structure.update(twisted.products(g, h, kept[g], kept[h], index[g * h]))

@@ -992,12 +992,15 @@ def test_no_command_prints_the_help_and_exits_2():
     assert result.stderr.startswith("usage: oja [-h] [--json] [--catalog PATH] command ...\n")
 
 
-# Commands whose output cannot be written: two bytes, a 2 KB JSON document and
-# one larger than the buffer, so that the write itself fails, not the flush.
+# Commands whose output cannot be written: two bytes, a 2 KB JSON document, one
+# larger than the buffer, so that the write itself fails, not the flush, and the
+# help of the root parser and of a subparser.
 _UNWRITTEN = {
     "milnor": ["milnor", "x1^3+x2^2"],
     "verify-row": ["--json", "verify", "--row", "3"],
     "larger-than-the-buffer": ["--json", "symmetry", "x1^32+x2^32"],
+    "help": ["--help"],
+    "verify-help": ["verify", "--help"],
 }
 
 
@@ -1040,6 +1043,15 @@ def test_a_write_error_exits_120_with_one_line(command, sink, reason, unbuffered
         result = _run_buffered(argv, stdout=stdout, stderr=subprocess.PIPE, text=True)
     assert (result.returncode, result.stderr) == (
         120, f"error: cannot write the output: {reason}\n")
+
+
+def test_the_help_is_the_parser_help_on_stdout(capsys):
+    from oja.cli import _build_parser, main
+
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr() == (_build_parser().format_help(), "")
 
 
 def test_main_returns_120_when_stdout_refuses_the_write(monkeypatch, capsys):

@@ -203,7 +203,7 @@ def test_a_witness_failing_its_pairing_check_is_never_a_frobenius_row(monkeypatc
     """`certify` takes a searched witness's level from the search, which returns
     only witnesses whose checks passed: with every pairing check failing, row 2
     is certified at algebra level."""
-    failed = Report(False, (Check("pairings", False, "refused"),))
+    failed = Report((Check("pairings", False, "refused"),))
     monkeypatch.setattr(duality, "verify_frobenius_iso", lambda w: failed)
     assert main(["verify", "--row", "2", "--search"]) == 1
     lines = capsys.readouterr().out.splitlines()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import itertools
 import random
 from fractions import Fraction
@@ -16,7 +15,7 @@ from oja.jacobian import (Fingerprint, fingerprint, groebner, has_isolated_singu
                           leading_monomial, milnor, quotient_algebra, solve_in_quotient,
                           trace_functional)
 from oja.linalg import det_rational, rank, rref, solve_linear
-from oja.orbifold import orbifold_algebra
+from oja.orbifold import OrbifoldAlgebra, orbifold_algebra
 from oja.poly import Poly, parse
 from oja.scalar import CycScalar, SQRT2
 from oja.symmetry import _weight_system, build_invertible
@@ -431,8 +430,7 @@ def _catalog_algebras():
 
 @pytest.mark.parametrize("build", _catalog_algebras())
 def test_graded_fingerprint_matches_the_dense_reference(build):
-    A = build()
-    jacobian._check_grading(A)
+    A = build()  # the construction checks the grading
     assert len(set(A.degrees)) > 1  # graded with more than one degree
     assert fingerprint(A) == _dense_fingerprint(A)
 
@@ -450,14 +448,17 @@ def test_fingerprint_runs_no_dense_elimination(build, monkeypatch):
 
 
 def test_inconsistent_degrees_are_rejected():
-    """Every algebra oja builds is graded; a broken grading is an error, not a
-    second, ungraded fingerprint path."""
-    A = copy.copy(orbifold_algebra(*row_target(load_catalog().row(1))))
-    A.degrees = tuple(range(A.dim))  # distinct degrees that some product breaks
+    """Every algebra oja builds is graded; a structure constant off its degree is
+    refused at construction, not left to a second, ungraded fingerprint path."""
+    A = orbifold_algebra(*row_target(load_catalog().row(1)))
+    data = (A.ip, A.group, A.sectors, A.basis)
+    assert OrbifoldAlgebra(*data, A.structure).degrees == A.degrees
+    (i, j), row = min(A.structure.items())
+    k = min(row)
+    moved = next(m for m in range(A.dim) if A.degrees[m] != A.degrees[k])
+    entry = {**{m: c for m, c in row.items() if m != k}, moved: row[k]}
     with pytest.raises(ValueError, match="breaks the weighted grading"):
-        jacobian._check_grading(A)
-    with pytest.raises(ValueError, match="breaks the weighted grading"):
-        fingerprint(A)
+        OrbifoldAlgebra(*data, {**A.structure, (i, j): entry})
 
 
 def test_jacobian_ideal_is_computed_once_per_polynomial(monkeypatch):

@@ -143,7 +143,8 @@ def test_invariant_subalgebra_rejects_a_product_leaving_the_invariant_basis():
     ip, group = row_target(load_catalog().row(2))
     rule = twisted_algebra(ip, group)
     identity = GroupElement.identity(ip.arity)
-    outside = next(x for x in rule.lifted[identity]
+    sector = rule.sectors[identity]
+    outside = next(x for x in (sector.lift(m, ip.arity) for m in sector.algebra.basis)
                    if not all(q.fixes_monomial(x) for q in group))
     broken = rule._replace(correction={**rule.correction,
                                        (identity, identity): ((outside, CycScalar.one()),)})

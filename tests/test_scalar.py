@@ -171,7 +171,7 @@ def test_no_floating_point_in_the_package():
 
 
 def test_stdout_has_one_writer():
-    """The package writes stdout in one place, `cli._emit`: one
+    """The package writes stdout in one place, `cli._write`: one
     `sys.stdout.write` call, and every `print` goes to `file=sys.stderr`."""
     writes, prints = [], []
     for path in sorted(Path(oja.__file__).parent.glob("*.py")):
@@ -186,7 +186,7 @@ def test_stdout_has_one_writer():
                         k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
                         for k in node.keywords):
                     prints.append(f"{where}:{node.lineno}")
-    assert writes == ["cli._emit"]
+    assert writes == ["cli._write"]
     assert prints == []
 
 
