@@ -417,10 +417,6 @@ class Fingerprint(NamedTuple):
     powers: tuple[int, ...]
     socle_dim: int
 
-    def __str__(self) -> str:
-        return (f"dim {self.dim}, radical powers "
-                f"({', '.join(str(d) for d in self.powers)}), socle dim {self.socle_dim}")
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "powers": list(self.powers), "socle_dim": self.socle_dim}
 

@@ -14,9 +14,10 @@ with the correction class H_{g,h} pinned by the Hessian-ratio equation
 
 solved among G-invariant classes of the expected weighted degree (the class
 is asserted unique).  `twisted_algebra` keeps Jac'(f,G) as this product rule
-and checks from the prefactors that v_id is its unit.  `OrbifoldAlgebra` is its
-G-invariant part Jac(f,G), built from invariant products alone and carrying
-the trace pairing normalized by λ([hess f]) = |G|·μ_f.
+and refuses G unless v_id is its unit, that is unless the prefactor is 1 for
+every g, so it keeps H_{g,h} alone.  `OrbifoldAlgebra` is its G-invariant
+part Jac(f,G), built from invariant products alone and carrying the trace
+pairing normalized by λ([hess f]) = |G|·μ_f.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def compute_H(ip: InvertiblePoly, group: SymmetryGroup, g: GroupElement, h: Grou
     """The correction class H_{g,h}, in the variables fixed by gh.
 
     For an identity factor the defining equation collapses and H = 1.
-    Otherwise the Hessian-ratio equation is solved among classes of weighted
-    degree Σ_{i ∈ Fix(gh) \\ Fix(g)∩Fix(h)} (d − 2wᵢ) that are invariant under
-    the G-action; the solution class must be unique.  `sectors` is
+    Otherwise the Hessian-ratio equation is solved among G-invariant classes
+    whose weighted degree is the socle degree of Jac(f^{gh}) less that of
+    Jac(f^{g∩h}); the solution class must be unique.  `sectors` is
     `build_sectors(ip, group)`.
     """
     if not fix_union_holds(g, h):
@@ -104,24 +105,15 @@ def compute_H(ip: InvertiblePoly, group: SymmetryGroup, g: GroupElement, h: Grou
 
     a = lifted_hess.scale(CycScalar.from_rational(Fraction(1, cap_algebra.mu)))
     b = target.hess_nf.scale(CycScalar.from_rational(Fraction(1, target.mu)))
-    degree = sum(ip.degree - 2 * ip.weights[i] for i in gh_fixed if i not in set(cap))
+    degree = target.socle_degree - cap_algebra.socle_degree
     # The Groebner basis of a weighted homogeneous G-invariant f consists of
-    # homogeneous G-eigenvectors, so these monomials span every admissible class;
-    # fixing a monomial is a character, so the generators decide invariance.
+    # homogeneous G-eigenvectors, so these monomials span every admissible class.
     candidates = [m for m in target.basis if target.weighted_degree(m) == degree
-                  and all(q.fixes_monomial(target_sector.lift(m, ip.arity))
-                          for q in group.generators)]
+                  and group.fixes_monomial(target_sector.lift(m, ip.arity))]
     solution, unique = solve_in_quotient(target, a, b, candidates)
     if not unique:
         raise ValueError(f"H_({g}),({h}) is not determined uniquely")
     return solution
-
-
-def _prefactor(arity: int, g: GroupElement) -> CycScalar:
-    moved = arity - len(g.fixed_indices())
-    sign = _ONE if (moved * (moved - 1) // 2) % 2 == 0 else -_ONE
-    shift = (-g.age() / 2) % 1
-    return sign * CycScalar.root_of_unity(shift.numerator, shift.denominator)
 
 
 class OrbifoldAlgebra:
@@ -153,16 +145,14 @@ class OrbifoldAlgebra:
         scale = group.order * id_algebra.mu  # λ([hess f]) = |G|·μ_f
         self._trace_factor = CycScalar.from_rational(scale) * id_algebra.trace_scale
 
-        # deg [x^m]v_g = Σ_{i∈Fix g} qᵢmᵢ + Σ_{i∉Fix g} (1/2 − qᵢ) with qᵢ = wᵢ/d,
-        # as an integer over 2d; the age shift is summed once per sector.
-        w, d = ip.weights, ip.degree
-        shift = {g: sum(d - 2 * w[i] for i in range(ip.arity) if i not in s.fixed)
+        # deg [x^m]v_g = Σ_{i∈Fix g} qᵢmᵢ + Σ_{i∉Fix g} (1/2 − qᵢ) with qᵢ = wᵢ/d, as an
+        # integer over 2d; the shift, summed once per sector, is a difference of socle degrees.
+        shift = {g: id_algebra.socle_degree - s.algebra.socle_degree
                  for g, s in self.sectors.items()}
-        deg = [2 * sum(w[i] * e for i, e in zip(self.sectors[g].fixed, m)) + shift[g]
-               for g, m in self.basis]
+        deg = [2 * self.sectors[g].algebra.weighted_degree(m) + shift[g] for g, m in self.basis]
         if any(deg[k] != deg[i] + deg[j] for (i, j), row in self.structure.items() for k in row):
             raise ValueError(f"{self!r}: a structure constant breaks the weighted grading")
-        self.degrees = tuple(Fraction(n, 2 * d) for n in deg)
+        self.degrees = tuple(Fraction(n, 2 * ip.degree) for n in deg)
 
         # gram[i] = {j: η(e_i, e_j)}, sparse like every element.
         self.gram: list[dict[int, CycScalar]] = [{} for _ in self.basis]
@@ -174,15 +164,16 @@ class OrbifoldAlgebra:
 
         # The identity sector is a quotient ring and restricting to Fix g is a ring
         # map, so only a triple with two twisted factors can break associativity;
-        # those are checked in sorted order.
+        # those are checked in sorted order: k runs over thirds[twisted factors among i, j].
         twisted = [not g.is_identity() for g, _ in self.basis]
-        for i, j, k in product(range(self.dim), repeat=3) if any(twisted) else ():
-            if twisted[i] + twisted[j] + twisted[k] >= 2 and (
-                    self.product(self.basis_product(i, j), {k: _ONE})
-                    != self.product({i: _ONE}, self.basis_product(j, k))):
-                a, b, c = map(self.label, (i, j, k))
-                raise ValueError(f"({a} * {b}) * {c} differs from {a} * ({b} * {c}); "
-                                 "the product formula does not apply")
+        thirds = ((), [k for k in range(self.dim) if twisted[k]], range(self.dim))
+        for i, j in product(range(self.dim), repeat=2) if any(twisted) else ():
+            for k in thirds[twisted[i] + twisted[j]]:
+                if (self.product(self.basis_product(i, j), {k: _ONE})
+                        != self.product({i: _ONE}, self.basis_product(j, k))):
+                    a, b, c = map(self.label, (i, j, k))
+                    raise ValueError(f"({a} * {b}) * {c} differs from {a} * ({b} * {c}); "
+                                     "the product formula does not apply")
 
     # -- basics --
 
@@ -274,7 +265,7 @@ class TwistedAlgebra(NamedTuple):
     """Jac'(f,G) as a product rule, with no structure tensor.
 
     The product of sectors g and h vanishes unless `correction[g, h]` holds
-    prefactor(g)·H_{g,h}, as (exponents on Fix(gh), coefficient) pairs.
+    H_{g,h}, as (exponents on Fix(gh), coefficient) pairs.
     """
 
     ip: InvertiblePoly
@@ -316,15 +307,16 @@ class TwistedAlgebra(NamedTuple):
 def twisted_algebra(ip: InvertiblePoly, group: SymmetryGroup) -> TwistedAlgebra:
     """Jac'(f,G) as a product rule, of which v_id must be the two-sided unit."""
     sectors = build_sectors(ip, group)
-    prefactor = {g: _prefactor(ip.arity, g) for g in group}
-    correction = {(g, h): tuple((e, prefactor[g] * c)
-                                for e, c in compute_H(ip, group, g, h, sectors).terms.items())
+    correction = {(g, h): tuple(compute_H(ip, group, g, h, sectors).terms.items())
                   for g in group for h in group if fix_union_holds(g, h)}
-    # H = 1 when a factor is the identity and prefactor(id) = 1, so v_id·[x]v_g = [x]v_g
-    # and [x]v_g·v_id = prefactor(g)·[x]v_g: v_id is the unit iff every prefactor is 1.
-    if any(c != _ONE for c in prefactor.values()):
-        raise ValueError("v_id is not a two-sided unit for this group configuration; "
-                         "the product formula does not apply")
+    # H = 1 when a factor is the identity, so v_id·[x]v_g = [x]v_g and [x]v_g·v_id is
+    # the prefactor (−1)^(m(m−1)/2)·e[−age(g)/2] times [x]v_g, m the number of coordinates
+    # g moves: v_id is the unit iff m(m−1)/2 + age(g) is an even integer for every g.
+    for g in group:
+        moved = ip.arity - len(g.fixed_indices())
+        if (moved * (moved - 1) // 2 + g.age()) % 2:
+            raise ValueError("v_id is not a two-sided unit for this group configuration; "
+                             "the product formula does not apply")
     return TwistedAlgebra(ip, group, sectors, correction)
 
 
@@ -337,8 +329,7 @@ def invariant_subalgebra(twisted: TwistedAlgebra) -> OrbifoldAlgebra:
         index[g], kept[g] = [None] * sector.algebra.mu, []
         for a, m in enumerate(sector.algebra.basis):
             x = sector.lift(m, twisted.ip.arity)
-            # Fixing x^m is a character, so G fixes [x^m]v_g iff its generators do.
-            if all(q.fixes_monomial(x) for q in twisted.group.generators):
+            if twisted.group.fixes_monomial(x):
                 index[g][a] = len(basis)
                 kept[g].append((len(basis), x))
                 basis.append((g, m))

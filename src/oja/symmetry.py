@@ -158,6 +158,10 @@ class SymmetryGroup:
     def __contains__(self, g: GroupElement) -> bool:
         return g in self._members
 
+    def fixes_monomial(self, m: Sequence[int]) -> bool:
+        """True iff the group fixes x^m; fixing x^m is a character, so the generators decide."""
+        return all(g.fixes_monomial(m) for g in self.generators)
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymmetryGroup) and self.elements == other.elements
 

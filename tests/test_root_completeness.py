@@ -3,10 +3,14 @@
 `kth_roots(a, k)` claims every c in K = Q(ζ₂₄) with c^k = a when a = q·ζ^m
 (`scalar._shaped_roots` argues it).  Here sympy factors t^k − a over K,
 independently, and the number of its linear factors must be the number of
-roots oja returns.  This is checked on every (a, k) that `search_iso` asks
-on rows 19 and 20, whose exhausted searches then leave no graded Frobenius
-isomorphism over K unfound, and on seeded q·ζ^m.  sympy is a test-only
-dependency; without it the module is skipped.
+roots oja returns.  This is checked on every (a, k) that `search_iso` asks,
+through `kth_roots` or through `square_roots` on a discriminant, on all 20
+rows at both certificate levels, and on seeded q·ζ^m.  Off that shape
+`square_roots` returns [] even where a root exists (3+2√2 = (1+√2)²), and the
+search would prune on that [], so only with every request of the shape do
+the exhausted searches of rows 19 and 20 leave no graded Frobenius
+isomorphism over K unfound.  sympy is a test-only dependency; without it the
+module is skipped.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import pytest
 from oja import duality
 from oja.catalog import load_catalog, row_source, row_target
 from oja.orbifold import orbifold_algebra
-from oja.scalar import SQRT2, SQRT3, CycScalar, kth_roots, monomial_shape
+from oja.scalar import SQRT2, SQRT3, CycScalar, kth_roots, monomial_shape, square_roots
 
 sympy = pytest.importorskip("sympy")
 
@@ -49,21 +53,35 @@ def test_coordinates_enter_sympys_field_as_powers_of_its_generator():
 
 
 def _search_calls(monkeypatch) -> list[tuple[CycScalar, int]]:
-    """The distinct (a, k) that `search_iso` passes to `kth_roots` on rows 19 and 20."""
+    """The distinct (a, k) that `search_iso` passes to `kth_roots`, and (a, 2) for
+    each a it passes to `square_roots`, over the 40 searches; only rows 19 and 20
+    exhaust theirs, at Frobenius level."""
     calls = []
     monkeypatch.setattr(duality, "kth_roots", lambda a, k: calls.append((a, k)) or kth_roots(a, k))
-    catalog = load_catalog()
-    for index in (19, 20):
-        row = catalog.row(index)
-        with pytest.raises(duality.SearchFailure, match="exhausted"):
-            duality.search_iso(row_source(row), orbifold_algebra(*row_target(row)))
+    monkeypatch.setattr(duality, "square_roots",
+                        lambda a: calls.append((a, 2)) or square_roots(a))
+    exhausted = []
+    for row in load_catalog().rows:
+        for frobenius in (True, False):
+            try:
+                duality.search_iso(row_source(row), orbifold_algebra(*row_target(row)),
+                                   require_frobenius=frobenius)
+            except duality.SearchFailure as exc:
+                assert "exhausted" in str(exc), (row.index, frobenius)
+                exhausted.append((row.index, frobenius))
+    assert exhausted == [(19, True), (20, True)]
     return list(dict.fromkeys(calls))
 
 
 def test_the_search_asks_roots_of_q_zeta_m_and_gets_all_of_them(monkeypatch):
+    """A first root (k = 1) is the value itself, of whatever shape; every other
+    request is of the shape q·ζ^m and gets every root in K."""
     calls = _search_calls(monkeypatch)
-    assert calls
+    assert any(k > 1 for _, k in calls)
     for a, k in calls:
+        if k == 1:
+            assert kth_roots(a, k) == [a]
+            continue
         assert monomial_shape(a) is not None, (str(a), k)
         assert len(kth_roots(a, k)) == _linear_factors(a, k), (str(a), k)
 

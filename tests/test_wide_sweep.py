@@ -10,7 +10,9 @@ of SL ∩ G_f.  Each of the 389 pairs must either be refused by
 `oja orbifold` with exit 2 and one line, or give a unital,
 graded-commutative, associative algebra whose degrees are the character
 series' (`test_character_degrees._oracle_degrees`).  The products are
-checked on every basis triple, with arithmetic of this module's own.
+checked on every basis triple, with arithmetic of this module's own.  The
+refusals are pinned line by line in `golden/wide_sweep_refusals.txt`, as
+`f | generator | error: …` in the sweep's order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import contextlib
 import io
 from collections import Counter
+from functools import cache
 from itertools import product
+from pathlib import Path
 
 from oja.cli import main
 from oja.orbifold import OrbifoldAlgebra, orbifold_algebra
@@ -27,6 +31,7 @@ from oja.symmetry import SymmetryGroup, max_symmetry_group, parse_invertible, sl
 from test_character_degrees import _oracle_degrees
 
 BOUND = 3
+REFUSALS = Path(__file__).parent / "golden" / "wide_sweep_refusals.txt"
 _ZERO, _ONE = CycScalar.zero(), CycScalar.one()
 
 
@@ -121,10 +126,12 @@ def _kind(message: str) -> str:
     return message
 
 
-def test_every_pair_is_refused_in_one_line_or_gives_a_checked_algebra():
+@cache
+def _sweep() -> tuple[Counter, tuple[str, ...]]:
+    """The outcome counts and the refusal lines of the whole sweep, checked as it runs."""
     pairs = _pairs()
     assert len(pairs) == 389
-    outcomes = Counter()
+    outcomes, refusals = Counter(), []
     for text, ip, group in pairs:
         try:
             A = orbifold_algebra(ip, group)
@@ -133,11 +140,22 @@ def test_every_pair_is_refused_in_one_line_or_gives_a_checked_algebra():
             assert (code, out) == (2, ""), (text, str(group))
             assert err.startswith("error: ") and err.count("\n") == 1, err
             outcomes[_kind(err)] += 1
+            refusals.append(f"{text} | {_group_text(group)} | {err}")
             continue
         _assert_unital_graded_commutative_associative(A)
         assert _oracle_degrees(ip, group) == Counter(A.degrees), (text, str(group))
         outcomes["algebra"] += 1
+    return outcomes, tuple(refusals)
+
+
+def test_every_pair_is_refused_in_one_line_or_gives_a_checked_algebra():
+    outcomes, _ = _sweep()
     assert outcomes == {"algebra": 339, "not associative": 26, "no unit": 18, "H not unique": 6}
+
+
+def test_every_refusal_matches_its_golden_line():
+    _, refusals = _sweep()
+    assert "".join(refusals) == REFUSALS.read_text(encoding="utf-8")
 
 
 def test_a_product_that_is_not_associative_exits_2():
