@@ -332,15 +332,20 @@ def row_target(row: CatalogRow) -> tuple[InvertiblePoly, SymmetryGroup]:
     return ip, _group_from_generator(row.generator, ip, f"row {row.index}")
 
 
-def _witness_terms(row: CatalogRow, arity: int, target_ip: InvertiblePoly,
-                   group: SymmetryGroup) -> list[list[tuple[CycScalar, Poly, GroupElement]]]:
-    """Parse and check a row's witness: its (scalar, monomial, sector) terms per
-    image.  `_check_shape` has made each term three strings."""
-    if len(row.witness) != arity:
-        raise ValueError(f"row {row.index}: witness needs {arity} images")
+def row_witness(row: CatalogRow) -> IsoWitness | None:
+    """Build the row's embedded isomorphism witness, if it has one.  Each
+    (scalar, monomial, sector) term is checked; `_check_shape` has made it
+    three strings."""
+    if row.witness is None:
+        return None
+    source = row_source(row)
+    target_ip, group = row_target(row)
+    if len(row.witness) != source.arity:
+        raise ValueError(f"row {row.index}: witness needs {source.arity} images")
+    algebra = orbifold_algebra(target_ip, group)
     images = []
     for image in row.witness:
-        terms = []
+        vector: dict[int, CycScalar] = {}
         for scalar_text, monomial_text, sector_text in image:
             try:
                 scalar = _parse_scalar(scalar_text)
@@ -360,22 +365,6 @@ def _witness_terms(row: CatalogRow, arity: int, target_ip: InvertiblePoly,
             if sector not in group:
                 raise ValueError(
                     f"row {row.index}: witness sector ({sector_text}) is not in the row's group")
-            terms.append((scalar, monomial, sector))
-        images.append(terms)
-    return images
-
-
-def row_witness(row: CatalogRow) -> IsoWitness | None:
-    """Build the row's embedded isomorphism witness, if it has one."""
-    if row.witness is None:
-        return None
-    source = row_source(row)
-    target_ip, group = row_target(row)
-    algebra = orbifold_algebra(target_ip, group)
-    images = []
-    for terms in _witness_terms(row, source.arity, target_ip, group):
-        vector: dict[int, CycScalar] = {}
-        for scalar, monomial, sector in terms:
             try:
                 add_scaled(vector, scalar, algebra.element(monomial, sector))
             except ValueError as exc:
@@ -421,12 +410,10 @@ def _validate(catalog: Catalog) -> None:
         if not any(source.poly == parse_invertible(v).poly for v in entry.variants):
             raise ValueError(
                 f"row {row.index}: f1 is not a listed {row.f1_type} variant")
-        target_ip, group = row_target(row)
+        target_ip, _ = row_target(row)
         if row.reduced != (row.witness is not None):
             raise ValueError(
                 f"row {row.index}: reduced rows carry a witness, others do not")
-        if row.witness is not None:
-            _witness_terms(row, source.arity, target_ip, group)
         partner = catalog.entry(row.f2_type)
         if not any(
                 same_up_to_variable_permutation(_transposed(v), target_ip.poly)
@@ -434,6 +421,7 @@ def _validate(catalog: Catalog) -> None:
             raise ValueError(
                 f"row {row.index}: target is not a transposed {row.f2_type} "
                 "variant up to renaming")
+        row_witness(row)  # built as every command builds it, so a fault shows here
 
     labels = [n.label for n in catalog.graph_nodes]
     if len(set(labels)) != len(labels):

@@ -84,10 +84,6 @@ class IsoWitness:
             ],
         }
 
-    def __str__(self) -> str:
-        parts = [f"{v} -> {self.image_str(i)}" for i, v in enumerate(self.source.vars)]
-        return "; ".join(parts)
-
 
 class Check(NamedTuple):
     name: str
@@ -107,9 +103,6 @@ class Report(NamedTuple):
 
     def to_json(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
-
-    def failure(self) -> str:
-        return "; ".join(f"{c.name}: {c.detail}" for c in self.checks if not c.passed)
 
 
 def source_algebra(ip: InvertiblePoly) -> OrbifoldAlgebra:
@@ -487,18 +480,14 @@ class GraphNode(NamedTuple):
     cluster: int
 
 
-class DualityGraph:
+class DualityGraph(NamedTuple):
     """Isomorphism graph over (polynomial, group) pairs, one clique per cluster."""
 
-    def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[tuple[str, str]],
-                 components: Sequence[tuple[str, ...]],
-                 certifications: Sequence[str],
-                 fingerprints: Mapping[str, Fingerprint]):
-        self.nodes = tuple(nodes)
-        self.edges = tuple(edges)
-        self.components = tuple(components)
-        self.certifications = tuple(certifications)
-        self.fingerprints = dict(fingerprints)
+    nodes: tuple[GraphNode, ...]
+    edges: tuple[tuple[str, str], ...]
+    components: tuple[tuple[str, ...], ...]
+    certifications: tuple[str, ...]
+    fingerprints: dict[str, Fingerprint]
 
     def component_sizes(self) -> list[int]:
         return sorted(len(c) for c in self.components)
@@ -680,4 +669,4 @@ def duality_graph(catalog) -> DualityGraph:
             by_key[key] = fingerprint(orbifold_algebra(node.ip, node.group))
     prints = {node.label: by_key[key_of[node.label]] for node in nodes}
 
-    return DualityGraph(nodes, edges, components, certifications, prints)
+    return DualityGraph(nodes, tuple(edges), components, tuple(certifications), prints)

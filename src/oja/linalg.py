@@ -6,8 +6,8 @@ Gaussian elimination is generic in the coefficient field: it only needs
 +, -, *, `1 / x` and truthiness, so the same routines serve `CycScalar`
 and `Fraction` entries.  Ranks run on sparse rows ({column: nonzero}):
 `echelon` is forward elimination only, and `rank` counts its pivots.  `rref`
-is the same elimination plus a back-reduction, returned as the dense rows
-the solves read (`solve_linear`, exponent-matrix inverses).  Each pivot
+is the same elimination plus a back-reduction, returned as the dense pivot
+rows the solves read (`solve_linear`, exponent-matrix inverses).  Each pivot
 takes one reciprocal, and the pivot row is multiplied by it.  Determinants
 and weight systems stay in the integers: `bareiss` gives det A and
 det A·A⁻¹b by fraction-free elimination.  The integer Smith normal form is
@@ -84,8 +84,8 @@ def rref(matrix: list[list[T]]) -> tuple[list[list[T]], list[int]]:
 
     `echelon`, then back-reduction: from the last pivot to the first, each
     pivot column is cleared from the earlier pivot rows.  The reduced form
-    is unique.  The result is dense with the input's shape, its rows past
-    the rank all zero.
+    is unique.  The result is dense, one row per pivot: the rows past the
+    rank, all zero, are left out.
     """
     basis = echelon({c: x for c, x in enumerate(row) if x} for row in matrix)
     pivots = sorted(basis)
@@ -96,8 +96,7 @@ def rref(matrix: list[list[T]]) -> tuple[list[list[T]], list[int]]:
                 _eliminate(basis[earlier], basis[col], col)
     cols = len(matrix[0]) if matrix else 0
     zero = matrix[0][0] - matrix[0][0] if cols else None
-    reduced = [[basis[p].get(c, zero) for c in range(cols)] for p in pivots]
-    return reduced + [[zero] * cols for _ in range(len(matrix) - len(pivots))], pivots
+    return [[basis[p].get(c, zero) for c in range(cols)] for p in pivots], pivots
 
 
 def rank(rows: Iterable[Mapping[K, T]]) -> int:

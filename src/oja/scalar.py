@@ -139,13 +139,6 @@ class CycScalar:
         """The power z^k (k may be any integer)."""
         return _canonical(_ZETA[k % ORDER], 1)
 
-    @classmethod
-    def root_of_unity(cls, a: int, r: int) -> "CycScalar":
-        """e[a/r] = exp(2 pi i a / r), requiring r | ORDER."""
-        if r <= 0 or ORDER % r != 0:
-            raise ValueError(f"root of unity of order {r} is not in Q(zeta_{ORDER})")
-        return cls.zeta(a * (ORDER // r))
-
     # --- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "CycScalar") -> "CycScalar":

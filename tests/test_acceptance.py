@@ -274,9 +274,9 @@ def test_primary_08_embedded_witnesses_and_pairing_values():
         algebra_report = verify_algebra_iso(witness)
         frobenius_report = verify_frobenius_iso(witness)
         if not algebra_report.passed:
-            failures.append(f"row {index}: {algebra_report.failure()}")
+            failures.append(f"row {index}: {algebra_report.to_json()}")
         if not frobenius_report.passed:
-            failures.append(f"row {index}: {frobenius_report.failure()}")
+            failures.append(f"row {index}: {frobenius_report.to_json()}")
         algebra = _target_algebra(index)
         supported = [i for i in range(algebra.dim)
                      if not algebra.trace(_unit(algebra, i)).is_zero()]

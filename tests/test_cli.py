@@ -397,9 +397,10 @@ _NOT_SL = "<1/2,0,0> is not a special-linear symmetry group of x1^8 + x2^3 + x3^
 
 # Each case: a change to the bundled catalog (a string: the whole file's
 # text; None: the catalog path is a directory), and the message expected on
-# stderr under `verify --row 2` and `graph` alike: a substring, or the whole
-# line with its newline.  Position 1 holds row 2, whose group is
-# <(1/2,0,1/2)>, and graph node B; position 0 holds entry E12.
+# stderr under `verify --row 2`, `verify --all --search` and `graph` alike: a
+# substring, or the whole line with its newline.  Position 1 holds row 2,
+# whose group is <(1/2,0,1/2)>, and graph node B; position 0 holds entry E12;
+# position 5 holds row 6, which `graph` never certifies.
 _BROKEN_CATALOGS = {
     "missing-sections": (_keep_only_version, "error: invalid catalog: missing key 'entries'\n"),
     "document-not-an-object": (
@@ -509,12 +510,14 @@ _BROKEN_CATALOGS = {
     "node-group-out-of-scope": (
         lambda data: data["graph_nodes"][1].update(f="x1^4+x2^4+x3^2", generator="1/4,3/4,0"),
         "error: invalid catalog: graph node B: " + _OUT_OF_SCOPE),
-    # Parsed and placed in the row's group, the term fails only when the
-    # witness is built on the invariant basis, after the catalog has loaded.
     "witness-monomial-not-invariant": (
         _set_witness_term(1, 0, 1, "x1"),
-        "error: row 2: witness [x1]v_(0,0,0) is not supported on this basis "
-        "(non-invariant component)\n"),
+        "error: invalid catalog: row 2: witness [x1]v_(0,0,0) is not supported on this "
+        "basis (non-invariant component)\n"),
+    "row-6-witness-monomial-not-invariant": (
+        _set_witness_term(5, 0, 1, "x1"),
+        "error: invalid catalog: row 6: witness [x1]v_(0,0,0) is not supported on this "
+        "basis (non-invariant component)\n"),
 }
 
 
@@ -553,6 +556,11 @@ def test_verify_rejects_an_invalid_catalog(tmp_path: Path, capsys, case: str):
 @pytest.mark.parametrize("case", sorted(_BROKEN_CATALOGS))
 def test_graph_rejects_an_invalid_catalog(tmp_path: Path, capsys, case: str):
     _assert_rejects(tmp_path, capsys, case, "graph")
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_CATALOGS))
+def test_search_rejects_an_invalid_catalog(tmp_path: Path, capsys, case: str):
+    _assert_rejects(tmp_path, capsys, case, "verify", "--all", "--search")
 
 
 def test_an_invalid_catalog_exits_2_without_a_traceback_in_a_process(tmp_path: Path):

@@ -69,14 +69,14 @@ _REDUCED_DIMS = {2: 10, 3: 11, 6: 12, 7: 11, 8: 12, 12: 12, 18: 12}
 def test_embedded_witness_is_algebra_iso(index):
     w = row_witness(_catalog().row(index))
     report = verify_algebra_iso(w)
-    assert report.passed, report.failure()
+    assert report.passed, report.to_json()
 
 
 @pytest.mark.parametrize("index", sorted(_SOCLE_TRACE))
 def test_embedded_witness_preserves_pairing(index):
     w = row_witness(_catalog().row(index))
     report = verify_frobenius_iso(w)
-    assert report.passed, report.failure()
+    assert report.passed, report.to_json()
 
 
 @pytest.mark.parametrize("index", sorted(_REDUCED_DIMS))
@@ -112,7 +112,6 @@ def test_witness_json_and_str_shapes():
     # the third variable lands in the twisted sector with coefficient i/2
     labels = [label for label, _ in data["images"][2]]
     assert labels == ["[1] v_(1/2,0,1/2)"]
-    assert "->" in str(w)
 
 
 # --- the failing-image control -----------------------------------------
@@ -145,7 +144,7 @@ def test_identity_witness_verifies():
     images = tuple(algebra.element(Poly.variable(source.vars, i), identity)
                    for i in range(source.arity))
     report = verify_witness(IsoWitness(source, algebra, images))
-    assert report.passed, report.failure()
+    assert report.passed, report.to_json()
 
 
 # --- the ansatz search -------------------------------------------------

@@ -119,4 +119,5 @@ def test_rref_matches_the_dense_reference(matrix):
     reduced, pivots = rref(matrix)
     expected, expected_pivots = reference_rref(matrix)
     assert pivots == expected_pivots
-    assert reduced == expected  # the same shape too: rows past the rank are zero
+    assert reduced == expected[:len(pivots)]  # one row per pivot
+    assert not any(any(row) for row in expected[len(pivots):])

@@ -33,8 +33,9 @@ def _prefactor(arity: int, g: GroupElement) -> CycScalar:
     """(-1)^((N-N_g)(N-N_g-1)/2) · e[-age(g)/2]."""
     moved = arity - len(g.fixed_indices())
     sign = _ONE if (moved * (moved - 1) // 2) % 2 == 0 else -_ONE
-    shift = (-g.age() / 2) % 1
-    return sign * CycScalar.root_of_unity(shift.numerator, shift.denominator)
+    twelfths = 12 * g.age()  # e[-age/2] = zeta_24^(-12 age)
+    assert twelfths.denominator == 1
+    return sign * CycScalar.zeta(-int(twelfths))
 
 
 class FullTwisted:

@@ -104,21 +104,12 @@ def test_named_constants_satisfy_their_defining_equations():
     assert HALF_I + HALF_I == I_UNIT
 
 
-def test_root_of_unity_multiplication_law():
-    for r in (2, 3, 4, 6, 8, 12, 24):
-        for a in range(-3, 7):
-            for b in range(0, 5):
-                lhs = CycScalar.root_of_unity(a, r) * CycScalar.root_of_unity(b, r)
-                assert lhs == CycScalar.root_of_unity(a + b, r)
-    assert CycScalar.root_of_unity(1, 2) == CycScalar.from_rational(-1)
-    assert CycScalar.root_of_unity(1, 4) == I_UNIT
-
-
-def test_root_of_unity_rejects_orders_outside_the_field():
-    with pytest.raises(ValueError):
-        CycScalar.root_of_unity(1, 5)
-    with pytest.raises(ValueError):
-        CycScalar.root_of_unity(2, 7)
+def test_zeta_multiplication_law():
+    for a in range(-30, 30):
+        for b in range(0, 25):
+            assert CycScalar.zeta(a) * CycScalar.zeta(b) == CycScalar.zeta(a + b)
+    assert CycScalar.zeta(12) == CycScalar.from_rational(-1)
+    assert CycScalar.zeta(6) == I_UNIT
 
 
 def test_rational_predicates():

@@ -166,7 +166,7 @@ def test_verify_witness_builds_the_image_matrix_once(monkeypatch):
 
     monkeypatch.setattr(duality, "_ImageTable", CountingTable)
     report = verify_witness(_row2_witness())
-    assert report.passed, report.failure()
+    assert report.passed, report.to_json()
     assert len(calls) == 1
 
 
